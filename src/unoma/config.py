@@ -10,7 +10,10 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import zero_forcing_array_gain
+from .noma_core import SCHEMES, build_matrix
 
 KINDS = ("association_sweep", "allocation_sweep", "link_level")
 
@@ -196,15 +199,22 @@ def _validate_link(data: dict):
     _reject_unknown(data, _LINK_KEYS)
     data.setdefault("max_iters", 8)
     data.setdefault("matrix_params", {})
-    _require(data, "scheme", str,
-             lambda s: s in ("pd-noma", "scma", "pdma", "musa"),
-             "must be a NOMA scheme tag")
+    _require(data, "scheme", str, lambda s: s in SCHEMES,
+             f"must be one of {SCHEMES}")
     _require(data, "k", int, lambda v: v >= 1, "must be >= 1")
     _require(data, "n", int, lambda v: v >= 1, "must be >= 1")
     _require(data, "q", int, lambda v: v in (2, 4, 8), "must be 2, 4 or 8")
     _require(data, "max_iters", int, lambda v: v >= 1, "must be >= 1")
     _require(data, "matrix_params", dict)
     _validate_sweep(data, "snr_db", math.isfinite, "must be finite")
+    # Dry-build the spreading matrix so that validation rejects what a run
+    # would; MUSA draws its sequences, here from a fixed seed.
+    try:
+        build_matrix(data["scheme"], data["k"], data["n"], data["matrix_params"],
+                     np.random.default_rng(0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{data['scheme']} matrix with k={data['k']}, "
+                          f"n={data['n']}: {exc}") from exc
 
 
 def validate_config(data: dict) -> ExperimentConfig:

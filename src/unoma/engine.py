@@ -67,6 +67,14 @@ _CONVENTIONS = {
         "fairness": "Jain index over per-small-cell pair rates; "
                     "unmatched (blocked) BSs count as rate 0",
     },
+    "link_level": {
+        "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "
+                  "sample, each layer's codewords having unit average energy; "
+                  "the per-RB aggregate SNR is snr_db + 10*log10(N/K)",
+        "mpa_stop": "per received vector: its messages freeze after the first "
+                    "iteration whose largest message change is below 1e-6, "
+                    "or after max_iters",
+    },
 }
 
 

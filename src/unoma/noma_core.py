@@ -15,9 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-SCHEMES = ("pd-noma", "scma", "pdma", "musa")
+# Keys each scheme's matrix construction reads from its params.
+MATRIX_PARAMS = {
+    "pd-noma": (),
+    "scma": ("column_weight",),
+    "pdma": ("patterns",),
+    "musa": ("pool_size", "alphabet", "column_weight"),
+}
+SCHEMES = tuple(MATRIX_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +83,12 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
                  rng: np.random.Generator | None = None) -> SpreadingMatrix:
     """Construct a scheme-consistent K x N spreading matrix."""
     params = dict(params or {})
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    unknown = sorted(set(params) - set(MATRIX_PARAMS[scheme]))
+    if unknown:
+        raise ValueError(f"unknown {scheme} matrix parameter(s) {unknown}; "
+                         f"allowed: {list(MATRIX_PARAMS[scheme])}")
     if k < 1 or n < 1:
         raise ValueError("need K >= 1 and N >= 1")
     if scheme == "pd-noma":
@@ -114,20 +126,19 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
             raise ValueError("PDMA patterns must be pairwise distinct")
         occ = np.asarray(pats, dtype=np.uint8).T
         return SpreadingMatrix(scheme, occ, occ.astype(complex))
-    if scheme == "musa":
-        if rng is None:
-            raise ValueError("MUSA construction needs an rng")
-        pool_size = int(params.get("pool_size", n))
-        if pool_size < n:
-            raise ValueError("MUSA pool_size must be >= N")
-        alphabet = params.get("alphabet", _DEFAULT_MUSA_ALPHABET)
-        weight = params.get("column_weight")
-        sequences, _ = musa_pool(pool_size, k, alphabet, rng, weight=weight,
-                                 max_row_weight=(n - 1 if (k > 1 and n > 1) else None))
-        coef = sequences[:n].T.astype(complex)
-        occ = (np.abs(coef) > 0).astype(np.uint8)
-        return SpreadingMatrix(scheme, occ, coef)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    # musa
+    if rng is None:
+        raise ValueError("MUSA construction needs an rng")
+    pool_size = int(params.get("pool_size", n))
+    if pool_size < n:
+        raise ValueError("MUSA pool_size must be >= N")
+    alphabet = params.get("alphabet", _DEFAULT_MUSA_ALPHABET)
+    weight = params.get("column_weight")
+    sequences, _ = musa_pool(pool_size, k, alphabet, rng, weight=weight,
+                             max_row_weight=(n - 1 if (k > 1 and n > 1) else None))
+    coef = sequences[:n].T.astype(complex)
+    occ = (np.abs(coef) > 0).astype(np.uint8)
+    return SpreadingMatrix(scheme, occ, coef)
 
 
 def assign_columns(matrix: SpreadingMatrix, users_by_power_desc) -> dict:
@@ -406,12 +417,12 @@ def sic_decode_downlink(y_at_near_user: complex, pair: NomaPair, gains: dict,
 # MPA detection
 # ---------------------------------------------------------------------------
 
+# Vectors detected together. A fixed size bounds memory whatever the batch
+# size, and since each vector stops on its own, results do not depend on where
+# the chunk boundaries fall.
+MPA_CHUNK = 4096
 
-@dataclass(frozen=True)
-class DetectionResult:
-    marginals: np.ndarray  # (N, Q), rows sum to 1
-    hard_decisions: np.ndarray  # (N,) symbol indices
-    iterations: int
+_TINY = np.finfo(float).tiny
 
 
 def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
@@ -424,15 +435,28 @@ def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
         raise ValueError("codeword support outside the column support")
 
 
+def _log_normalize(x: np.ndarray) -> np.ndarray:
+    """Shift log-messages along axis 1 (symbols) so their exponentials sum to
+    one."""
+    x = x - x.max(axis=1, keepdims=True)
+    return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+
 def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
                      codebook: Codebook, noise_var: float, max_iters: int = 8,
                      tol: float = 1e-6, damping: float = 0.0):
-    """Log-domain sum-product MPA on a batch of received vectors.
+    """Sum-product MPA on a batch of received vectors.
 
     received has shape (B, K). Returns (marginals (B, N, Q), hard decisions
     (B, N), iterations used). Messages flow between RB (function) nodes and
-    layer (variable) nodes; early stop when the largest message change drops
-    below tol.
+    layer (variable) nodes and are kept as log-probabilities. Each RB's
+    channel likelihoods exp(-|y - s|^2 / noise_var) over the joint symbols of
+    its layers are computed once per chunk, and each outgoing message is their
+    contraction with the other layers' incoming messages. Stop rule, per
+    vector: its messages freeze after the first iteration in which its
+    largest message change is below tol, or after max_iters; the returned
+    iterations is the maximum over vectors. Vectors are processed in chunks
+    of MPA_CHUNK, and a vector's result does not depend on its batch-mates.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be > 0")
@@ -446,94 +470,84 @@ def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
         raise ValueError("received vector length must equal K")
 
     occ = matrix.occupancy.astype(bool)
-    rows = [np.flatnonzero(occ[ki]) for ki in range(k)]
-    cols = [np.flatnonzero(occ[:, li]) for li in range(n)]
-    edge_idx = {}
-    for ki in range(k):
-        for li in rows[ki]:
-            edge_idx[(ki, int(li))] = len(edge_idx)
-    n_edges = len(edge_idx)
+    rbs = [ki for ki in range(k) if occ[ki].any()]
+    rows = [np.flatnonzero(occ[ki]) for ki in rbs]
+    # Edges are numbered RB by RB; row_edges[r] holds RB r's edges in layer
+    # order, layer_edges[li] layer li's edges in RB order.
+    row_edges, layer_edges, n_edges = [], [[] for _ in range(n)], 0
+    for layers in rows:
+        row_edges.append(range(n_edges, n_edges + len(layers)))
+        for li in layers:
+            layer_edges[li].append(n_edges)
+            n_edges += 1
+    # Per RB: the noiseless received value of every joint symbol of its
+    # layers (first layer slowest), and for each layer the einsum that
+    # contracts the likelihoods with every other layer's message.
+    row_sums, row_subs = [], []
+    for ki, layers in zip(rbs, rows):
+        axes = "abcdefghijklmnopqrstuvwxy"[:len(layers)]
+        row_sums.append(sum(np.ix_(*codebook.codewords[layers, :, ki])).ravel())
+        row_subs.append([",".join([axes + "z"] + [a + "z" for a in axes if a != ax])
+                         + f"->{ax}z" for ax in axes])
 
-    # Per row: enumerate all joint symbol combos of its layers.
-    row_combos, row_ll = [], []
-    for ki in range(k):
-        layers = rows[ki]
-        d = len(layers)
-        if d == 0:
-            row_combos.append(None)
-            row_ll.append(None)
-            continue
-        combos = np.array(list(itertools.product(range(q), repeat=d)), dtype=int)
-        sums = np.zeros(len(combos), dtype=complex)
-        for i, li in enumerate(layers):
-            sums += codebook.codewords[li, combos[:, i], ki]
-        ll = -np.abs(y[:, ki, None] - sums[None, :]) ** 2 / noise_var
-        row_combos.append(combos)
-        row_ll.append(ll)
+    def detect(yc: np.ndarray):
+        """Marginals (len(yc), N, Q) and iterations for one chunk. Arrays
+        put the vector axis last, so that every operation runs along it."""
+        bc = len(yc)
+        if bc == 1:
+            # einsum drops a length-1 vector axis and then sums in another
+            # order; a lone vector is detected as a pair to keep its bits.
+            marg, its = detect(np.repeat(yc, 2, axis=0))
+            return marg[:1], its
+        likelihood = []
+        for ki, layers, sums in zip(rbs, rows, row_sums):
+            ll = -np.abs(yc[None, :, ki] - sums[:, None]) ** 2 / noise_var
+            p = np.exp(ll - ll.max(axis=0))
+            likelihood.append(p.reshape((q,) * len(layers) + (bc,)))
+        mv = np.full((n_edges, q, bc), -math.log(q))  # variable -> function
+        mf = np.zeros((n_edges, q, bc))  # function -> variable
+        live = np.ones(bc, dtype=bool)
+        for it in range(max_iters):
+            # function (RB) node update
+            pv = np.exp(mv)
+            new_mf = np.empty_like(mf)
+            for p, edges, subs in zip(likelihood, row_edges, row_subs):
+                for e, sub in zip(edges, subs):
+                    s = np.einsum(sub, p, *(pv[o] for o in edges if o != e))
+                    new_mf[e] = np.log(np.maximum(s, _TINY))
+            new_mf = _log_normalize(new_mf)
+            if damping > 0:
+                new_mf = (1 - damping) * new_mf + damping * mf
+            # variable (layer) node update
+            new_mv = np.zeros_like(mv)
+            for edges in layer_edges:
+                for e in edges:
+                    for o in edges:
+                        if o != e:
+                            new_mv[e] += new_mf[o]
+            new_mv = _log_normalize(new_mv)
+            change = np.maximum(np.abs(new_mf - mf).max(axis=(0, 1)),
+                                np.abs(new_mv - mv).max(axis=(0, 1)))
+            mf = np.where(live, new_mf, mf)
+            mv = np.where(live, new_mv, mv)
+            live &= change >= tol
+            if not live.any():
+                break
+        log_marg = np.zeros((n, q, bc))
+        for li, edges in enumerate(layer_edges):
+            for e in edges:
+                log_marg[li] += mf[e]
+        marg = np.exp(log_marg - log_marg.max(axis=1, keepdims=True))
+        marg /= marg.sum(axis=1, keepdims=True)
+        return np.moveaxis(marg, 2, 0), it + 1
 
-    log_q = math.log(q)
-    mv = np.full((n_edges, b, q), -log_q)  # variable -> function
-    mf = np.zeros((n_edges, b, q))  # function -> variable
+    marginals = np.empty((b, n, q))
     iterations = 0
-    for it in range(max_iters):
-        iterations = it + 1
-        delta = 0.0
-        # function (RB) node update
-        new_mf = mf.copy()
-        for ki in range(k):
-            layers = rows[ki]
-            if len(layers) == 0:
-                continue
-            combos = row_combos[ki]
-            base = row_ll[ki].copy()
-            for j, lj in enumerate(layers):
-                base += mv[edge_idx[(ki, int(lj))]][:, combos[:, j]]
-            for i, li in enumerate(layers):
-                e = edge_idx[(ki, int(li))]
-                excl = base - mv[e][:, combos[:, i]]
-                out = np.empty((b, q))
-                for sym in range(q):
-                    sel = combos[:, i] == sym
-                    out[:, sym] = logsumexp(excl[:, sel], axis=1)
-                out -= logsumexp(out, axis=1, keepdims=True)
-                if damping > 0:
-                    out = (1 - damping) * out + damping * mf[e]
-                delta = max(delta, float(np.max(np.abs(out - mf[e]))))
-                new_mf[e] = out
-        mf = new_mf
-        # variable (layer) node update
-        for li in range(n):
-            total = np.zeros((b, q))
-            for ki in cols[li]:
-                total += mf[edge_idx[(int(ki), li)]]
-            for ki in cols[li]:
-                e = edge_idx[(int(ki), li)]
-                out = total - mf[e]
-                out -= logsumexp(out, axis=1, keepdims=True)
-                delta = max(delta, float(np.max(np.abs(out - mv[e]))))
-                mv[e] = out
-        if delta < tol:
-            break
-
-    log_marg = np.zeros((b, n, q))
-    for li in range(n):
-        for ki in cols[li]:
-            log_marg[:, li, :] += mf[edge_idx[(int(ki), li)]]
-    log_marg -= logsumexp(log_marg, axis=2, keepdims=True)
-    marginals = np.exp(log_marg)
-    marginals /= marginals.sum(axis=2, keepdims=True)
-    hard = np.argmax(marginals, axis=2)
-    return marginals, hard, iterations
-
-
-def mpa_detect(received: np.ndarray, matrix: SpreadingMatrix, codebook: Codebook,
-               noise_var: float, max_iters: int = 8, tol: float = 1e-6,
-               damping: float = 0.0) -> DetectionResult:
-    """Detect one received K-vector; see mpa_detect_batch."""
-    marg, hard, iters = mpa_detect_batch(
-        np.asarray(received, dtype=complex)[None, :], matrix, codebook,
-        noise_var, max_iters=max_iters, tol=tol, damping=damping)
-    return DetectionResult(marg[0], hard[0], iters)
+    for start in range(0, b, MPA_CHUNK):
+        chunk = slice(start, start + MPA_CHUNK)
+        marginals[chunk], its = detect(y[chunk])
+        iterations = max(iterations, its)
+    return marginals, np.argmax(marginals, axis=2), iterations
 
 
 def symbol_error_rate(decisions: np.ndarray, truth: np.ndarray) -> float:

@@ -5,7 +5,6 @@ import itertools
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import logsumexp
 
 from unoma.allocation import AllocationInstance, capped_equal_powers, rb_rates
 from unoma.noma_core import NomaPair
@@ -29,19 +28,21 @@ def exact_posteriors(y, codebook, noise_var):
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     marginals = np.zeros((len(y), n, q))
     map_dec = np.zeros((len(y), n), dtype=int)
+    # |y - s|^2 = |y|^2 - 2 Re(y s*) + |s|^2, and |y|^2 is the same for
+    # every hypothesis, so it drops out of the posteriors and the MAP choice.
+    energy = np.sum(np.abs(sums) ** 2, axis=1)
+    # hypothesis -> (layer, symbol) indicator: a product with it sums the
+    # joint posterior over every hypothesis that gives a layer that symbol
+    member = (combos[:, :, None] == np.arange(q)).reshape(len(combos), n * q)
+    member = member.astype(float)
     chunk = max(1, 2 * 10**6 // max(1, len(combos)))
     for start in range(0, len(y), chunk):
         yc = y[start:start + chunk]
-        ll = -np.sum(np.abs(yc[:, None, :] - sums[None, :, :]) ** 2,
-                     axis=2) / noise_var
+        ll = (2.0 * (yc @ sums.conj().T).real - energy) / noise_var
         map_dec[start:start + chunk] = combos[np.argmax(ll, axis=1)]
-        for layer in range(n):
-            for sym in range(q):
-                sel = combos[:, layer] == sym
-                marginals[start:start + chunk, layer, sym] = \
-                    logsumexp(ll[:, sel], axis=1)
-    marginals -= logsumexp(marginals, axis=2, keepdims=True)
-    return np.exp(marginals), map_dec
+        joint = np.exp(ll - ll.max(axis=1, keepdims=True))
+        marginals[start:start + chunk] = (joint @ member).reshape(-1, n, q)
+    return marginals / marginals.sum(axis=2, keepdims=True), map_dec
 
 
 def random_instance(rng, n_bs, n_rb, tau, p_max=0.2, sigma2=1e-9,

@@ -103,6 +103,20 @@ def test_bad_values_rejected():
             validate_config(data)
 
 
+def test_validate_rejects_unbuildable_matrix(tmp_path):
+    base = dict(_tiny_link_config(), scheme="scma", k=4, n=6, q=4,
+                matrix_params={"column_weight": 2})
+    validate_config(base)
+    bad = [dict(base, n=7),  # C(4,2) = 6 distinct columns < N = 7
+           dict(base, matrix_params={"column_weight": 2, "bogus": 1})]
+    for i, data in enumerate(bad):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
+
+
 def test_allocation_config_checks():
     data = dict(preset_config("fig5").data)
     data["taus"] = [2, 0]
@@ -203,7 +217,8 @@ def test_cli_run_link_level(tmp_path):
     # SER should not increase with SNR
     ser = [float(line.split(",")[1]) for line in csv[1:]]
     assert ser[1] <= ser[0]
-    assert (out / "tiny_manifest.json").exists()
+    manifest = json.loads((out / "tiny_manifest.json").read_text())
+    assert set(manifest["conventions"]) == {"snr_db", "mpa_stop"}
 
 
 def test_cli_overrides(tmp_path):

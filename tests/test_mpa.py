@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import exact_posteriors
+from unoma import noma_core
 from unoma.noma_core import (
     build_matrix,
     default_codebook,
-    mpa_detect,
     mpa_detect_batch,
     symbol_error_rate,
 )
@@ -86,16 +86,36 @@ def test_mpa_damping_stays_valid():
     assert np.max(np.abs(marg - exact)) < 1e-6
 
 
-def test_mpa_single_vector_wrapper():
-    rng = np.random.default_rng(5)
-    matrix = _tree_matrix()
+def _scma_batch(noise_var):
+    matrix = build_matrix("scma", 4, 6, {"column_weight": 2})
     cb = default_codebook(matrix, 4)
-    truth = rng.integers(0, 4, size=(1, 2))
-    y = _receive(cb, truth, 0.4, rng)
-    res = mpa_detect(y[0], matrix, cb, 0.4)
-    marg, hard, _ = mpa_detect_batch(y, matrix, cb, 0.4)
-    assert np.allclose(res.marginals, marg[0])
-    assert (res.hard_decisions == hard[0]).all()
+    rng = np.random.default_rng(5)
+    truth = rng.integers(0, 4, size=(3000, 6))
+    return matrix, cb, truth, _receive(cb, truth, noise_var, rng)
+
+
+def test_mpa_chunk_and_batch_mate_invariance(monkeypatch):
+    matrix, cb, _, y = _scma_batch(0.3)
+    marg, hard, iters = mpa_detect_batch(y, matrix, cb, 0.3)
+    monkeypatch.setattr(noma_core, "MPA_CHUNK", 1000)
+    chunked = mpa_detect_batch(y, matrix, cb, 0.3)
+    assert np.array_equal(chunked[0], marg) and chunked[2] == iters
+    parts = [mpa_detect_batch(y[s:s + 700], matrix, cb, 0.3)
+             for s in range(0, len(y), 700)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), marg)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), hard)
+    assert max(p[2] for p in parts) == iters
+    for v in (0, 701, len(y) - 1):
+        alone, alone_hard, _ = mpa_detect_batch(y[v], matrix, cb, 0.3)
+        assert np.array_equal(alone[0], marg[v])
+        assert np.array_equal(alone_hard[0], hard[v])
+
+
+def test_mpa_low_noise_stays_finite():
+    matrix, cb, truth, y = _scma_batch(1e-12)
+    marg, hard, _ = mpa_detect_batch(y, matrix, cb, 1e-3)
+    assert not np.isnan(marg).any()
+    assert symbol_error_rate(hard, truth) == 0.0
 
 
 def test_mpa_input_validation():
