@@ -10,17 +10,15 @@ log-power variables.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .noma_core import NomaPair
-
-LOG2 = math.log(2.0)
+# Bound on the improving-swap rounds of each matching seed.
+_MAX_SWAP_ROUNDS = 10_000
 
 
 class InfeasibleError(ValueError):
@@ -42,32 +40,6 @@ def jain_fairness(values) -> float:
     if ssq == 0.0:
         raise ValueError("all-zero input")
     return float(np.sum(x)) ** 2 / (x.size * ssq)
-
-
-def noma_pair_rates(p: float, pair: NomaPair, g_far: float, g_near: float,
-                    sigma2: float, i_far: float = 0.0, i_near: float = 0.0):
-    """(rate_far, rate_near) of a NOMA pair at BS power p with co-channel
-    interference i_far / i_near at the two users."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    if p <= 0:
-        raise ValueError("p must be > 0")
-    rate_far = math.log2(1.0 + pair.a_m * p * g_far
-                         / (pair.a_n * p * g_far + i_far + sigma2))
-    rate_near = math.log2(1.0 + pair.a_n * p * g_near / (i_near + sigma2))
-    return rate_far, rate_near
-
-
-def oma_pair_rates(p: float, g_far: float, g_near: float, sigma2: float,
-                   i_far: float = 0.0, i_near: float = 0.0):
-    """Equal time sharing: each user gets half the slot at full power."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    if p <= 0:
-        raise ValueError("p must be > 0")
-    rate_far = 0.5 * math.log2(1.0 + p * g_far / (i_far + sigma2))
-    rate_near = 0.5 * math.log2(1.0 + p * g_near / (i_near + sigma2))
-    return rate_far, rate_near
 
 
 @dataclass(frozen=True)
@@ -119,38 +91,6 @@ class AllocationInstance:
     def n_rb(self) -> int:
         return self.g_near.shape[1]
 
-    def save(self, path) -> None:
-        data = {
-            "g_near": np.asarray(self.g_near).tolist(),
-            "g_far": np.asarray(self.g_far).tolist(),
-            "x_near": np.asarray(self.x_near).tolist(),
-            "x_far": np.asarray(self.x_far).tolist(),
-            "h_macro": np.asarray(self.h_macro).tolist(),
-            "i_threshold": np.asarray(self.i_threshold).tolist(),
-            "tau": int(self.tau),
-            "p_max": float(self.p_max),
-            "sigma2": float(self.sigma2),
-            "pairs": [[p.near_user, p.far_user, p.a_m, p.a_n] for p in self.pairs],
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-
-    @classmethod
-    def load(cls, path) -> "AllocationInstance":
-        with open(path) as fh:
-            data = json.load(fh)
-        pairs = tuple(NomaPair(int(n), int(f), a_m, a_n)
-                      for n, f, a_m, a_n in data["pairs"])
-        return cls(
-            g_near=np.asarray(data["g_near"], dtype=float),
-            g_far=np.asarray(data["g_far"], dtype=float),
-            x_near=np.asarray(data["x_near"], dtype=float),
-            x_far=np.asarray(data["x_far"], dtype=float),
-            h_macro=np.asarray(data["h_macro"], dtype=float),
-            i_threshold=np.asarray(data["i_threshold"], dtype=float),
-            tau=int(data["tau"]), p_max=float(data["p_max"]),
-            sigma2=float(data["sigma2"]), pairs=pairs)
-
 
 def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
              scheme: str = "noma"):
@@ -171,20 +111,22 @@ def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
                     for b2 in bs_list if b2 != b)
         i_near = sum(powers[b2] * instance.x_near[b2, b, rb]
                      for b2 in bs_list if b2 != b)
-        if instance.g_far[b, rb] == 0.0:
-            rates[b] = math.log2(1.0 + p * instance.g_near[b, rb]
-                                 / (i_near + s2))
-            continue
-        if scheme == "noma":
-            rf, rn = noma_pair_rates(p, instance.pairs[b],
-                                     instance.g_far[b, rb],
-                                     instance.g_near[b, rb], s2, i_far, i_near)
+        g_far, g_near = instance.g_far[b, rb], instance.g_near[b, rb]
+        if g_far == 0.0:
+            rates[b] = math.log2(1.0 + p * g_near / (i_near + s2))
+        elif scheme == "noma":
+            # the far user decodes its share treating the near user's as
+            # noise; the near user cancels the far share first (SIC)
+            pair = instance.pairs[b]
+            rates[b] = (math.log2(1.0 + pair.a_m * p * g_far
+                                  / (pair.a_n * p * g_far + i_far + s2))
+                        + math.log2(1.0 + pair.a_n * p * g_near / (i_near + s2)))
         elif scheme == "oma":
-            rf, rn = oma_pair_rates(p, instance.g_far[b, rb],
-                                    instance.g_near[b, rb], s2, i_far, i_near)
+            # equal time sharing: each user gets half the slot at full power
+            rates[b] = (0.5 * math.log2(1.0 + p * g_far / (i_far + s2))
+                        + 0.5 * math.log2(1.0 + p * g_near / (i_near + s2)))
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        rates[b] = rf + rn
     return sum(rates.values()), rates
 
 
@@ -240,12 +182,6 @@ def build_preferences(instance: AllocationInstance, scheme: str = "noma"):
     return bs_prefs, rb_prefs
 
 
-def matching_sum_rate(instance: AllocationInstance, matching: Matching,
-                      powers, scheme: str = "noma") -> float:
-    return sum(rb_rates(instance, r, members, powers, scheme)[0]
-               for r, members in enumerate(matching.rb_to_bs) if members)
-
-
 def _da_seed(instance: AllocationInstance, scheme: str):
     """Deferred acceptance: BSs propose, RBs keep their top-tau proposers."""
     b_n, r_n = instance.n_bs, instance.n_rb
@@ -297,11 +233,10 @@ def _greedy_seed(instance: AllocationInstance, rb_total):
     return assign, occ
 
 
-def _swap_phase(instance: AllocationInstance, assign, occ, rb_total,
-                max_rounds: int):
+def _swap_phase(instance: AllocationInstance, assign, occ, rb_total):
     """Best-improvement moves into vacancies and pairwise exchanges."""
     b_n, r_n = instance.n_bs, instance.n_rb
-    for _ in range(max_rounds):
+    for _ in range(_MAX_SWAP_ROUNDS):
         best_delta, best_action = 1e-12, None
         for b in range(b_n):
             src = assign[b]
@@ -349,8 +284,7 @@ def _swap_phase(instance: AllocationInstance, assign, occ, rb_total,
     return assign, occ
 
 
-def match_rbs(instance: AllocationInstance, scheme: str = "noma",
-              max_rounds: int = 10_000) -> Matching:
+def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     """Two seeds (deferred acceptance and marginal-gain greedy), each refined
     by rate-improving swaps until no single move (into a vacancy) or pairwise
     exchange improves the total; the better of the two local optima is kept.
@@ -376,8 +310,7 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma",
     best_assign, best_occ, best_total = None, None, -math.inf
     for seed in (_da_seed(instance, scheme),
                  _greedy_seed(instance, rb_total)):
-        assign, occ = _swap_phase(instance, seed[0], seed[1], rb_total,
-                                  max_rounds)
+        assign, occ = _swap_phase(instance, seed[0], seed[1], rb_total)
         total = sum(rb_total(r, occ[r]) for r in range(r_n))
         if total > best_total + 1e-12:
             best_assign, best_occ, best_total = assign, occ, total
@@ -548,13 +481,3 @@ def solve_instance(instance: AllocationInstance, scheme: str = "noma"):
     solution = sca_power_control(matching, instance, scheme)
     return matching, solution
 
-
-def oma_baseline(instance: AllocationInstance, matching: Matching | None = None) -> float:
-    """Sum rate of the equal-time-sharing OMA comparator (same machinery)."""
-    if matching is None:
-        matching = match_rbs(instance, "oma")
-    return sca_power_control(matching, instance, "oma").sum_rate
-
-
-def with_tau(instance: AllocationInstance, tau: int) -> AllocationInstance:
-    return replace(instance, tau=tau)

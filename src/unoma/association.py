@@ -1,24 +1,22 @@
-"""User association by maximum average received power, NOMA pairing, and the
+"""User association by maximum average received power and the
 association-probability Monte-Carlo study."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     NetworkSnapshot,
     Region,
-    TierConfig,
     avg_received_power,
     link_distances,
     sample_network,
     sample_uniform,
 )
 from .metrics import Z_95
-from .noma_core import NomaPair
 
 
 def associate_user(user_pos, snapshot: NetworkSnapshot):
@@ -39,67 +37,6 @@ def associate_user(user_pos, snapshot: NetworkSnapshot):
     if best is None:
         raise ValueError("cannot associate in an empty network")
     return best
-
-
-def pair_users(bs_users, a_m: float, a_n: float):
-    """Pair the users of one BS: strongest with weakest, and so on inward.
-
-    bs_users is a list of (user_id, avg_received_power). The weaker user of
-    each pair holds the larger share a_m. Returns (pairs, singletons) where
-    singletons lists the odd leftover user(s) served alone (OMA fallback).
-    """
-    if abs(a_m + a_n - 1.0) > 1e-12 or not 0.0 < a_n < a_m < 1.0:
-        raise ValueError(f"invalid power-sharing coefficients ({a_m}, {a_n})")
-    ranked = sorted(bs_users, key=lambda up: (-up[1], up[0]))
-    pairs = []
-    lo, hi = 0, len(ranked) - 1
-    while lo < hi:
-        near, far = ranked[lo], ranked[hi]
-        pairs.append(NomaPair(near_user=near[0], far_user=far[0], a_m=a_m, a_n=a_n))
-        lo += 1
-        hi -= 1
-    singles = [ranked[lo][0]] if lo == hi else []
-    return pairs, singles
-
-
-@dataclass
-class AssociationMap:
-    """Association outcome for one snapshot."""
-
-    user_to_bs: dict  # user index -> (tier_id, bs_index)
-    bs_users: dict  # (tier_id, bs_index) -> ordered user list (strongest first)
-    bs_pairs: dict  # (tier_id, bs_index) -> list of NomaPair
-
-    def __post_init__(self):
-        seen = set()
-        for bs, users in self.bs_users.items():
-            for u in users:
-                if u in seen:
-                    raise ValueError(f"user {u} assigned to more than one BS")
-                seen.add(u)
-
-
-def associate_all(snapshot: NetworkSnapshot, a_m: float, a_n: float) -> AssociationMap:
-    """Associate every user of the snapshot and form NOMA pairs per BS."""
-    tier_by_id = {t.tier_id: t for t in snapshot.tiers}
-    pos_by_id = {t.tier_id: p for t, p in zip(snapshot.tiers, snapshot.bs_positions)}
-    user_to_bs = {}
-    bs_users: dict = {}
-    for u, pos in enumerate(snapshot.users):
-        bs = associate_user(pos, snapshot)
-        user_to_bs[u] = bs
-        tier = tier_by_id[bs[0]]
-        d = link_distances(pos, pos_by_id[bs[0]][bs[1]][None, :])[0]
-        p = avg_received_power(tier.tx_power_w, tier.array_gain, d,
-                               tier.path_loss_exponent)
-        bs_users.setdefault(bs, []).append((u, p))
-    ordered = {}
-    pairs = {}
-    for bs, ups in bs_users.items():
-        ranked = sorted(ups, key=lambda up: (-up[1], up[0]))
-        ordered[bs] = [u for u, _ in ranked]
-        pairs[bs], _ = pair_users(ups, a_m, a_n)
-    return AssociationMap(user_to_bs, ordered, pairs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +85,7 @@ def association_probability(study: AssociationStudy, trials: int,
         trial_seed = np.random.SeedSequence([seed, trial])
         rng = np.random.default_rng(trial_seed)
         snap_seed = int(rng.integers(0, 2**63 - 1))
-        snap = sample_network(study.region, tiers, 0, snap_seed,
+        snap = sample_network(study.region, tiers, snap_seed,
                               guaranteed_bs=study.guaranteed_bs)
         if snap.n_bs == 0:
             continue

@@ -1,8 +1,10 @@
 """Seeded Monte-Carlo execution of configured experiments with CSV output.
 
-Every sweep point gets a sub-seed derived from (master seed, point index) via a
-cryptographic hash, and every trial from (master seed, point, trial), so
-results are byte-identical regardless of worker count or scheduling.
+Every sweep point gets a sub-seed hashed from (master seed, point index).
+Association trials seed from (point sub-seed, trial), allocation instances
+from a hash of (master seed, point, trial), and a link-level point draws all
+its trials from one generator seeded by its sub-seed, so results are
+byte-identical regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -12,19 +14,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .allocation import (
-    AllocationInstance,
-    jain_fairness,
-    solve_instance,
-    with_tau,
-)
+from .allocation import AllocationInstance, jain_fairness, solve_instance
 from .association import AssociationStudy, association_probability
 from .config import ExperimentConfig
 from .geometry import (
@@ -36,7 +33,13 @@ from .geometry import (
     sample_uniform,
 )
 from .metrics import aggregate, write_csv
-from .noma_core import build_matrix, default_codebook, mpa_detect_batch
+from .noma_core import (
+    NomaPair,
+    build_matrix,
+    default_codebook,
+    mpa_detect_batch,
+    symbol_error_rate,
+)
 
 _HEADERS = {
     "association_sweep": ["sweep_value", "tier_id", "probability",
@@ -155,7 +158,6 @@ def generate_instance(n_small: int, data: dict, tau: int, seed: int) -> Allocati
     signal = p_macro * d_macro ** (-alpha)
     threshold = signal / 10.0 ** (data["protection_ratio_db"] / 10.0)
 
-    from .noma_core import NomaPair
     pairs = tuple(NomaPair(near_user=2 * b, far_user=2 * b + 1,
                            a_m=data["a_m"], a_n=data["a_n"])
                   for b in range(n_small))
@@ -188,7 +190,7 @@ def _allocation_point(data: dict, index: int, n_small: int):
         inst_seed = subseed(data["seed"], index, trial)
         base = generate_instance(n_small, data, data["taus"][0], inst_seed)
         for tau in data["taus"]:
-            inst = with_tau(base, tau)
+            inst = replace(base, tau=tau)
             for scheme in data["schemes"]:
                 _, sol = solve_instance(inst, scheme)
                 results[(tau, scheme)]["sum"].append(sol.sum_rate)
@@ -221,7 +223,7 @@ def _link_point(data: dict, index: int, snr_db: float):
     y += noise * math.sqrt(noise_var / 2.0)
     _, hard, _ = mpa_detect_batch(y, matrix, codebook, noise_var,
                                   max_iters=data["max_iters"])
-    ser = float(np.mean(hard != truth))
+    ser = symbol_error_rate(hard, truth)
     return [(snr_db, ser, trials, seed)]
 
 

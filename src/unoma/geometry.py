@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     if not math.isfinite(p):
         raise ValueError(f"power in dBm must be finite, got {p_dbm!r}")
     return 10.0 ** ((p - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_watts: float) -> float:
-    p = float(p_watts)
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"power in watts must be finite and > 0, got {p_watts!r}")
-    return 10.0 * math.log10(p) + 30.0
 
 
 def zero_forcing_array_gain(n_antennas: int, n_streams: int) -> float:
@@ -47,10 +40,6 @@ class Region:
     @property
     def area(self) -> float:
         return math.pi * self.radius**2
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(np.atleast_2d(points) - np.asarray(self.center), axis=1)
-        return d <= self.radius * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -97,13 +86,11 @@ def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarr
 
 @dataclass(frozen=True)
 class NetworkSnapshot:
-    """One random draw of BS positions per tier plus user positions."""
+    """One random draw of BS positions per tier."""
 
     region: Region
     tiers: tuple[TierConfig, ...]
     bs_positions: tuple[np.ndarray, ...]  # one (n_i, 2) array per tier
-    users: np.ndarray  # (n_users, 2)
-    rng_seed: int
 
     def __post_init__(self):
         if len(self.tiers) != len(self.bs_positions):
@@ -117,11 +104,10 @@ class NetworkSnapshot:
 def sample_network(
     region: Region,
     tiers: list[TierConfig],
-    n_users: int,
     seed: int,
     guaranteed_bs: str | None = None,
 ) -> NetworkSnapshot:
-    """Draw BS positions per tier (PPP) and uniform user positions.
+    """Draw BS positions per tier (PPP).
 
     guaranteed_bs: None, "center" or "uniform" -- adds one extra BS of the
     first tier so every draw has coverage.
@@ -139,8 +125,7 @@ def sample_network(
                 raise ValueError(f"unknown guaranteed_bs mode {guaranteed_bs!r}")
             pts = np.vstack([extra, pts])
         positions.append(pts)
-    users = sample_uniform(n_users, region, rng)
-    return NetworkSnapshot(region, tuple(tiers), tuple(positions), users, seed)
+    return NetworkSnapshot(region, tuple(tiers), tuple(positions))
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -165,27 +150,6 @@ def avg_received_power(tx_power: float, array_gain: float, distance, alpha: floa
     return float(out) if np.isscalar(distance) else out
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One small-scale fading draw on a link."""
-
-    small_scale_gain: float  # unit-mean exponential (Rayleigh power)
-    distance: float
-
-    def __post_init__(self):
-        if self.small_scale_gain < 0:
-            raise ValueError("small_scale_gain must be >= 0")
-        if self.distance <= 0:
-            raise ValueError("distance must be > 0")
-
-
 def rayleigh_power_gains(rng: np.random.Generator, size=None):
     """Unit-mean exponential power gains (Rayleigh amplitude fading)."""
     return rng.exponential(1.0, size)
-
-
-def instantaneous_gain(channel: ChannelDraw, alpha: float) -> float:
-    """Instantaneous link power gain: fading times path loss."""
-    if alpha <= 2:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
-    return channel.small_scale_gain * channel.distance ** (-alpha)

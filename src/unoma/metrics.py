@@ -1,4 +1,4 @@
-"""Rate primitives, statistical aggregation, and CSV output."""
+"""Statistical aggregation and CSV output."""
 
 from __future__ import annotations
 
@@ -10,29 +10,10 @@ import numpy as np
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def shannon_rate(sinr: float) -> float:
-    """Spectral efficiency log2(1 + sinr) in bits/s/Hz."""
-    if sinr < 0:
-        raise ValueError(f"sinr must be >= 0, got {sinr}")
-    return math.log2(1.0 + sinr)
-
-
-@dataclass(frozen=True)
-class RateSample:
-    trial: int
-    entity: int
-    rate: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-
-
 @dataclass(frozen=True)
 class SweepSeries:
     """Aggregated metric per sweep value: mean, sample std, 95% CI half-width."""
 
-    name: str
     values: tuple
     mean: tuple
     std: tuple
@@ -40,7 +21,7 @@ class SweepSeries:
     trials: tuple
 
 
-def aggregate(samples, name: str = "value") -> SweepSeries:
+def aggregate(samples) -> SweepSeries:
     """Group (key, value) pairs by key and compute mean / std / normal 95% CI.
 
     Values inside a group are sorted before summation so the result is
@@ -62,7 +43,7 @@ def aggregate(samples, name: str = "value") -> SweepSeries:
         stds.append(s)
         cis.append(Z_95 * s / math.sqrt(n))
         ns.append(n)
-    return SweepSeries(name, tuple(keys), tuple(means), tuple(stds), tuple(cis), tuple(ns))
+    return SweepSeries(tuple(keys), tuple(means), tuple(stds), tuple(cis), tuple(ns))
 
 
 def _fmt(x) -> str:

@@ -1,17 +1,17 @@
-"""Unified NOMA core: sparse spreading matrices, codebooks, SIC, and MPA detection.
+"""Unified NOMA core: sparse spreading matrices, codebooks, uplink SIC, and
+MPA detection.
 
 The spreading matrix is a K x N binary occupancy pattern (rows = resource
 blocks, columns = users/layers) with complex coefficients on the occupied
-entries. PD-NOMA, SCMA, PDMA and MUSA are all expressed on it; power-domain
-receivers run SIC, code-domain receivers run sum-product message passing on
-the factor graph the matrix induces.
+entries. PD-NOMA, SCMA, PDMA and MUSA are all expressed on it and detected by
+sum-product message passing on the factor graph the matrix induces.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +66,6 @@ class SpreadingMatrix:
     @property
     def n_layers(self) -> int:
         return self.occupancy.shape[1]
-
-    def to_grid_str(self) -> str:
-        """Render occupancy as a 0/1 grid, one RB per line."""
-        return "\n".join(" ".join(str(int(v)) for v in row) for row in self.occupancy)
-
-
-def column_weight(matrix: SpreadingMatrix, col: int) -> int:
-    """Number of RBs occupied by one column (user)."""
-    if not 0 <= col < matrix.n_layers:
-        raise IndexError(f"column {col} out of range for N={matrix.n_layers}")
-    return int(matrix.occupancy[:, col].sum())
 
 
 def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
@@ -141,26 +130,28 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
     return SpreadingMatrix(scheme, occ, coef)
 
 
-def assign_columns(matrix: SpreadingMatrix, users_by_power_desc) -> dict:
-    """Map users (sorted by average received power, strongest first) to columns.
-
-    The strongest (nearby) user gets the lightest column, the weakest (distant)
-    user the heaviest; ties broken by lowest column index.
-    """
-    users = list(users_by_power_desc)
-    if len(users) > matrix.n_layers:
-        raise ValueError(f"{len(users)} users exceed {matrix.n_layers} columns")
-    order = sorted(range(matrix.n_layers),
-                   key=lambda c: (column_weight(matrix, c), c))
-    return {u: order[i] for i, u in enumerate(users)}
-
-
 # ---------------------------------------------------------------------------
 # MUSA sequence pools
 # ---------------------------------------------------------------------------
 
 _DEFAULT_MUSA_ALPHABET = tuple((a + 1j * b) / 2.0
                                for a in (-1.0, 1.0) for b in (-1.0, 1.0))
+
+# Candidate pools drawn by the random search in musa_pool.
+_MUSA_CANDIDATES = 64
+
+
+def _alphabet_entry(entry) -> complex:
+    """One alphabet value: a number, or an [re, im] pair since JSON has no
+    complex type."""
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 \
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in entry):
+        return complex(entry[0], entry[1])
+    if isinstance(entry, numbers.Complex) and not isinstance(entry, bool):
+        return complex(entry)
+    raise ValueError(f"alphabet entry {entry!r} is neither a number "
+                     "nor an [re, im] pair")
 
 
 def max_cross_correlation(sequences: np.ndarray) -> float:
@@ -174,16 +165,16 @@ def max_cross_correlation(sequences: np.ndarray) -> float:
 
 
 def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
-              weight: int | None = None, candidates: int = 64,
-              max_row_weight: int | None = None):
+              weight: int | None = None, max_row_weight: int | None = None):
     """Build a pool of unit-norm spreading sequences with low cross-correlation.
 
-    Sequences take values from `alphabet` on a random support of the given
-    weight (default: full length). A bounded random search keeps the candidate
-    pool minimizing the maximum pairwise absolute cross-correlation. Returns
+    Sequences take values from `alphabet` (numbers or [re, im] pairs) on a
+    random support of the given weight (default: full length). Of
+    _MUSA_CANDIDATES random pools, the one minimizing the maximum pairwise
+    absolute cross-correlation is kept. Returns
     (sequences array of shape (pool_size, k), max cross-correlation).
     """
-    alphabet = np.asarray(list(alphabet), dtype=complex)
+    alphabet = np.asarray([_alphabet_entry(a) for a in alphabet], dtype=complex)
     if alphabet.size == 0:
         raise ValueError("alphabet must be non-empty")
     if np.any(np.abs(alphabet) == 0):
@@ -215,7 +206,7 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
         return seqs
 
     best, best_x = None, math.inf
-    for _ in range(max(1, candidates)):
+    for _ in range(_MUSA_CANDIDATES):
         seqs = draw_pool()
         if seqs is None:
             continue
@@ -281,36 +272,8 @@ def default_codebook(matrix: SpreadingMatrix, q: int) -> Codebook:
     return Codebook(cw)
 
 
-def save_codebook(path, scheme: str, codebook: Codebook) -> None:
-    cw = codebook.codewords
-    data = {
-        "scheme": scheme,
-        "K": int(cw.shape[2]),
-        "N": int(cw.shape[0]),
-        "Q": int(cw.shape[1]),
-        "codewords": [[[[float(c.real), float(c.imag)] for c in word]
-                       for word in layer] for layer in cw],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-
-
-def load_codebook(path):
-    """Load a codebook file; returns (scheme, Codebook)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    for key in ("scheme", "K", "N", "Q", "codewords"):
-        if key not in data:
-            raise ValueError(f"codebook file missing key {key!r}")
-    raw = np.asarray(data["codewords"], dtype=float)
-    if raw.shape != (data["N"], data["Q"], data["K"], 2):
-        raise ValueError("codeword array shape inconsistent with K/N/Q header")
-    cw = raw[..., 0] + 1j * raw[..., 1]
-    return data["scheme"], Codebook(cw)
-
-
 # ---------------------------------------------------------------------------
-# Superposition and SIC
+# SIC
 # ---------------------------------------------------------------------------
 
 
@@ -330,15 +293,6 @@ class NomaPair:
             raise ValueError(f"a_m + a_n must be 1, got {self.a_m + self.a_n}")
         if not 0.0 < self.a_n < self.a_m < 1.0:
             raise ValueError(f"need 0 < a_n < a_m < 1, got ({self.a_m}, {self.a_n})")
-
-
-def superpose_downlink(pair: NomaPair, s_near: complex, s_far: complex,
-                       total_power: float) -> complex:
-    """Power-domain superposition x = sqrt(a_m P) s_far + sqrt(a_n P) s_near."""
-    if total_power <= 0:
-        raise ValueError("total_power must be > 0")
-    return (math.sqrt(pair.a_m * total_power) * s_far
-            + math.sqrt(pair.a_n * total_power) * s_near)
 
 
 def nearest_symbol(y: complex, constellation: np.ndarray):
@@ -386,33 +340,6 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
     return s_near, s_far, sinr_near, sinr_far
 
 
-def sic_decode_downlink(y_at_near_user: complex, pair: NomaPair, gains: dict,
-                        noise_var: float, total_power: float,
-                        constellation: np.ndarray,
-                        true_far_symbol: complex | None = None):
-    """Downlink SIC at the near user: detect/subtract the far signal, then decode.
-
-    gains holds the channel power gains {"near": g_near, "far": g_far}.
-    Returns (near_symbol, near_sinr, far_sinr) where far_sinr is the direct
-    decoding SINR at the far user.
-    """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be > 0")
-    if total_power <= 0:
-        raise ValueError("total_power must be > 0")
-    g_near, g_far = gains["near"], gains["far"]
-    sinr_near = pair.a_n * total_power * g_near / noise_var
-    sinr_far = (pair.a_m * total_power * g_far
-                / (pair.a_n * total_power * g_far + noise_var))
-    amp_far = math.sqrt(pair.a_m * total_power * g_near)
-    amp_near = math.sqrt(pair.a_n * total_power * g_near)
-    _, s_far = nearest_symbol(y_at_near_user / amp_far, constellation)
-    cancel = true_far_symbol if true_far_symbol is not None else s_far
-    residual = y_at_near_user - amp_far * cancel
-    _, s_near = nearest_symbol(residual / amp_near, constellation)
-    return s_near, sinr_near, sinr_far
-
-
 # ---------------------------------------------------------------------------
 # MPA detection
 # ---------------------------------------------------------------------------
@@ -444,7 +371,7 @@ def _log_normalize(x: np.ndarray) -> np.ndarray:
 
 def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
                      codebook: Codebook, noise_var: float, max_iters: int = 8,
-                     tol: float = 1e-6, damping: float = 0.0):
+                     tol: float = 1e-6):
     """Sum-product MPA on a batch of received vectors.
 
     received has shape (B, K). Returns (marginals (B, N, Q), hard decisions
@@ -516,8 +443,6 @@ def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
                     s = np.einsum(sub, p, *(pv[o] for o in edges if o != e))
                     new_mf[e] = np.log(np.maximum(s, _TINY))
             new_mf = _log_normalize(new_mf)
-            if damping > 0:
-                new_mf = (1 - damping) * new_mf + damping * mf
             # variable (layer) node update
             new_mv = np.zeros_like(mv)
             for edges in layer_edges:

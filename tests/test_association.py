@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 
 from unoma.association import (
-    AssociationMap,
     AssociationStudy,
-    associate_all,
     associate_user,
     association_probability,
-    pair_users,
 )
 from unoma.geometry import NetworkSnapshot, Region, TierConfig
 
 
-def _snapshot(tiers, positions, users=np.empty((0, 2))):
+def _snapshot(tiers, positions):
     return NetworkSnapshot(Region(500.0), tuple(tiers),
-                           tuple(np.asarray(p, dtype=float) for p in positions),
-                           np.asarray(users, dtype=float), 0)
+                           tuple(np.asarray(p, dtype=float) for p in positions))
 
 
 def test_associate_single_bs():
@@ -43,50 +39,6 @@ def test_associate_empty_network_raises():
     snap = _snapshot([TierConfig("macro", 40.0, 0.0)], [np.empty((0, 2))])
     with pytest.raises(ValueError):
         associate_user(np.zeros(2), snap)
-
-
-def test_pair_users_strongest_with_weakest():
-    pairs, singles = pair_users([(0, 10.0), (1, 1.0), (2, 5.0), (3, 0.5)],
-                                0.6, 0.4)
-    assert singles == []
-    assert [(p.near_user, p.far_user) for p in pairs] == [(0, 3), (2, 1)]
-    assert all(p.a_m == 0.6 and p.a_n == 0.4 for p in pairs)
-
-
-def test_pair_users_odd_leftover_and_single():
-    pairs, singles = pair_users([(7, 3.0)], 0.6, 0.4)
-    assert pairs == [] and singles == [7]
-    pairs, singles = pair_users([(0, 3.0), (1, 2.0), (2, 1.0)], 0.6, 0.4)
-    assert [(p.near_user, p.far_user) for p in pairs] == [(0, 2)]
-    assert singles == [1]
-
-
-def test_pair_users_rejects_bad_split():
-    with pytest.raises(ValueError):
-        pair_users([(0, 1.0), (1, 2.0)], 0.5, 0.5)
-    with pytest.raises(ValueError):
-        pair_users([(0, 1.0), (1, 2.0)], 0.4, 0.6)
-
-
-def test_association_map_rejects_duplicates():
-    with pytest.raises(ValueError):
-        AssociationMap({}, {("a", 0): [1, 2], ("a", 1): [2]}, {})
-
-
-def test_associate_all_partitions_users():
-    tiers = [TierConfig("macro", 40.0, 4e-6, array_gain=12.4),
-             TierConfig("pico", 30.0, 8e-6)]
-    from unoma.geometry import sample_network
-    snap = sample_network(Region(500.0), tiers, 30, seed=21,
-                          guaranteed_bs="center")
-    amap = associate_all(snap, 0.6, 0.4)
-    assigned = sorted(u for users in amap.bs_users.values() for u in users)
-    assert assigned == list(range(30))
-    for bs, users in amap.bs_users.items():
-        paired = {u for p in amap.bs_pairs[bs]
-                  for u in (p.near_user, p.far_user)}
-        assert paired <= set(users)
-        assert len(amap.bs_pairs[bs]) == len(users) // 2
 
 
 def test_single_tier_probability_one():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from unoma.cli import main
@@ -10,6 +11,7 @@ from unoma.config import (
     validate_config,
 )
 from unoma.engine import config_hash, run_experiment, subseed
+from unoma.noma_core import build_matrix
 
 
 def _tiny_link_config():
@@ -112,6 +114,29 @@ def test_validate_rejects_unbuildable_matrix(tmp_path):
     for i, data in enumerate(bad):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
+
+
+def test_musa_alphabet_pairs(tmp_path):
+    # JSON has no complex numbers: an entry is a real number or [re, im]
+    base = dict(_tiny_link_config(), scheme="musa", k=4, n=6, q=4, trials=50)
+    pairs = {"column_weight": 2, "alphabet": [[0.5, 0.5], [-0.5, 0.5], 1]}
+    complex_alphabet = [0.5 + 0.5j, -0.5 + 0.5j, 1]
+    direct = build_matrix("musa", 4, 6, dict(pairs, alphabet=complex_alphabet),
+                          np.random.default_rng(0))
+    parsed = build_matrix("musa", 4, 6, pairs, np.random.default_rng(0))
+    assert np.array_equal(parsed.coefficients, direct.coefficients)
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(dict(base, matrix_params=pairs)))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 0
+    for i, alphabet in enumerate([[[0.5, 0.5, 0.1]], [[0.5]], ["1j"],
+                                  [[0.5, "x"]], [True], [{"re": 1}]]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(base, matrix_params={"alphabet": alphabet})))
         assert main(["validate", "--config", str(path)]) == 1
         assert main(["run", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 1

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from unoma.geometry import (
-    ChannelDraw,
     Region,
     TierConfig,
     avg_received_power,
     dbm_to_watts,
-    instantaneous_gain,
     link_distances,
     rayleigh_power_gains,
     sample_network,
@@ -78,7 +76,8 @@ def test_sample_ppp_points_inside_region():
     region = Region(100.0, center=(50.0, -20.0))
     pts = sample_ppp(1e-3, region, np.random.default_rng(1))
     assert len(pts) > 0
-    assert region.contains(pts).all()
+    d = np.linalg.norm(pts - region.center, axis=1)
+    assert np.all(d <= region.radius * (1 + 1e-12))
 
 
 def test_avg_received_power_values():
@@ -105,15 +104,6 @@ def test_avg_received_power_monotone():
     assert np.all(np.diff(vals) > 0)
 
 
-def test_instantaneous_gain():
-    assert instantaneous_gain(ChannelDraw(1.0, 1.0), 4.0) == 1.0
-    assert instantaneous_gain(ChannelDraw(0.0, 10.0), 4.0) == 0.0
-    with pytest.raises(ValueError):
-        ChannelDraw(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        ChannelDraw(1.0, 0.0)
-
-
 def test_instantaneous_gain_mean_matches_path_loss():
     rng = np.random.default_rng(7)
     d, alpha = 37.0, 4.0
@@ -130,15 +120,14 @@ def test_snapshot_reproducible_bit_for_bit():
     region = Region(500.0)
     tiers = [TierConfig("macro", 40.0, 2e-6, array_gain=12.4),
              TierConfig("pico", 30.0, 5e-6)]
-    a = sample_network(region, tiers, 10, seed=123, guaranteed_bs="center")
-    b = sample_network(region, tiers, 10, seed=123, guaranteed_bs="center")
+    a = sample_network(region, tiers, seed=123, guaranteed_bs="center")
+    b = sample_network(region, tiers, seed=123, guaranteed_bs="center")
     for pa, pb in zip(a.bs_positions, b.bs_positions):
         assert pa.tobytes() == pb.tobytes()
-    assert a.users.tobytes() == b.users.tobytes()
 
 
 def test_guaranteed_bs_center():
-    snap = sample_network(Region(500.0), [TierConfig("macro", 40.0, 0.0)], 0,
+    snap = sample_network(Region(500.0), [TierConfig("macro", 40.0, 0.0)],
                           seed=1, guaranteed_bs="center")
     assert len(snap.bs_positions[0]) == 1
     assert np.allclose(snap.bs_positions[0][0], (0.0, 0.0))

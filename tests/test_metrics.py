@@ -4,23 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unoma.metrics import RateSample, Z_95, aggregate, shannon_rate, write_csv
-
-
-def test_shannon_rate_values():
-    assert shannon_rate(0.0) == 0.0
-    assert shannon_rate(1.0) == 1.0
-    assert shannon_rate(3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        shannon_rate(-0.1)
-
-
-def test_rate_sample_invariants():
-    RateSample(0, 0, 1.5)
-    with pytest.raises(ValueError):
-        RateSample(0, 0, -1.0)
-    with pytest.raises(ValueError):
-        RateSample(0, 0, math.inf)
+from unoma.metrics import Z_95, aggregate, write_csv
 
 
 def test_aggregate_two_point_group():

@@ -73,19 +73,6 @@ def test_mpa_noiseless_recovers_truth():
     assert symbol_error_rate(hard, truth) == 0.0
 
 
-def test_mpa_damping_stays_valid():
-    rng = np.random.default_rng(4)
-    matrix = _tree_matrix()
-    cb = default_codebook(matrix, 4)
-    truth = rng.integers(0, 4, size=(16, 2))
-    y = _receive(cb, truth, 0.5, rng)
-    marg, _, _ = mpa_detect_batch(y, matrix, cb, 0.5, max_iters=40,
-                                  tol=1e-13, damping=0.3)
-    exact, _ = exact_posteriors(y, cb, 0.5)
-    assert np.allclose(marg.sum(axis=2), 1.0)
-    assert np.max(np.abs(marg - exact)) < 1e-6
-
-
 def _scma_batch(noise_var):
     matrix = build_matrix("scma", 4, 6, {"column_weight": 2})
     cb = default_codebook(matrix, 4)

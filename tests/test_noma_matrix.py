@@ -4,14 +4,10 @@ import pytest
 from unoma.noma_core import (
     Codebook,
     SpreadingMatrix,
-    assign_columns,
     build_matrix,
-    column_weight,
     default_codebook,
-    load_codebook,
     max_cross_correlation,
     musa_pool,
-    save_codebook,
 )
 
 
@@ -24,7 +20,6 @@ def test_pd_noma_matrix():
     m = build_matrix("pd-noma", 1, 3)
     assert m.occupancy.shape == (1, 3)
     assert (m.occupancy == 1).all()
-    assert column_weight(m, 0) == 1
     with pytest.raises(ValueError):
         build_matrix("pd-noma", 2, 3)
 
@@ -110,35 +105,6 @@ def test_matrix_invariants():
         SpreadingMatrix("bogus", occ, occ.astype(complex))
 
 
-def test_assign_columns_single_user():
-    m = build_matrix("pd-noma", 1, 1)
-    assert assign_columns(m, ["u"]) == {"u": 0}
-
-
-def test_assign_columns_strongest_gets_lightest():
-    m = _pdma([(1, 1), (1, 0), (0, 1)])  # weights 2, 1, 1
-    mapping = assign_columns(m, ["strong", "mid", "weak"])
-    assert mapping == {"strong": 1, "mid": 2, "weak": 0}
-    with pytest.raises(ValueError):
-        assign_columns(m, list(range(4)))
-
-
-def test_assign_columns_weight_monotone_property():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        k = int(rng.integers(2, 5))
-        pool = [tuple(int(v) for v in rng.integers(0, 2, k)) for _ in range(12)]
-        pats = [p for p in dict.fromkeys(pool) if sum(p) > 0][:4]
-        if np.all(np.asarray(pats).sum(axis=0) == len(pats)) and k > 1:
-            continue  # would be dense
-        m = _pdma(pats)
-        users = list(range(len(pats)))  # already strongest-first
-        mapping = assign_columns(m, users)
-        weights = [column_weight(m, mapping[u]) for u in users]
-        assert weights == sorted(weights)
-        assert len(set(mapping.values())) == len(users)
-
-
 def test_default_codebook_energy_and_shape():
     m = build_matrix("scma", 4, 6, {"column_weight": 2})
     cb = default_codebook(m, 4)
@@ -156,19 +122,3 @@ def test_codebook_energy_invariant():
     with pytest.raises(ValueError):
         Codebook(2.0 * np.ones((1, 2, 1), dtype=complex))
 
-
-def test_codebook_roundtrip(tmp_path):
-    m = build_matrix("scma", 4, 6, {"column_weight": 2})
-    cb = default_codebook(m, 4)
-    path = tmp_path / "cb.json"
-    save_codebook(path, "scma", cb)
-    scheme, loaded = load_codebook(path)
-    assert scheme == "scma"
-    assert np.allclose(loaded.codewords, cb.codewords)
-
-
-def test_codebook_load_rejects_missing_key(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"scheme": "scma", "K": 4, "N": 6, "Q": 4}')
-    with pytest.raises(ValueError):
-        load_codebook(path)

@@ -8,13 +8,10 @@ from unoma.noma_core import (
     NomaPair,
     SicLink,
     nearest_symbol,
-    sic_decode_downlink,
     sic_decode_uplink,
-    superpose_downlink,
 )
 
 BPSK = np.array([1.0 + 0j, -1.0 + 0j])
-PAIR = NomaPair(near_user=0, far_user=1, a_m=0.6, a_n=0.4)
 
 
 def test_noma_pair_invariants():
@@ -26,16 +23,6 @@ def test_noma_pair_invariants():
         NomaPair(0, 1, 1.0, 0.0)  # degenerate a_m = 1
     with pytest.raises(ValueError):
         NomaPair(0, 1, 0.4, 0.6)  # near share must be smaller
-
-
-def test_superpose_value():
-    # sqrt(0.6) + sqrt(0.4) with unit symbols and unit power
-    x = superpose_downlink(PAIR, 1.0, 1.0, 1.0)
-    assert x == pytest.approx(1.4070522013, abs=1e-9)
-    assert superpose_downlink(PAIR, 0.0, 1.0, 4.0) == pytest.approx(
-        2.0 * math.sqrt(0.6))
-    with pytest.raises(ValueError):
-        superpose_downlink(PAIR, 1.0, 1.0, 0.0)
 
 
 def test_nearest_symbol_tie_lowest_index():
@@ -90,26 +77,3 @@ def test_uplink_polymatroid_identity():
         rhs = math.log2(1 + (p_n * g_n + p_f * g_f) / s2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
-
-def test_downlink_sinrs():
-    gains = {"near": 2.0, "far": 0.5}
-    _, sinr_n, sinr_f = sic_decode_downlink(0.0, PAIR, gains, 1.0, 10.0, BPSK)
-    assert sinr_n == pytest.approx(0.4 * 10.0 * 2.0 / 1.0)
-    assert sinr_f == pytest.approx(0.6 * 10.0 * 0.5 / (0.4 * 10.0 * 0.5 + 1.0))
-    with pytest.raises(ValueError):
-        sic_decode_downlink(0.0, PAIR, gains, -1.0, 10.0, BPSK)
-    with pytest.raises(ValueError):
-        sic_decode_downlink(0.0, PAIR, gains, 1.0, 0.0, BPSK)
-
-
-def test_downlink_noiseless_decodes_near_symbol():
-    gains = {"near": 1.0, "far": 0.1}
-    p = 4.0
-    for sn, sf in itertools.product(BPSK, repeat=2):
-        x = superpose_downlink(PAIR, sn, sf, p)
-        y = math.sqrt(gains["near"]) * x
-        got_n, _, _ = sic_decode_downlink(y, PAIR, gains, 1e-12, p, BPSK)
-        assert got_n == sn
-        got_n, _, _ = sic_decode_downlink(y, PAIR, gains, 1e-12, p, BPSK,
-                                          true_far_symbol=sf)
-        assert got_n == sn

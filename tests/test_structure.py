@@ -1,0 +1,63 @@
+"""Guard against dead code: every public name the package defines must be
+used by the package itself or by the acceptance suite."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "unoma"
+
+
+def _definitions(tree):
+    """(qualified name, name, node) for each top-level function, class and
+    assignment, and each method of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node
+
+
+def _referenced(name, definition, trees) -> bool:
+    """Whether any module uses `name` (as a name, an attribute or an import)
+    outside `definition`. Methods are matched by attribute name only."""
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node is definition:
+                continue
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name):
+                return True
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _acceptance_imports() -> set:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "unoma"
+            for alias in node.names}
+
+
+def test_every_public_name_is_reached():
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    trees = list(modules.values())
+    allowed = _acceptance_imports()
+    unreached = [f"{module}:{qualified}"
+                 for module, tree in modules.items()
+                 for qualified, name, node in _definitions(tree)
+                 if not name.startswith("_") and name not in allowed
+                 and not _referenced(name, node, trees)]
+    assert unreached == [], f"public names nothing uses: {unreached}"
