@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,6 +42,21 @@ def jain_fairness(values) -> float:
     if ssq == 0.0:
         raise ValueError("all-zero input")
     return float(np.sum(x)) ** 2 / (x.size * ssq)
+
+
+class _Tables(NamedTuple):
+    """An instance's gains padded with a sentinel BS, index n_bs, whose gains,
+    cross gains and macro gain are all 0, and with the cross-gain diagonal set
+    to 0. A sentinel slot or a BS's own slot in a co-channel set then adds an
+    exact +0.0 to every sum, so no mask is needed."""
+
+    g_near: np.ndarray  # (B + 1, R)
+    g_far: np.ndarray  # (B + 1, R)
+    h_macro: np.ndarray  # (B + 1, R)
+    x_near: np.ndarray  # (B + 1, B + 1, R)
+    x_far: np.ndarray  # (B + 1, B + 1, R)
+    a_m: np.ndarray  # (B + 1,)
+    a_n: np.ndarray  # (B + 1,)
 
 
 @dataclass(frozen=True)
@@ -91,6 +108,71 @@ class AllocationInstance:
     def n_rb(self) -> int:
         return self.g_near.shape[1]
 
+    @cached_property
+    def _tables(self) -> _Tables:
+        """The rate kernel's padded gains, built on first use and kept: an
+        instance's gain arrays are not to be changed in place."""
+        b_n, r_n = self.n_bs, self.n_rb
+
+        def pad(arr):
+            out = np.zeros((b_n + 1,) * (arr.ndim - 1) + (r_n,))
+            out[(slice(b_n),) * (arr.ndim - 1)] = arr
+            return out
+
+        x_near, x_far = pad(self.x_near), pad(self.x_far)
+        x_near[np.arange(b_n), np.arange(b_n)] = 0.0
+        x_far[np.arange(b_n), np.arange(b_n)] = 0.0
+        a_m = np.array([pair.a_m for pair in self.pairs] + [0.0])
+        a_n = np.array([pair.a_n for pair in self.pairs] + [0.0])
+        return _Tables(pad(self.g_near), pad(self.g_far), pad(self.h_macro),
+                       x_near, x_far, a_m, a_n)
+
+
+def _set_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
+    """Pair sum rate of every member of every co-channel set.
+
+    sets: (n, k) BS indices, one RB's co-channel set per row, padded with the
+    sentinel index n_bs; rbs: (n,) the RB of each row; powers: (n, k) the
+    transmit power of each member. A BS with g_far == 0 serves a single user
+    (no pair): full power, full slot, in both schemes. Interference and the
+    set totals are summed one member slot at a time, in the rows' member
+    order. Returns (rates (n, k), totals (n,)).
+    """
+    if scheme not in ("noma", "oma"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    # slot-major (k, n) arrays keep numpy's inner loops n long
+    sets, p = np.ascontiguousarray(sets.T), np.ascontiguousarray(powers.T)
+    tab, b_n, r_n = instance._tables, instance.n_bs, instance.n_rb
+    own = sets * r_n + rbs  # flat index into the (B + 1, R) gains
+    cross = (sets[:, None] * (b_n + 1) + sets[None]) * r_n + rbs  # [tx, rx, row]
+    x_far, x_near = tab.x_far.take(cross), tab.x_near.take(cross)
+    i_far = np.zeros(sets.shape)
+    i_near = np.zeros(sets.shape)
+    for j in range(len(sets)):
+        i_far = i_far + p[j] * x_far[j]
+        i_near = i_near + p[j] * x_near[j]
+    g_far, g_near = tab.g_far.take(own), tab.g_near.take(own)
+    s2 = instance.sigma2
+    single = g_far == 0.0
+    if scheme == "noma":
+        # the far user decodes its share treating the near user's as noise;
+        # the near user cancels the far share first (SIC). A single user
+        # takes the near term at a_n = 1; its far term is log2(1) = 0.
+        a_m, a_n = tab.a_m[sets], np.where(single, 1.0, tab.a_n[sets])
+        rates = (np.log2(1.0 + a_m * p * g_far / (a_n * p * g_far + i_far + s2))
+                 + np.log2(1.0 + a_n * p * g_near / (i_near + s2)))
+    else:
+        # equal time sharing: each user gets half the slot at full power; a
+        # single user gets the whole slot, its far term being log2(1) = 0
+        rates = (0.5 * np.log2(1.0 + p * g_far / (i_far + s2))
+                 + np.where(single, 1.0, 0.5)
+                 * np.log2(1.0 + p * g_near / (i_near + s2)))
+    rates = np.where(p > 0, rates, 0.0)
+    totals = np.zeros(len(rbs))
+    for rate in rates:
+        totals = totals + rate
+    return rates.T, totals
+
 
 def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
              scheme: str = "noma"):
@@ -100,34 +182,29 @@ def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
     single user (no pair): full power, full slot, in both schemes.
     Returns (total, {bs: rate}).
     """
-    rates = {}
-    s2 = instance.sigma2
-    for b in bs_list:
-        p = powers[b]
-        if p <= 0:
-            rates[b] = 0.0
-            continue
-        i_far = sum(powers[b2] * instance.x_far[b2, b, rb]
-                    for b2 in bs_list if b2 != b)
-        i_near = sum(powers[b2] * instance.x_near[b2, b, rb]
-                     for b2 in bs_list if b2 != b)
-        g_far, g_near = instance.g_far[b, rb], instance.g_near[b, rb]
-        if g_far == 0.0:
-            rates[b] = math.log2(1.0 + p * g_near / (i_near + s2))
-        elif scheme == "noma":
-            # the far user decodes its share treating the near user's as
-            # noise; the near user cancels the far share first (SIC)
-            pair = instance.pairs[b]
-            rates[b] = (math.log2(1.0 + pair.a_m * p * g_far
-                                  / (pair.a_n * p * g_far + i_far + s2))
-                        + math.log2(1.0 + pair.a_n * p * g_near / (i_near + s2)))
-        elif scheme == "oma":
-            # equal time sharing: each user gets half the slot at full power
-            rates[b] = (0.5 * math.log2(1.0 + p * g_far / (i_far + s2))
-                        + 0.5 * math.log2(1.0 + p * g_near / (i_near + s2)))
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    return sum(rates.values()), rates
+    members = list(bs_list)
+    sets = np.array(members, dtype=np.intp).reshape(1, -1)
+    p = np.array([powers[b] for b in members], dtype=float).reshape(1, -1)
+    rates, totals = _set_rates(instance, sets, np.array([rb]), p, scheme)
+    return float(totals[0]), dict(zip(members, rates[0].tolist()))
+
+
+def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
+    """Set totals at cap-scaled equal power, the power proxy that scores
+    candidate co-channel sets during matching (the true powers are only known
+    after SCA): every member at p_max, scaled down uniformly so that the set's
+    load at the macro user stays below i_threshold."""
+    h = np.zeros(len(rbs))
+    for slot in sets.T:
+        h = h + instance._tables.h_macro.take(slot * instance.n_rb + rbs)
+    load = instance.p_max * h
+    t = instance.i_threshold[rbs]
+    over = (load > 0) & np.isfinite(t) & (load > t)
+    p = np.full(len(rbs), instance.p_max)
+    p[over] = np.where(t[over] <= 0, 0.0,
+                       instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9))
+    powers = np.repeat(p[:, None], sets.shape[1], axis=1)
+    return _set_rates(instance, sets, rbs, powers, scheme)[1]
 
 
 @dataclass(frozen=True)
@@ -150,35 +227,15 @@ class Matching:
             raise ValueError("rb_to_bs and bs_to_rb disagree")
 
 
-def capped_equal_powers(instance: AllocationInstance, rb: int, members) -> dict:
-    """Equal per-BS power, scaled down uniformly to meet the interference cap.
-
-    Used as the power proxy when scoring candidate co-channel sets during
-    matching (the true powers are only known after SCA)."""
-    p = instance.p_max
-    load = p * sum(instance.h_macro[b, rb] for b in members)
-    t = float(instance.i_threshold[rb])
-    if load > 0 and np.isfinite(t) and load > t:
-        p = 0.0 if t <= 0 else p * (t / load) * (1.0 - 1e-9)
-    return {b: p for b in members}
-
-
 def build_preferences(instance: AllocationInstance, scheme: str = "noma"):
     """Rate-based preference lists: each side ranks by the pair sum rate the BS
     would achieve alone on the RB (cap-scaled power); ties broken by lower
     index."""
     b_n, r_n = instance.n_bs, instance.n_rb
-    score = np.zeros((b_n, r_n))
-    for b in range(b_n):
-        for r in range(r_n):
-            powers = capped_equal_powers(instance, r, [b])
-            if powers[b] <= 0:
-                continue
-            score[b, r] = rb_rates(instance, r, [b], powers, scheme)[0]
-    bs_prefs = [sorted(range(r_n), key=lambda r: (-score[b, r], r))
-                for b in range(b_n)]
-    rb_prefs = [sorted(range(b_n), key=lambda b: (-score[b, r], b))
-                for r in range(r_n)]
+    bs, rb = np.divmod(np.arange(b_n * r_n), r_n)
+    score = _capped_totals(instance, bs[:, None], rb, scheme).reshape(b_n, r_n)
+    bs_prefs = np.argsort(-score, axis=1, kind="stable").tolist()
+    rb_prefs = np.argsort(-score.T, axis=1, kind="stable").tolist()
     return bs_prefs, rb_prefs
 
 
@@ -209,62 +266,82 @@ def _da_seed(instance: AllocationInstance, scheme: str):
     return assign, [set(ms) for ms in holders]
 
 
-def _greedy_seed(instance: AllocationInstance, rb_total):
-    """Repeatedly place the (BS, RB) pair with the largest marginal gain."""
-    b_n, r_n = instance.n_bs, instance.n_rb
+def _padded(occ, n_bs: int, tau: int) -> np.ndarray:
+    """Co-channel sets as a (len(occ), tau) array of sorted members padded
+    with the sentinel index n_bs."""
+    out = np.full((len(occ), tau), n_bs, dtype=np.intp)
+    for i, members in enumerate(occ):
+        out[i, :len(members)] = sorted(members)
+    return out
+
+
+def _greedy_seed(instance: AllocationInstance, plus_each):
+    """Repeatedly place the (BS, RB) pair with the largest marginal gain, the
+    first in row-major (BS, RB) order on ties. Only the column of the RB that
+    changed is rescored."""
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
     assign: list = [None] * b_n
     occ = [set() for _ in range(r_n)]
-    unplaced = set(range(b_n))
-    while unplaced:
-        best_gain, best = 0.0, None
-        for b in sorted(unplaced):
-            for r in range(r_n):
-                if len(occ[r]) >= instance.tau:
-                    continue
-                gain = rb_total(r, occ[r] | {b}) - rb_total(r, occ[r])
-                if gain > best_gain:
-                    best_gain, best = gain, (b, r)
-        if best is None:
+    gain = np.empty((b_n, r_n))  # gain[b, r]: total(occ[r] | {b}) - total(occ[r])
+    closed = np.zeros((b_n, r_n), dtype=bool)  # b placed or r full
+
+    def rescore(rbs):
+        tot = plus_each(_padded([occ[r] for r in rbs], b_n, tau), np.array(rbs))
+        gain[:, rbs] = (tot[:, :b_n] - tot[:, b_n:]).T
+
+    rescore(list(range(r_n)))
+    while True:
+        masked = np.where(closed, -np.inf, gain)
+        b, r = divmod(int(np.argmax(masked)), r_n)
+        if not masked[b, r] > 0.0:
             break
-        b, r = best
         occ[r].add(b)
         assign[b] = r
-        unplaced.discard(b)
+        closed[b, :] = True
+        if len(occ[r]) < tau:
+            rescore([r])
+        else:
+            closed[:, r] = True
     return assign, occ
 
 
-def _swap_phase(instance: AllocationInstance, assign, occ, rb_total):
-    """Best-improvement moves into vacancies and pairwise exchanges."""
-    b_n, r_n = instance.n_bs, instance.n_rb
-    for _ in range(_MAX_SWAP_ROUNDS):
+def _swap_phase(instance: AllocationInstance, assign, occ, plus_each):
+    """Best-improvement moves into vacancies and pairwise exchanges, one side
+    of an exchange possibly unmatched. Each round scores every move and every
+    exchange from one plus_each table; the best move is the first maximum in
+    row-major (BS, RB) order, and an exchange, the first maximum in row-major
+    (BS, BS) order, wins only if strictly better. Returns (assign, occ, total
+    of the final matching)."""
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
+    upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
+    for done in range(_MAX_SWAP_ROUNDS + 1):
+        src = np.array([-1 if r is None else r for r in assign])
+        matched = np.flatnonzero(src >= 0)
+        occ_arr = _padded(occ, b_n, tau)
+        without = occ_arr[src[matched]]  # each matched BS's set without it
+        without[without == matched[:, None]] = b_n
+        tot = plus_each(np.concatenate([occ_arr, without]),
+                        np.concatenate([np.arange(r_n), src[matched]]))
+        cur = tot[:r_n, b_n]
+        # leave[m, b]: change on m's RB when m leaves it and b joins; the
+        # sentinel column b = n_bs is m leaving alone; 0 for unmatched m
+        leave = np.zeros((b_n, b_n + 1))
+        leave[matched] = tot[r_n:] - cur[src[matched], None]
+        move = (tot[:r_n, :b_n].T - cur) + leave[:, b_n:]
+        move[matched, src[matched]] = -np.inf
+        move[:, [len(ms) >= tau for ms in occ]] = -np.inf
+        swap = leave[:, :b_n] + leave[:, :b_n].T
+        swap[~upper | (src[:, None] == src)] = -np.inf
+
         best_delta, best_action = 1e-12, None
-        for b in range(b_n):
-            src = assign[b]
-            for r in range(r_n):
-                if r == src or len(occ[r]) >= instance.tau:
-                    continue
-                delta = rb_total(r, occ[r] | {b}) - rb_total(r, occ[r])
-                if src is not None:
-                    delta += rb_total(src, occ[src] - {b}) - rb_total(src, occ[src])
-                if delta > best_delta:
-                    best_delta, best_action = delta, ("move", b, r)
-        # pairwise exchanges (one side may be unmatched)
-        for b1 in range(b_n):
-            for b2 in range(b1 + 1, b_n):
-                r1, r2 = assign[b1], assign[b2]
-                if r1 == r2:
-                    continue
-                delta = 0.0
-                if r1 is not None:
-                    new1 = (occ[r1] - {b1}) | {b2}
-                    delta += rb_total(r1, new1) - rb_total(r1, occ[r1])
-                if r2 is not None:
-                    new2 = (occ[r2] - {b2}) | {b1}
-                    delta += rb_total(r2, new2) - rb_total(r2, occ[r2])
-                if delta > best_delta:
-                    best_delta, best_action = delta, ("swap", b1, b2)
-        if best_action is None:
-            break
+        b, r = divmod(int(np.argmax(move)), r_n)
+        if move[b, r] > best_delta:
+            best_delta, best_action = move[b, r], ("move", b, r)
+        b1, b2 = divmod(int(np.argmax(swap)), b_n)
+        if swap[b1, b2] > best_delta:
+            best_action = ("swap", b1, b2)
+        if best_action is None or done == _MAX_SWAP_ROUNDS:
+            return assign, occ, sum(cur.tolist())
         if best_action[0] == "move":
             _, b, r = best_action
             if assign[b] is not None:
@@ -281,7 +358,6 @@ def _swap_phase(instance: AllocationInstance, assign, occ, rb_total):
                 occ[r2].discard(b2)
                 occ[r2].add(b1)
             assign[b1], assign[b2] = r2, r1
-    return assign, occ
 
 
 def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
@@ -295,23 +371,23 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     if b_n == 0:
         return Matching(tuple(() for _ in range(r_n)), (), instance.tau)
 
-    cache: dict = {}
-
-    def rb_total(r, members) -> float:
-        key = (r, tuple(sorted(members)))
-        if key not in cache:
-            if not key[1]:
-                cache[key] = 0.0
-            else:
-                powers = capped_equal_powers(instance, r, key[1])
-                cache[key] = rb_rates(instance, r, key[1], powers, scheme)[0]
-        return cache[key]
+    def plus_each(sets, rbs):
+        """(len(sets), n_bs + 1) table of set totals with each BS added; the
+        last column (the sentinel) is each set's own total. A full set drops
+        its largest member to make room: those entries are never read."""
+        k, tau = sets.shape
+        rows = np.empty((k, b_n + 1, tau + 1), dtype=np.intp)
+        rows[:, :, :tau] = sets[:, None, :]
+        rows[:, :, tau] = np.arange(b_n + 1)
+        rows.sort(axis=2)
+        totals = _capped_totals(instance, rows[:, :, :tau].reshape(-1, tau),
+                                np.repeat(rbs, b_n + 1), scheme)
+        return totals.reshape(k, b_n + 1)
 
     best_assign, best_occ, best_total = None, None, -math.inf
     for seed in (_da_seed(instance, scheme),
-                 _greedy_seed(instance, rb_total)):
-        assign, occ = _swap_phase(instance, seed[0], seed[1], rb_total)
-        total = sum(rb_total(r, occ[r]) for r in range(r_n))
+                 _greedy_seed(instance, plus_each)):
+        assign, occ, total = _swap_phase(instance, seed[0], seed[1], plus_each)
         if total > best_total + 1e-12:
             best_assign, best_occ, best_total = assign, occ, total
 

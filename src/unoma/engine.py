@@ -69,6 +69,14 @@ _CONVENTIONS = {
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
                     "unmatched (blocked) BSs count as rate 0",
+        "matching": "candidate co-channel sets are scored by their sum rate "
+                    "at cap-scaled equal power (every member at p_max, "
+                    "scaled down uniformly to meet i_threshold); each swap "
+                    "round scans moves into vacancies before pairwise "
+                    "exchanges, in row-major (BS, RB) and (BS, BS) order, "
+                    "the first maximum winning and an exchange only if "
+                    "strictly better than the best move; a round applies its "
+                    "winner only if it raises the total by more than 1e-12",
     },
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "

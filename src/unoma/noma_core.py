@@ -68,6 +68,16 @@ class SpreadingMatrix:
         return self.occupancy.shape[1]
 
 
+def _whole(value, name: str) -> int:
+    """An integer matrix parameter. A bool, or a number with a fractional
+    part, is refused rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
                  rng: np.random.Generator | None = None) -> SpreadingMatrix:
     """Construct a scheme-consistent K x N spreading matrix."""
@@ -86,7 +96,7 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
         occ = np.ones((1, n), dtype=np.uint8)
         return SpreadingMatrix(scheme, occ, occ.astype(complex))
     if scheme == "scma":
-        d_v = int(params.get("column_weight", 2))
+        d_v = _whole(params.get("column_weight", 2), "column_weight")
         if not 1 <= d_v <= k:
             raise ValueError(f"column_weight must be in [1, K], got {d_v}")
         if d_v == k and k > 1 and n > 1:
@@ -103,7 +113,8 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
         patterns = params.get("patterns")
         if patterns is None:
             raise ValueError("PDMA requires a 'patterns' list of K-length columns")
-        pats = [tuple(int(v) for v in p) for p in patterns]
+        pats = [tuple(_whole(v, "PDMA pattern entry") for v in p)
+                for p in patterns]
         if len(pats) != n:
             raise ValueError(f"expected {n} patterns, got {len(pats)}")
         for p in pats:
@@ -118,11 +129,13 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
     # musa
     if rng is None:
         raise ValueError("MUSA construction needs an rng")
-    pool_size = int(params.get("pool_size", n))
+    pool_size = _whole(params.get("pool_size", n), "pool_size")
     if pool_size < n:
         raise ValueError("MUSA pool_size must be >= N")
     alphabet = params.get("alphabet", _DEFAULT_MUSA_ALPHABET)
     weight = params.get("column_weight")
+    if weight is not None:
+        weight = _whole(weight, "column_weight")
     sequences, _ = musa_pool(pool_size, k, alphabet, rng, weight=weight,
                              max_row_weight=(n - 1 if (k > 1 and n > 1) else None))
     coef = sequences[:n].T.astype(complex)

@@ -1,12 +1,14 @@
 """Independent oracles used by the test suite: brute-force enumeration for
-detection and exhaustive search for allocation. Deliberately naive."""
+detection, scalar pair rates and exhaustive search for allocation.
+Deliberately naive."""
 
 import itertools
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from unoma.allocation import AllocationInstance, capped_equal_powers, rb_rates
+from unoma.allocation import AllocationInstance
 from unoma.noma_core import NomaPair
 
 
@@ -63,6 +65,49 @@ def random_instance(rng, n_bs, n_rb, tau, p_max=0.2, sigma2=1e-9,
         tau=tau, p_max=p_max, sigma2=sigma2, pairs=pairs)
 
 
+def pair_rates(instance, rb, members, powers, scheme="noma"):
+    """{BS: pair sum rate} on one RB, one member and one interferer at a time.
+
+    NOMA: the far user decodes its a_m share treating the near user's a_n
+    share as noise; the near user cancels the far share first (SIC). OMA:
+    each user gets half the slot at full power. A BS with g_far == 0 serves
+    one user alone over the whole slot. powers maps BS -> watts."""
+    s2 = instance.sigma2
+    rates = {}
+    for b in members:
+        p = powers[b]
+        i_far = i_near = 0.0
+        for other in members:
+            if other != b:
+                i_far += powers[other] * instance.x_far[other, b, rb]
+                i_near += powers[other] * instance.x_near[other, b, rb]
+        g_far, g_near = instance.g_far[b, rb], instance.g_near[b, rb]
+        a_m, a_n = instance.pairs[b].a_m, instance.pairs[b].a_n
+        if p <= 0:
+            rates[b] = 0.0
+        elif g_far == 0:
+            rates[b] = math.log2(1 + p * g_near / (i_near + s2))
+        elif scheme == "noma":
+            sinr_far = a_m * p * g_far / (a_n * p * g_far + i_far + s2)
+            sinr_near = a_n * p * g_near / (i_near + s2)
+            rates[b] = math.log2(1 + sinr_far) + math.log2(1 + sinr_near)
+        else:
+            rates[b] = (math.log2(1 + p * g_far / (i_far + s2)) / 2
+                        + math.log2(1 + p * g_near / (i_near + s2)) / 2)
+    return rates
+
+
+def capped_equal_power(instance, rb, members):
+    """The matcher's power proxy: p_max for every member, scaled down just
+    below the point where the set's load at the macro user meets
+    i_threshold[rb] (0 when that threshold is not positive)."""
+    load = instance.p_max * sum(instance.h_macro[b, rb] for b in members)
+    t = instance.i_threshold[rb]
+    if load <= 0 or not np.isfinite(t) or load <= t:
+        return instance.p_max
+    return 0.0 if t <= 0 else instance.p_max * (t / load) * (1 - 1e-9)
+
+
 def exhaustive_optimum(instance, scheme="noma", levels=50):
     """Best sum rate over all quota-feasible matchings and a power grid with
     `levels` levels per BS. RBs decouple, so each RB subset is optimized
@@ -78,9 +123,9 @@ def exhaustive_optimum(instance, scheme="noma", levels=50):
                 for pw in product(grid, repeat=size):
                     if np.dot(pw, h) > instance.i_threshold[r]:
                         continue
-                    powers = dict(zip(sub, pw))
-                    total, _ = rb_rates(instance, r, list(sub), powers, scheme)
-                    best = max(best, total)
+                    rates = pair_rates(instance, r, sub, dict(zip(sub, pw)),
+                                       scheme)
+                    best = max(best, sum(rates.values()))
                 best_rb[(r, sub)] = best
     optimum = 0.0
     for assign in product(list(range(n_rb)) + [None], repeat=n_bs):
@@ -104,10 +149,11 @@ def all_swap_deltas(instance, matching, scheme="noma"):
     occ = [set(ms) for ms in matching.rb_to_bs]
 
     def total(occ_sets):
-        return sum(rb_rates(instance, r, sorted(ms),
-                            capped_equal_powers(instance, r, sorted(ms)),
-                            scheme)[0]
-                   for r, ms in enumerate(occ_sets) if ms)
+        out = 0.0
+        for r, ms in enumerate(occ_sets):
+            powers = dict.fromkeys(ms, capped_equal_power(instance, r, ms))
+            out += sum(pair_rates(instance, r, ms, powers, scheme).values())
+        return out
 
     base = total(occ)
     deltas = []

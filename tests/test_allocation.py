@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import all_swap_deltas, random_instance
+from oracles import (
+    all_swap_deltas,
+    capped_equal_power,
+    pair_rates,
+    random_instance,
+)
 from unoma.allocation import (
     AllocationInstance,
     InfeasibleError,
     Matching,
+    _capped_totals,
+    _set_rates,
     build_preferences,
-    capped_equal_powers,
     jain_fairness,
     match_rbs,
     rb_rates,
     sca_power_control,
     solve_instance,
 )
+from unoma.config import preset_config
+from unoma.engine import generate_instance
 from unoma.noma_core import NomaPair
 
 
@@ -126,6 +134,48 @@ def test_match_respects_quota():
     assert matched == 4  # 2 RBs x quota 2, with 5 > 4 candidates
 
 
+def test_set_rate_kernel_matches_scalar_oracle():
+    rng = np.random.default_rng(12)
+    n_bs, tau = 7, 3
+    inst = random_instance(rng, n_bs, 3, tau=tau)
+    g_far = inst.g_far.copy()
+    g_far[2, :] = 0.0  # BS 2 serves a single user
+    # RB 1's cap binds for most sets; RB 2 allows no power at all
+    inst = replace(inst, g_far=g_far, i_threshold=np.array([np.inf, 1e-10, 0.0]))
+    sets, rbs = [], []
+    for r in range(inst.n_rb):
+        for size in range(tau + 1):
+            for _ in range(6):
+                members = sorted(rng.choice(n_bs, size, replace=False).tolist())
+                sets.append(members + [n_bs] * (tau - size))
+                rbs.append(r)
+    sets, rbs = np.array(sets), np.array(rbs)
+    powers = rng.uniform(0.0, inst.p_max, sets.shape)
+    powers[::5, 0] = 0.0  # some members silent
+    for scheme in ("noma", "oma"):
+        rates, totals = _set_rates(inst, sets, rbs, powers, scheme)
+        capped = _capped_totals(inst, sets, rbs, scheme)
+        for row, (padded, r) in enumerate(zip(sets.tolist(), rbs.tolist())):
+            members = [b for b in padded if b < n_bs]
+            want = pair_rates(inst, r, members,
+                              dict(zip(members, powers[row])), scheme)
+            np.testing.assert_allclose(rates[row, :len(members)],
+                                       [want[b] for b in members],
+                                       rtol=1e-12, atol=0)
+            assert np.all(rates[row, len(members):] == 0.0)  # sentinel slots
+            np.testing.assert_allclose(totals[row], sum(want.values()),
+                                       rtol=1e-12, atol=0)
+            p = capped_equal_power(inst, r, members)
+            want = pair_rates(inst, r, members, dict.fromkeys(members, p), scheme)
+            np.testing.assert_allclose(capped[row], sum(want.values()),
+                                       rtol=1e-12, atol=0)
+        assert np.all(capped[rbs == 2] == 0.0)
+    # the cases the test is meant to reach
+    assert np.any(sets == 2)
+    assert any(0 < capped_equal_power(inst, 1, [b for b in row if b < n_bs])
+               < inst.p_max for row in sets[rbs == 1].tolist())
+
+
 def test_match_is_exchange_stable():
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
@@ -136,6 +186,34 @@ def test_match_is_exchange_stable():
         m = match_rbs(inst)
         deltas = all_swap_deltas(inst, m)
         assert all(d <= 1e-9 for d in deltas)
+
+
+# rb_to_bs of generate_instance(n, fig5 data, tau, 2024 + n), recorded from
+# the scalar, set-by-set matcher that the batched scoring replaced. At n = 7
+# the 4 RBs have vacancies, so moves are scored as well as exchanges.
+_FIG5_MATCHINGS = {
+    (7, 2, "noma"): ((1, 4), (3, 5), (0,), (2, 6)),
+    (7, 2, "oma"): ((0, 2), (4, 5), (1,), (3, 6)),
+    (7, 3, "noma"): ((0, 1, 5), (3, 4), (), (2, 6)),
+    (7, 3, "oma"): ((0, 1, 5), (4,), (), (2, 3, 6)),
+    (12, 2, "noma"): ((7, 8), (3, 6), (4, 5), (2, 10)),
+    (12, 2, "oma"): ((7, 8), (4, 6), (1, 3), (2, 5)),
+    (12, 3, "noma"): ((0, 7, 8), (3, 6, 9), (1, 4, 5), (2, 10, 11)),
+    (12, 3, "oma"): ((7, 8, 9), (5, 6, 10), (1, 3, 4), (0, 2, 11)),
+    (32, 2, "noma"): ((5, 29), (9, 20), (2, 16), (15, 18)),
+    (32, 2, "oma"): ((5, 15), (12, 20), (2, 9), (18, 29)),
+    (32, 3, "noma"): ((2, 5, 29), (9, 12, 20), (11, 16, 19), (15, 17, 18)),
+    (32, 3, "oma"): ((2, 5, 11), (12, 20, 26), (9, 16, 19), (15, 18, 29)),
+}
+
+
+def test_match_at_fig5_scale():
+    data = preset_config("fig5").data
+    for (n, tau, scheme), expected in _FIG5_MATCHINGS.items():
+        inst = generate_instance(n, data, tau, 2024 + n)
+        m = match_rbs(inst, scheme)
+        assert m.rb_to_bs == expected
+        assert max(all_swap_deltas(inst, m, scheme)) <= 1e-9
 
 
 def test_matching_validator():
@@ -158,8 +236,8 @@ def test_sca_monotone_and_feasible():
         assert load <= inst.i_threshold[r] * (1 + 1e-9)
     assert sol.sum_rate == pytest.approx(sol.per_bs_rates.sum())
     # optimized powers must not lose rate vs. the capped equal-power start
-    start = sum(rb_rates(inst, r, members,
-                         capped_equal_powers(inst, r, members))[0]
+    start = sum(rb_rates(inst, r, members, dict.fromkeys(
+                    members, capped_equal_power(inst, r, members)))[0]
                 for r, members in enumerate(matching.rb_to_bs) if members)
     assert sol.sum_rate >= start - 1e-9
 

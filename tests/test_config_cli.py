@@ -119,6 +119,28 @@ def test_validate_rejects_unbuildable_matrix(tmp_path):
                      "--output", str(tmp_path / "out")]) == 1
 
 
+def test_matrix_params_must_be_whole_numbers(tmp_path):
+    # int() would truncate these and build another matrix than the one asked
+    scma = dict(_tiny_link_config(), scheme="scma", k=4, n=6, q=4)
+    musa = dict(scma, scheme="musa")
+    pdma = dict(scma, scheme="pdma", n=4, matrix_params={"patterns": [
+        [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]})
+    validate_config(pdma)
+    bad = [dict(scma, matrix_params={"column_weight": 2.7}),
+           dict(scma, matrix_params={"column_weight": True}),
+           dict(musa, matrix_params={"column_weight": 2.5}),
+           dict(musa, matrix_params={"pool_size": 6.9}),
+           dict(pdma, matrix_params={"patterns": [
+               [True, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]})]
+    for i, data in enumerate(bad):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
+    validate_config(dict(scma, matrix_params={"column_weight": 2.0}))
+
+
 def test_musa_alphabet_pairs(tmp_path):
     # JSON has no complex numbers: an entry is a real number or [re, im]
     base = dict(_tiny_link_config(), scheme="musa", k=4, n=6, q=4, trials=50)
@@ -244,6 +266,22 @@ def test_cli_run_link_level(tmp_path):
     assert ser[1] <= ser[0]
     manifest = json.loads((out / "tiny_manifest.json").read_text())
     assert set(manifest["conventions"]) == {"snr_db", "mpa_stop"}
+
+
+def test_cli_run_allocation(tmp_path):
+    data = dict(preset_config("fig5").data, name="alloc", trials=1,
+                taus=[2], sweep={"variable": "n_small_cells", "values": [3, 6]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    csv = (out / "alloc.csv").read_text().splitlines()
+    assert len(csv) == 1 + 2 * 2  # two points, two schemes
+    conventions = json.loads((out / "alloc_manifest.json").read_text())["conventions"]
+    assert set(conventions) == {"fairness", "matching"}
+    for fact in ("cap-scaled equal power", "moves into vacancies before",
+                 "row-major (BS, RB) and (BS, BS)", "1e-12"):
+        assert fact in conventions["matching"]
 
 
 def test_cli_overrides(tmp_path):
