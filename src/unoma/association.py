@@ -19,24 +19,47 @@ from .geometry import (
 from .metrics import Z_95
 
 
+# Drops drawn and associated together; chunk c of a sweep point draws from
+# SeedSequence([point seed, c]), so this size is part of the seeding scheme.
+# At fig4's densest point (about 150 BSs a drop) a chunk of 128 holds about
+# 1.5 MB of arrays; 256 ran no faster and holds twice that.
+ASSOC_CHUNK = 128
+
+
 def associate_user(user_pos, snapshot: NetworkSnapshot):
-    """Return (tier_id, bs_index) of the BS with the largest average received
-    power at the user; ties broken by tier order then lowest BS index."""
-    best = None
-    best_p = -math.inf
-    for tier, positions in zip(snapshot.tiers, snapshot.bs_positions):
+    """Associate one user per drop of the snapshot; user_pos is (drops, 2).
+
+    Returns (tier, bs) integer arrays of length drops: the index into
+    snapshot.tiers and the BS index within that tier's drop of the BS with
+    the largest average received power at the drop's user, ties broken by
+    tier order then lowest BS index. Drops without a BS get tier -1 and bs -1.
+    """
+    if snapshot.n_bs == 0:
+        raise ValueError("cannot associate in an empty network")
+    probes = np.reshape(np.asarray(user_pos, dtype=float), (snapshot.n_drops, 2))
+    best_p = np.full(snapshot.n_drops, -math.inf)
+    best_tier = np.full(snapshot.n_drops, -1)
+    best_bs = np.full(snapshot.n_drops, -1)
+    for k, (tier, positions, counts) in enumerate(
+            zip(snapshot.tiers, snapshot.bs_positions, snapshot.bs_counts)):
         if len(positions) == 0:
             continue
-        d = link_distances(user_pos, positions)
+        d = link_distances(np.repeat(probes, counts, axis=0), positions)
         p = avg_received_power(tier.tx_power_w, tier.array_gain, d,
                                tier.path_loss_exponent)
-        idx = int(np.argmax(p))
-        if p[idx] > best_p:
-            best_p = float(p[idx])
-            best = (tier.tier_id, idx)
-    if best is None:
-        raise ValueError("cannot associate in an empty network")
-    return best
+        drops = np.flatnonzero(counts)  # empty drops have no segment
+        starts = (np.cumsum(counts) - counts)[drops]
+        top = np.maximum.reduceat(p, starts)
+        # Segments are contiguous and in drop order, so the first position at
+        # or after a segment's start that attains its maximum is the lowest
+        # index attaining it.
+        hits = np.flatnonzero(p == np.repeat(top, counts[drops]))
+        first = hits[np.searchsorted(hits, starts)]
+        win = top > best_p[drops]  # strict: a tie stays with the earlier tier
+        best_p[drops[win]] = top[win]
+        best_tier[drops[win]] = k
+        best_bs[drops[win]] = first[win] - starts[win]
+    return best_tier, best_bs
 
 
 @dataclass(frozen=True)
@@ -71,33 +94,34 @@ def association_probability(study: AssociationStudy, trials: int,
                             seed: int) -> AssociationStats:
     """Monte-Carlo per-tier association probability with Wilson 95% CIs.
 
-    Each trial draws a fresh network and one probe user (at the origin or
-    uniformly in the region); per-trial RNG derives from (seed, trial) so the
-    estimate is independent of execution order.
+    Each trial ("drop") draws a fresh network and one probe user (at the
+    origin or uniformly in the region). Drops are drawn and associated
+    ASSOC_CHUNK at a time, chunk c from SeedSequence([seed, c]), so the
+    estimate is independent of execution order. Drops without a BS are not
+    counted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tiers = list(study.tiers)
     if all(t.density == 0 for t in tiers) and study.guaranteed_bs is None:
         raise ValueError("all tier densities are 0 and no BS is guaranteed")
-    counts = {t.tier_id: 0 for t in tiers}
-    for trial in range(trials):
-        trial_seed = np.random.SeedSequence([seed, trial])
-        rng = np.random.default_rng(trial_seed)
-        snap_seed = int(rng.integers(0, 2**63 - 1))
-        snap = sample_network(study.region, tiers, snap_seed,
+    counts = np.zeros(len(tiers), dtype=np.int64)
+    for chunk, start in enumerate(range(0, trials, ASSOC_CHUNK)):
+        drops = min(ASSOC_CHUNK, trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+        snap = sample_network(study.region, tiers, rng, drops,
                               guaranteed_bs=study.guaranteed_bs)
         if snap.n_bs == 0:
             continue
         if study.probe == "origin":
-            probe = np.zeros(2)
+            probes = np.zeros((drops, 2))
         else:
-            probe = sample_uniform(1, study.region, rng)[0]
-        tier_id, _ = associate_user(probe, snap)
-        counts[tier_id] += 1
-    total = sum(counts.values())
+            probes = sample_uniform(drops, study.region, rng)
+        winner, _ = associate_user(probes, snap)
+        counts += np.bincount(winner[winner >= 0], minlength=len(tiers))
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("no trial produced a network with coverage")
-    probs = tuple(counts[t.tier_id] / total for t in tiers)
+    probs = tuple(int(c) / total for c in counts)
     cis = tuple(_wilson_half_width(p, total) for p in probs)
     return AssociationStats(tuple(t.tier_id for t in tiers), probs, cis, total)

@@ -155,6 +155,17 @@ def _validate_association(data: dict):
         raise ConfigError("key 'tiers' contains duplicate tier_id values")
     _validate_sweep(data, "small_cell_density_per_m2", lambda v: v >= 0,
                     "must be >= 0")
+    if data["guaranteed_bs"] is None:
+        for v in data["sweep"]["values"]:
+            if all(tier_density(t, v) == 0 for t in tiers):
+                raise ConfigError(f"at sweep value {v!r} every tier density is 0 "
+                                  "and 'guaranteed_bs' is null, so no drop has a BS")
+
+
+def tier_density(tier: dict, sweep_value: float) -> float:
+    """BS density (per m^2) of a validated tier at a small-cell density sweep
+    value."""
+    return tier["density_per_m2"] + tier["density_factor_of_sweep"] * sweep_value
 
 
 def _check_power_split(data: dict):

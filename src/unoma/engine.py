@@ -1,10 +1,11 @@
 """Seeded Monte-Carlo execution of configured experiments with CSV output.
 
 Every sweep point gets a sub-seed hashed from (master seed, point index).
-Association trials seed from (point sub-seed, trial), allocation instances
-from a hash of (master seed, point, trial), and a link-level point draws all
-its trials from one generator seeded by its sub-seed, so results are
-byte-identical regardless of worker count or scheduling.
+Association trials are drawn ASSOC_CHUNK at a time, chunk c from
+SeedSequence([point sub-seed, c]); allocation instances seed from a hash of
+(master seed, point, trial), and a link-level point draws all its trials from
+one generator seeded by its sub-seed, so results are byte-identical
+regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .allocation import AllocationInstance, jain_fairness, solve_instance
-from .association import AssociationStudy, association_probability
-from .config import ExperimentConfig
+from .association import ASSOC_CHUNK, AssociationStudy, association_probability
+from .config import ExperimentConfig, tier_density
 from .geometry import (
     Region,
     TierConfig,
@@ -66,6 +67,16 @@ def subseed(*parts) -> int:
 
 
 _CONVENTIONS = {
+    "association_sweep": {
+        "association": "each drop's probe user joins the BS with the largest "
+                       "average received power P*G*max(d, 1 m)^-alpha; ties go "
+                       "to the earlier tier in config order, then to the "
+                       "lowest BS index within that tier; drops without a BS "
+                       "are not counted in trials",
+        "seeding": f"drops are drawn {ASSOC_CHUNK} at a time (ASSOC_CHUNK), "
+                   "chunk c of a sweep point from "
+                   "numpy.random.SeedSequence([point sub-seed, c])",
+    },
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
                     "unmatched (blocked) BSs count as rate 0",
@@ -118,7 +129,7 @@ def _tiers_at(data: dict, density: float):
         tiers.append(TierConfig(
             tier_id=t["tier_id"],
             tx_power_dbm=t["tx_power_dbm"],
-            density=t["density_per_m2"] + t["density_factor_of_sweep"] * density,
+            density=tier_density(t, density),
             array_gain=t["array_gain"],
             path_loss_exponent=t["path_loss_exponent"],
         ))

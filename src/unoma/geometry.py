@@ -69,11 +69,7 @@ def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.n
     """Draw one homogeneous PPP realization; returns an (n, 2) position array."""
     if density < 0:
         raise ValueError(f"density must be >= 0, got {density}")
-    n = int(rng.poisson(density * region.area))
-    r = region.radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return pts + np.asarray(region.center)
+    return sample_uniform(int(rng.poisson(density * region.area)), region, rng)
 
 
 def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarray:
@@ -86,50 +82,69 @@ def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarr
 
 @dataclass(frozen=True)
 class NetworkSnapshot:
-    """One random draw of BS positions per tier."""
+    """Independent random draws ("drops") of BS positions per tier."""
 
     region: Region
     tiers: tuple[TierConfig, ...]
     bs_positions: tuple[np.ndarray, ...]  # one (n_i, 2) array per tier
+    # one (drops,) array per tier: how many of the tier's positions, taken
+    # in order, belong to each drop
+    bs_counts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.tiers) != len(self.bs_positions):
-            raise ValueError("one position array per tier required")
+        if not len(self.tiers) == len(self.bs_positions) == len(self.bs_counts):
+            raise ValueError("one position array and one count array per tier required")
+        if len({len(c) for c in self.bs_counts}) > 1 or any(
+                c.sum() != len(p) for c, p in zip(self.bs_counts, self.bs_positions)):
+            raise ValueError("each tier needs one count per drop, summing to "
+                             "its number of positions")
 
     @property
     def n_bs(self) -> int:
         return sum(len(p) for p in self.bs_positions)
 
+    @property
+    def n_drops(self) -> int:
+        return len(self.bs_counts[0])
+
 
 def sample_network(
     region: Region,
     tiers: list[TierConfig],
-    seed: int,
+    seed,
+    drops: int,
     guaranteed_bs: str | None = None,
 ) -> NetworkSnapshot:
-    """Draw BS positions per tier (PPP).
+    """Draw `drops` independent networks, one PPP per tier each.
 
-    guaranteed_bs: None, "center" or "uniform" -- adds one extra BS of the
-    first tier so every draw has coverage.
+    seed is anything np.random.default_rng accepts; a Generator is drawn from
+    as it is. Per tier, one array call draws every drop's Poisson count and
+    one draws all the tier's positions, grouped by drop.
+    guaranteed_bs: None, "center" or "uniform" -- adds to every drop one extra
+    BS of the first tier, listed first in its drop, so every drop has coverage.
     """
+    if guaranteed_bs not in (None, "center", "uniform"):
+        raise ValueError(f"unknown guaranteed_bs mode {guaranteed_bs!r}")
     rng = np.random.default_rng(seed)
-    positions = []
+    positions, counts = [], []
     for i, tier in enumerate(tiers):
-        pts = sample_ppp(tier.density, region, rng)
+        n = rng.poisson(tier.density * region.area, drops)
+        pts = sample_uniform(int(n.sum()), region, rng)
         if i == 0 and guaranteed_bs is not None:
             if guaranteed_bs == "center":
-                extra = np.asarray([region.center], dtype=float)
-            elif guaranteed_bs == "uniform":
-                extra = sample_uniform(1, region, rng)
+                extra = np.tile(np.asarray(region.center, dtype=float), (drops, 1))
             else:
-                raise ValueError(f"unknown guaranteed_bs mode {guaranteed_bs!r}")
-            pts = np.vstack([extra, pts])
+                extra = sample_uniform(drops, region, rng)
+            pts = np.insert(pts, np.cumsum(n) - n, extra, axis=0)
+            n = n + 1
         positions.append(pts)
-    return NetworkSnapshot(region, tuple(tiers), tuple(positions))
+        counts.append(n)
+    return NetworkSnapshot(region, tuple(tiers), tuple(positions), tuple(counts))
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Euclidean distances from one point to many, clamped to the 1 m floor."""
+    """Euclidean distances from one point to many, or from each of n points
+    to the matching one of n positions, clamped to the 1 m floor."""
     if len(positions) == 0:
         return np.empty(0)
     d = np.linalg.norm(np.atleast_2d(positions) - np.asarray(point), axis=1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from unoma.association import ASSOC_CHUNK
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -282,6 +283,41 @@ def test_cli_run_allocation(tmp_path):
     for fact in ("cap-scaled equal power", "moves into vacancies before",
                  "row-major (BS, RB) and (BS, BS)", "1e-12"):
         assert fact in conventions["matching"]
+
+
+def test_cli_run_association(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_association_config()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    csv = (out / "assoc.csv").read_text().splitlines()
+    assert len(csv) == 1 + 2 * 2  # two points, two tiers
+    conventions = json.loads((out / "assoc_manifest.json").read_text())["conventions"]
+    assert set(conventions) == {"association", "seeding"}
+    for fact in ("largest average received power", "max(d, 1 m)",
+                 "earlier tier", "lowest BS index"):
+        assert fact in conventions["association"]
+    for fact in (f"{ASSOC_CHUNK} at a time", "SeedSequence([point sub-seed, c])"):
+        assert fact in conventions["seeding"]
+
+
+def test_validate_rejects_sweep_value_without_bs(tmp_path):
+    """A sweep value at which every tier density is 0, with no guaranteed
+    BS, fails validate as it fails run."""
+    data = _tiny_association_config()
+    data.update(guaranteed_bs=None,
+                tiers=[{"tier_id": "pico", "tx_power_dbm": 30.0,
+                        "density_factor_of_sweep": 1.0}],
+                sweep={"variable": "small_cell_density_per_m2",
+                       "values": [0.0, 1e-5]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path), "--output",
+                 str(tmp_path / "out")]) == 1
+    data["guaranteed_bs"] = "center"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 0
 
 
 def test_cli_overrides(tmp_path):
