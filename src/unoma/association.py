@@ -21,8 +21,8 @@ from .metrics import Z_95
 
 # Drops drawn and associated together; chunk c of a sweep point draws from
 # SeedSequence([point seed, c]), so this size is part of the seeding scheme.
-# At fig4's densest point (about 150 BSs a drop) a chunk of 128 holds about
-# 1.5 MB of arrays; 256 ran no faster and holds twice that.
+# In the assoc-fig4 benchmark, 256 ran about 10 % faster than 128 but raised
+# peak RSS by about 1.2 MB (83.1 against 81.9 MB).
 ASSOC_CHUNK = 128
 
 

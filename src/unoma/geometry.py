@@ -65,11 +65,20 @@ class TierConfig:
         return dbm_to_watts(self.tx_power_dbm)
 
 
-def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.ndarray:
-    """Draw one homogeneous PPP realization; returns an (n, 2) position array."""
+def _sample_ppp_drops(density: float, region: Region, rng: np.random.Generator,
+                      drops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `drops` homogeneous PPP realizations: one array call for the
+    per-drop Poisson counts, one for all the points, grouped by drop.
+    Returns the (sum of counts, 2) positions and the (drops,) counts."""
     if density < 0:
         raise ValueError(f"density must be >= 0, got {density}")
-    return sample_uniform(int(rng.poisson(density * region.area)), region, rng)
+    n = rng.poisson(density * region.area, drops)
+    return sample_uniform(int(n.sum()), region, rng), n
+
+
+def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.ndarray:
+    """Draw one homogeneous PPP realization; returns an (n, 2) position array."""
+    return _sample_ppp_drops(density, region, rng, 1)[0]
 
 
 def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarray:
@@ -118,8 +127,8 @@ def sample_network(
     """Draw `drops` independent networks, one PPP per tier each.
 
     seed is anything np.random.default_rng accepts; a Generator is drawn from
-    as it is. Per tier, one array call draws every drop's Poisson count and
-    one draws all the tier's positions, grouped by drop.
+    as it is. Each tier's drops come from one _sample_ppp_drops call, the
+    draw sample_ppp makes for a single drop.
     guaranteed_bs: None, "center" or "uniform" -- adds to every drop one extra
     BS of the first tier, listed first in its drop, so every drop has coverage.
     """
@@ -128,8 +137,7 @@ def sample_network(
     rng = np.random.default_rng(seed)
     positions, counts = [], []
     for i, tier in enumerate(tiers):
-        n = rng.poisson(tier.density * region.area, drops)
-        pts = sample_uniform(int(n.sum()), region, rng)
+        pts, n = _sample_ppp_drops(tier.density, region, rng, drops)
         if i == 0 and guaranteed_bs is not None:
             if guaranteed_bs == "center":
                 extra = np.tile(np.asarray(region.center, dtype=float), (drops, 1))
