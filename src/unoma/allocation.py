@@ -5,22 +5,36 @@ Each small-cell BS serves one near/far NOMA pair. BSs are matched to RBs by
 deferred acceptance followed by sum-rate-improving swaps; transmit powers on
 each RB are then optimized with an iterated logarithmic lower bound
 (log(1+z) >= a*log z + b, tight at the current point) that is concave in
-log-power variables.
+log-power variables, solved on every RB at once by the fixed point of its KKT
+conditions.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 # Bound on the improving-swap rounds of each matching seed.
 _MAX_SWAP_ROUNDS = 10_000
+# Bounds on SCA's inner loops: fixed-point updates per surrogate solve and
+# steps per search for an interference-cap multiplier.
+_MAX_FIXED_POINT = 100
+_MAX_MULTIPLIER_STEPS = 200
+_TINY = np.finfo(float).tiny
+
+
+def __getattr__(name):
+    # The traced benchmark harness wraps unoma.allocation.minimize by name
+    # (its allocation.slsqp span); nothing here calls it. This goes when the
+    # harness stops naming it.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleError(ValueError):
@@ -128,49 +142,86 @@ class AllocationInstance:
                        x_near, x_far, a_m, a_n)
 
 
-def _set_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
-    """Pair sum rate of every member of every co-channel set.
+class _Term(NamedTuple):
+    """One rate term, the far or the near user's, of every member of every
+    co-channel set, slot-major. At powers p (k, n) member i's SINR is
 
-    sets: (n, k) BS indices, one RB's co-channel set per row, padded with the
-    sentinel index n_bs; rbs: (n,) the RB of each row; powers: (n, k) the
-    transmit power of each member. A BS with g_far == 0 serves a single user
-    (no pair): full power, full slot, in both schemes. Interference and the
-    set totals are summed one member slot at a time, in the rows' member
-    order. Returns (rates (n, k), totals (n,)).
-    """
+        share p gain / (own p gain + sum_j p[j] cross[j] + sigma2),
+
+    own being 0 where it is None, and its rate is weight log2(1 + SINR);
+    cross[j] is the gain from member j to member i's user. A float stands
+    for an array of that value."""
+
+    weight: np.ndarray | float  # (k, n)
+    share: np.ndarray | float  # (k, n) power share of the user's signal
+    gain: np.ndarray  # (k, n)
+    cross: np.ndarray  # (k, k, n) [tx slot, rx slot, row]
+    own: np.ndarray | None = None  # (k, n) own power share heard as noise
+
+
+def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
+    """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
+    indices padded with the sentinel index n_bs, on RBs rbs (n,). A BS with
+    g_far == 0 serves a single user (no pair): full power, full slot, in both
+    schemes."""
     if scheme not in ("noma", "oma"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    # slot-major (k, n) arrays keep numpy's inner loops n long
-    sets, p = np.ascontiguousarray(sets.T), np.ascontiguousarray(powers.T)
     tab, b_n, r_n = instance._tables, instance.n_bs, instance.n_rb
     own = sets * r_n + rbs  # flat index into the (B + 1, R) gains
     cross = (sets[:, None] * (b_n + 1) + sets[None]) * r_n + rbs  # [tx, rx, row]
     x_far, x_near = tab.x_far.take(cross), tab.x_near.take(cross)
-    i_far = np.zeros(sets.shape)
-    i_near = np.zeros(sets.shape)
-    for j in range(len(sets)):
-        i_far = i_far + p[j] * x_far[j]
-        i_near = i_near + p[j] * x_near[j]
     g_far, g_near = tab.g_far.take(own), tab.g_near.take(own)
-    s2 = instance.sigma2
     single = g_far == 0.0
     if scheme == "noma":
         # the far user decodes its share treating the near user's as noise;
         # the near user cancels the far share first (SIC). A single user
         # takes the near term at a_n = 1; its far term is log2(1) = 0.
-        a_m, a_n = tab.a_m[sets], np.where(single, 1.0, tab.a_n[sets])
-        rates = (np.log2(1.0 + a_m * p * g_far / (a_n * p * g_far + i_far + s2))
-                 + np.log2(1.0 + a_n * p * g_near / (i_near + s2)))
-    else:
-        # equal time sharing: each user gets half the slot at full power; a
-        # single user gets the whole slot, its far term being log2(1) = 0
-        rates = (0.5 * np.log2(1.0 + p * g_far / (i_far + s2))
-                 + np.where(single, 1.0, 0.5)
-                 * np.log2(1.0 + p * g_near / (i_near + s2)))
-    rates = np.where(p > 0, rates, 0.0)
-    totals = np.zeros(len(rbs))
-    for rate in rates:
-        totals = totals + rate
+        a_n = np.where(single, 1.0, tab.a_n[sets])
+        return (_Term(1.0, tab.a_m[sets], g_far, x_far, own=a_n),
+                _Term(1.0, a_n, g_near, x_near))
+    # equal time sharing: each user gets half the slot at full power; a
+    # single user gets the whole slot, its far term being log2(1) = 0
+    return (_Term(0.5, 1.0, g_far, x_far),
+            _Term(np.where(single, 1.0, 0.5), 1.0, g_near, x_near))
+
+
+def _sinr(term: _Term, p: np.ndarray, sigma2: float):
+    """(SINR, its denominator) of a term at slot-major powers p (k, n).
+    Interference is summed one member slot at a time, in the rows' member
+    order."""
+    interference = np.zeros(term.gain.shape)
+    for j in range(len(p)):
+        interference = interference + p[j] * term.cross[j]
+    if term.own is not None:
+        interference = term.own * p * term.gain + interference
+    den = interference + sigma2
+    return term.share * p * term.gain / den, den
+
+
+def _rates(terms, p: np.ndarray, sigma2: float):
+    """(pair sum rates (k, n), set totals (n,)) of the (far, near) terms at
+    slot-major powers p; a silent member's rate is 0. Totals are summed one
+    member slot at a time."""
+    far, near = (term.weight * np.log2(1.0 + _sinr(term, p, sigma2)[0])
+                 for term in terms)
+    rates = np.where(p > 0, far + near, 0.0)
+    totals = np.zeros(p.shape[1])
+    for row in rates:
+        totals = totals + row
+    return rates, totals
+
+
+def _set_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
+    """Pair sum rate of every member of every co-channel set.
+
+    sets: (n, k) BS indices, one RB's co-channel set per row, padded with the
+    sentinel index n_bs; rbs: (n,) the RB of each row; powers: (n, k) the
+    transmit power of each member. Returns (rates (n, k), totals (n,)).
+    """
+    # slot-major (k, n) arrays keep numpy's inner loops n long
+    sets, p = np.ascontiguousarray(sets.T), np.ascontiguousarray(powers.T)
+    rates, totals = _rates(_pair_terms(instance, sets, rbs, scheme), p,
+                           instance.sigma2)
     return rates.T, totals
 
 
@@ -189,11 +240,12 @@ def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
     return float(totals[0]), dict(zip(members, rates[0].tolist()))
 
 
-def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
-    """Set totals at cap-scaled equal power, the power proxy that scores
-    candidate co-channel sets during matching (the true powers are only known
-    after SCA): every member at p_max, scaled down uniformly so that the set's
-    load at the macro user stays below i_threshold."""
+def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
+    """Cap-scaled equal power, one per row of the (n, k) sets: every member at
+    p_max, scaled down uniformly so that the set's load at the macro user
+    stays below i_threshold (0 where that is not positive). It scores
+    candidate sets during matching (the true powers are only known after SCA)
+    and is where SCA starts."""
     h = np.zeros(len(rbs))
     for slot in sets.T:
         h = h + instance._tables.h_macro.take(slot * instance.n_rb + rbs)
@@ -203,7 +255,14 @@ def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
     p = np.full(len(rbs), instance.p_max)
     p[over] = np.where(t[over] <= 0, 0.0,
                        instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9))
-    powers = np.repeat(p[:, None], sets.shape[1], axis=1)
+    return p
+
+
+def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
+    """Set totals at _capped_power, the power proxy that scores candidate
+    co-channel sets during matching."""
+    powers = np.repeat(_capped_power(instance, sets, rbs)[:, None],
+                       sets.shape[1], axis=1)
     return _set_rates(instance, sets, rbs, powers, scheme)[1]
 
 
@@ -406,138 +465,141 @@ class PowerSolution:
     objective_history: tuple  # total sum rate after each outer iteration
 
 
-def _rb_users(instance: AllocationInstance, rb: int, members, scheme: str):
-    """Rate terms on one RB: (weight, owner local idx, numerator gain,
-    denominator coefficient vector over members, sigma2)."""
-    s = len(members)
-    users = []
-    for i, b in enumerate(members):
-        pair = instance.pairs[b]
-        xf = np.array([instance.x_far[b2, b, rb] if b2 != b else 0.0
-                       for b2 in members])
-        xn = np.array([instance.x_near[b2, b, rb] if b2 != b else 0.0
-                       for b2 in members])
-        if instance.g_far[b, rb] == 0.0:
-            users.append((1.0, i, instance.g_near[b, rb], xn))
-        elif scheme == "noma":
-            den_far = xf.copy()
-            den_far[i] += pair.a_n * instance.g_far[b, rb]
-            users.append((1.0, i, pair.a_m * instance.g_far[b, rb], den_far))
-            users.append((1.0, i, pair.a_n * instance.g_near[b, rb], xn))
-        else:
-            users.append((0.5, i, instance.g_far[b, rb], xf))
-            users.append((0.5, i, instance.g_near[b, rb], xn))
-    return [u for u in users if u[2] > 0]
+def _clipped_power(a, c, mu, h, lo: float, p_max: float):
+    """The fixed-point update clip(a / x, lo, p_max) at x = c + mu h, and x.
+    x is floored at _TINY: a / _TINY stays finite (a < 2) and clips to
+    p_max."""
+    x = np.maximum(c + mu * h, _TINY)
+    return np.minimum(np.maximum(a / x, lo), p_max), x
 
 
-def _rb_objective(users, p: np.ndarray, sigma2: float) -> float:
-    total = 0.0
-    for w, i, num, den in users:
-        total += w * math.log2(1.0 + num * p[i] / (den @ p + sigma2))
-    return total
+def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float):
+    """The multiplier mu (n,) at which h.p(mu) = cap on the rows binds, p(mu)
+    = _clipped_power(a, c, mu, ...) being non-increasing in mu; 0 on the
+    other rows. Bisection on the bracket [0, sum_j a_j / cap], at whose top
+    h.p <= sum_j a_j / mu = cap. Each step evaluates h.p at mu and narrows
+    the bracket there; the next mu is the Newton step from mu where that
+    falls strictly inside the bracket, else the bracket's midpoint. Stops
+    when no row's mu moves or every bracket is a few ulps wide."""
+    mu, mu_lo, mu_hi = np.zeros(len(cap)), np.zeros(len(cap)), np.zeros(len(cap))
+    mu_hi[binds] = a[:, binds].sum(axis=0) / cap[binds]
+    for _ in range(_MAX_MULTIPLIER_STEPS):
+        p, x = _clipped_power(a, c, mu, h, lo, p_max)
+        excess = (h * p).sum(axis=0) - cap
+        over = excess > 0
+        mu_lo = np.where(over, mu, mu_lo)
+        mu_hi = np.where(over, mu_hi, mu)
+        # -d(h.p)/dmu: only the powers strictly between their bounds move
+        slope = np.where((p > lo) & (p < p_max), h * h * p / x, 0.0).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = mu + excess / slope
+        inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
+        step = np.where(inside, step, 0.5 * (mu_lo + mu_hi))
+        if not ((step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi))).any():
+            break
+        mu = step
+    return mu
 
 
-def _solve_surrogate(users, p0: np.ndarray, sigma2: float, p_max: float,
-                     h: np.ndarray, threshold: float) -> np.ndarray:
-    """One SCA step: maximize the tight logarithmic lower bound in log powers."""
-    s = len(p0)
-    alphas = []
-    for w, i, num, den in users:
-        z0 = num * p0[i] / (den @ p0 + sigma2)
-        alphas.append(w * z0 / (1.0 + z0))
-    alphas = np.asarray(alphas)
+def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
+    """One SCA step on every row (RB) at once, from slot-major powers p (k, n),
+    terms being the rows' (far, near) pair from _pair_terms.
 
-    def neg_f(q):
-        p = np.exp(q)
-        val = 0.0
-        grad = np.zeros(s)
-        for a, (w, i, num, den) in zip(alphas, users):
-            d = den @ p + sigma2
-            val += a * (q[i] + math.log(num) - math.log(d))
-            grad[i] += a
-            grad -= a * den * p / d
-        return -val, -grad
+    Maximizes the tight lower bound log(1 + z) >= alpha log z + beta of the
+    rows' rates at p (alpha = weight z0 / (1 + z0) at the current SINR z0),
+    which is concave in log powers, subject to p_max e^-60 <= p <= p_max and
+    the row's macro load h.p <= cap. Its KKT conditions give the fixed point
 
-    q0 = np.log(p0)
-    bounds = [(math.log(p_max) - 60.0, math.log(p_max))] * s
-    constraints = []
-    cap_active = np.isfinite(threshold) and np.any(h > 0)
-    if cap_active:
-        constraints.append({
-            "type": "ineq",
-            "fun": lambda q: threshold - np.exp(q) @ h,
-            "jac": lambda q: -np.exp(q) * h,
-        })
-    with warnings.catch_warnings():
-        # SLSQP emits a benign warning when a trial step touches the bounds
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = minimize(neg_f, q0, jac=True, method="SLSQP", bounds=bounds,
-                       constraints=constraints,
-                       options={"maxiter": 100, "ftol": 1e-12})
-    p = np.minimum(np.exp(res.x), p_max)
-    if cap_active and p @ h > threshold:
-        p = p * (threshold / (p @ h)) * (1.0 - 1e-12)
-    return p
+        p_j = clip(A_j / (c_j(p) + mu h_j), p_max e^-60, p_max),
+
+    A_j the sum of the alpha of the terms member j owns, c_j(p) the sum of
+    alpha_u D_uj / (D_u.p + sigma2) over the terms u that member j's power
+    enters with coefficient D_uj, and mu >= 0 the row's cap multiplier
+    (_cap_multiplier) on the rows whose cap binds. A_j = 0 sends p_j to its
+    lower bound and c_j + mu h_j = 0 to p_max. The update stops when no
+    power changes by 1e-15 of itself. The candidate is then scaled down
+    uniformly to 1 - 1e-12 of its cap on a row whose load still exceeds it.
+    """
+    p_max, sigma2 = instance.p_max, instance.sigma2
+    lo = p_max * math.exp(-60.0)
+    sinrs = [_sinr(term, p, sigma2) for term in terms]
+    alphas = [term.weight * z / (1.0 + z) for term, (z, _) in zip(terms, sinrs)]
+    dens = [den for _, den in sinrs]
+    a = alphas[0] + alphas[1]
+
+    q = p
+    for _ in range(_MAX_FIXED_POINT):
+        c = 0.0
+        for term, alpha, den in zip(terms, alphas, dens):
+            ratio = alpha / den
+            c = c + (term.cross * ratio).sum(axis=1)
+            if term.own is not None:
+                c = c + ratio * term.own * term.gain
+        new = _clipped_power(a, c, 0.0, h, lo, p_max)[0]
+        binds = np.flatnonzero((h * new).sum(axis=0) > cap)
+        if len(binds):
+            mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max)
+            new = _clipped_power(a, c, mu, h, lo, p_max)[0]
+        done = not (np.abs(new - q) > 1e-15 * q).any()
+        q = new
+        if done:
+            break
+        dens = [_sinr(term, q, sigma2)[1] for term in terms]
+    load = (h * q).sum(axis=0)
+    over = load > cap
+    q[:, over] *= (cap[over] / load[over]) * (1.0 - 1e-12)
+    return q
 
 
 def sca_power_control(matching: Matching, instance: AllocationInstance,
                       scheme: str = "noma", max_iters: int = 100,
                       tol: float = 1e-6) -> PowerSolution:
-    """Sum-rate power control per RB via the iterated concave lower bound.
+    """Sum-rate power control on every matched RB at once, via the iterated
+    concave lower bound.
 
-    Each outer iteration re-linearizes and solves the surrogate on every RB; a
-    candidate is kept only if the true objective does not decrease, so the
-    reported objective history is non-decreasing by construction.
+    Powers start at _capped_power. Each outer iteration re-linearizes and
+    solves the surrogate on every RB (_surrogate_step); an RB's candidate is
+    kept only if its true sum rate does not decrease, so the reported
+    objective history is non-decreasing by construction.
     """
-    b_n = instance.n_bs
-    powers = np.zeros(b_n)
-    rb_state = []
-    for r, members in enumerate(matching.rb_to_bs):
-        if not members:
-            continue
-        members = list(members)
-        h = np.array([instance.h_macro[b, r] for b in members])
-        threshold = float(instance.i_threshold[r])
-        if threshold < 0 or (threshold == 0 and np.any(h > 0)):
-            raise InfeasibleError(
-                f"no positive power meets the interference cap on RB {r}",
-                constraint=f"i_threshold[{r}]")
-        p0 = np.full(len(members), instance.p_max)
-        load = p0 @ h
-        if np.isfinite(threshold) and load > threshold:
-            p0 *= (threshold / load) * (1.0 - 1e-9)
-        users = _rb_users(instance, r, members, scheme)
-        rb_state.append({"rb": r, "members": members, "users": users,
-                         "h": h, "threshold": threshold, "p": p0})
+    b_n, r_n = instance.n_bs, instance.n_rb
+    rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms],
+                   dtype=np.intp)
+    width = max([1] + [len(ms) for ms in matching.rb_to_bs])
+    sets = _padded([matching.rb_to_bs[r] for r in rbs], b_n, width).T
+    h = instance._tables.h_macro.take(sets * r_n + rbs)
+    cap = instance.i_threshold[rbs]
+    blocked = (cap < 0) | ((cap == 0) & np.any(h > 0, axis=0))
+    if blocked.any():
+        r = int(rbs[np.argmax(blocked)])
+        raise InfeasibleError(
+            f"no positive power meets the interference cap on RB {r}",
+            constraint=f"i_threshold[{r}]")
+    p = np.repeat(_capped_power(instance, sets.T, rbs)[None], len(sets), axis=0)
+    terms = _pair_terms(instance, sets, rbs, scheme)
+    totals = _rates(terms, p, instance.sigma2)[1]
 
     history = []
     iterations = 0
-    converged = False
-    prev = sum(_rb_objective(st["users"], st["p"], instance.sigma2)
-               for st in rb_state)
+    converged = not len(rbs)
+    prev = sum(totals.tolist())
     for it in range(max_iters):
         iterations = it + 1
-        for st in rb_state:
-            if not st["users"]:
-                continue
-            cand = _solve_surrogate(st["users"], st["p"], instance.sigma2,
-                                    instance.p_max, st["h"], st["threshold"])
-            if (_rb_objective(st["users"], cand, instance.sigma2)
-                    >= _rb_objective(st["users"], st["p"], instance.sigma2)):
-                st["p"] = cand
-        total = sum(_rb_objective(st["users"], st["p"], instance.sigma2)
-                    for st in rb_state)
+        cand = _surrogate_step(instance, terms, h, cap, p)
+        cand_totals = _rates(terms, cand, instance.sigma2)[1]
+        keep = cand_totals >= totals
+        p = np.where(keep, cand, p)
+        totals = np.where(keep, cand_totals, totals)
+        total = sum(totals.tolist())
         history.append(total)
         if total - prev < tol * max(1.0, abs(total)):
             converged = True
             break
         prev = total
-    if not rb_state:
-        converged = True
 
-    for st in rb_state:
-        for i, b in enumerate(st["members"]):
-            powers[b] = st["p"][i]
+    powers = np.zeros(b_n + 1)
+    powers[sets] = p  # the sentinel's entry, b_n, is dropped below
+    powers = powers[:b_n]
     per_bs = np.zeros(b_n)
     for r, members in enumerate(matching.rb_to_bs):
         if members:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import zero_forcing_array_gain
-from .noma_core import SCHEMES, build_matrix
+from .noma_core import (
+    MPA_MEMORY_BUDGET,
+    SCHEMES,
+    build_matrix,
+    mpa_chunk_bytes,
+)
 
 KINDS = ("association_sweep", "allocation_sweep", "link_level")
 
@@ -23,7 +28,7 @@ _TIER_KEYS = {"tier_id", "tx_power_dbm", "density_per_m2",
               "density_factor_of_sweep", "array_gain", "antennas", "streams",
               "path_loss_exponent"}
 _ASSOC_KEYS = _COMMON_KEYS | {"region_radius_m", "probe", "guaranteed_bs",
-                              "a_m", "a_n", "tiers"}
+                              "tiers"}
 _ALLOC_KEYS = _COMMON_KEYS | {"n_rb", "taus", "schemes", "macro_power_dbm",
                               "small_power_dbm", "sigma2_w",
                               "protection_ratio_db", "region_radius_m",
@@ -138,14 +143,11 @@ def _validate_association(data: dict):
     _reject_unknown(data, _ASSOC_KEYS)
     data.setdefault("probe", "uniform")
     data.setdefault("guaranteed_bs", None)
-    data.setdefault("a_m", 0.6)
-    data.setdefault("a_n", 0.4)
     _require(data, "region_radius_m", (int, float), lambda r: r > 0, "must be > 0")
     _require(data, "probe", str, lambda p: p in ("origin", "uniform"),
              "must be 'origin' or 'uniform'")
     if data["guaranteed_bs"] not in (None, "center", "uniform"):
         raise ConfigError("key 'guaranteed_bs' must be null, 'center' or 'uniform'")
-    _check_power_split(data)
     tiers = _require(data, "tiers", list, lambda t: len(t) >= 1,
                      "need at least one tier")
     for i, tier in enumerate(tiers):
@@ -221,11 +223,17 @@ def _validate_link(data: dict):
     # Dry-build the spreading matrix so that validation rejects what a run
     # would; MUSA draws its sequences, here from a fixed seed.
     try:
-        build_matrix(data["scheme"], data["k"], data["n"], data["matrix_params"],
-                     np.random.default_rng(0))
+        matrix = build_matrix(data["scheme"], data["k"], data["n"],
+                              data["matrix_params"], np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{data['scheme']} matrix with k={data['k']}, "
                           f"n={data['n']}: {exc}") from exc
+    need = mpa_chunk_bytes(matrix, data["q"])
+    if need > MPA_MEMORY_BUDGET:
+        raise ConfigError(f"{data['scheme']} with k={data['k']}, n={data['n']}, "
+                          f"q={data['q']}: MPA detection would need {need} B "
+                          f"on its densest RB, over the {MPA_MEMORY_BUDGET} B "
+                          "budget")
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -267,8 +275,6 @@ def preset_config(name: str) -> ExperimentConfig:
             "region_radius_m": 500.0,
             "probe": "uniform",
             "guaranteed_bs": "center",
-            "a_m": 0.6,
-            "a_n": 0.4,
             "tiers": [
                 {"tier_id": "macro", "tx_power_dbm": 40.0,
                  "density_per_m2": _MACRO_DENSITY,

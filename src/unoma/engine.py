@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import AllocationInstance, jain_fairness, solve_instance
+from .allocation import (
+    _MAX_FIXED_POINT,
+    AllocationInstance,
+    jain_fairness,
+    solve_instance,
+)
 from .association import ASSOC_CHUNK, AssociationStudy, association_probability
 from .config import ExperimentConfig, tier_density
 from .geometry import (
@@ -88,6 +93,23 @@ _CONVENTIONS = {
                     "the first maximum winning and an exchange only if "
                     "strictly better than the best move; a round applies its "
                     "winner only if it raises the total by more than 1e-12",
+        "power_control": "SCA from p_max scaled uniformly below each RB's "
+                         "cap: each outer iteration bounds every rate term "
+                         "below by alpha*log z + beta, tight at the current "
+                         "powers, and solves that surrogate on every RB by "
+                         "the fixed point p_j <- clip(A_j / (c_j(p) + "
+                         "mu*h_j), p_max*e^-60, p_max): A_j sums the alpha "
+                         "of BS j's terms, c_j(p) sums alpha_u*D_uj / "
+                         "(D_u.p + sigma2) over the terms u whose "
+                         "interference D_u.p BS j's power enters, and mu >= 0 "
+                         "is found by bisection with Newton steps on RBs "
+                         "whose cap binds; the fixed point stops when no "
+                         "power changes by 1e-15 of itself, or after "
+                         f"{_MAX_FIXED_POINT} updates; a candidate over its "
+                         "cap is scaled to 1 - 1e-12 of it and is kept on an "
+                         "RB only if that RB's sum rate does not fall; the "
+                         "outer loop stops when the total gains less than "
+                         "1e-6 of itself, or after 100 iterations",
     },
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "

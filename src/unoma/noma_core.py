@@ -361,8 +361,19 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
 # size, and since each vector stops on its own, results do not depend on where
 # the chunk boundaries fall.
 MPA_CHUNK = 4096
+# Bound on the largest per-RB likelihood tensor of one chunk, in bytes; a
+# link-level config that would exceed it is rejected by validation.
+MPA_MEMORY_BUDGET = 2**30
 
 _TINY = np.finfo(float).tiny
+
+
+def mpa_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
+    """Peak bytes of the likelihood tensor of one MPA chunk on the densest
+    RB: a complex difference and its modulus, 24 B, per joint symbol of the
+    RB's d layers (Q^d) and vector (MPA_CHUNK)."""
+    degree = int(matrix.occupancy.sum(axis=1).max())
+    return q ** degree * MPA_CHUNK * 24
 
 
 def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite: brute-force enumeration for
-detection, scalar pair rates and exhaustive search for allocation, and a
-per-drop loop for user association. Deliberately naive."""
+detection, scalar pair rates, exhaustive search and a per-RB SLSQP power
+control for allocation, and a per-drop loop for user association.
+Deliberately naive."""
 
 import itertools
 import math
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -138,6 +140,117 @@ def exhaustive_optimum(instance, scheme="noma", levels=50):
         total = sum(best_rb[(r, tuple(v))] for r, v in occ.items())
         optimum = max(optimum, total)
     return optimum
+
+
+def sca_terms(instance, rb, members, scheme="noma"):
+    """Rate terms on one RB as (weight, owner's local index, numerator gain,
+    denominator coefficients over members): each term's rate is
+    weight * log2(1 + num p[i] / (den . p + sigma2)). Terms with a zero
+    numerator are left out."""
+    terms = []
+    for i, b in enumerate(members):
+        pair = instance.pairs[b]
+        xf = np.array([instance.x_far[b2, b, rb] if b2 != b else 0.0
+                       for b2 in members])
+        xn = np.array([instance.x_near[b2, b, rb] if b2 != b else 0.0
+                       for b2 in members])
+        if instance.g_far[b, rb] == 0.0:
+            terms.append((1.0, i, instance.g_near[b, rb], xn))
+        elif scheme == "noma":
+            den_far = xf.copy()
+            den_far[i] += pair.a_n * instance.g_far[b, rb]
+            terms.append((1.0, i, pair.a_m * instance.g_far[b, rb], den_far))
+            terms.append((1.0, i, pair.a_n * instance.g_near[b, rb], xn))
+        else:
+            terms.append((0.5, i, instance.g_far[b, rb], xf))
+            terms.append((0.5, i, instance.g_near[b, rb], xn))
+    return [t for t in terms if t[2] > 0]
+
+
+def sca_objective(terms, p, sigma2):
+    return sum(w * math.log2(1.0 + num * p[i] / (den @ p + sigma2))
+               for w, i, num, den in terms)
+
+
+def slsqp_surrogate_step(instance, rb, members, p0, scheme="noma"):
+    """One SCA step on one RB by scipy's SLSQP: maximize the logarithmic
+    lower bound sum_u alpha_u (log num_u + q_i - log(den_u . e^q + sigma2)),
+    tight at p0, over log powers q in [log p_max - 60, log p_max] under the
+    RB's interference cap; the result is clipped to p_max and scaled to
+    1 - 1e-12 of the cap if it exceeds it."""
+    from scipy.optimize import minimize
+
+    terms = sca_terms(instance, rb, members, scheme)
+    sigma2, p_max = instance.sigma2, instance.p_max
+    h = np.array([instance.h_macro[b, rb] for b in members])
+    threshold = float(instance.i_threshold[rb])
+    alphas = []
+    for w, i, num, den in terms:
+        z0 = num * p0[i] / (den @ p0 + sigma2)
+        alphas.append(w * z0 / (1.0 + z0))
+
+    def neg_f(q):
+        p = np.exp(q)
+        val = 0.0
+        grad = np.zeros(len(q))
+        for a, (w, i, num, den) in zip(alphas, terms):
+            d = den @ p + sigma2
+            val += a * (q[i] + math.log(num) - math.log(d))
+            grad[i] += a
+            grad -= a * den * p / d
+        return -val, -grad
+
+    bounds = [(math.log(p_max) - 60.0, math.log(p_max))] * len(members)
+    constraints = []
+    cap_active = np.isfinite(threshold) and np.any(h > 0)
+    if cap_active:
+        constraints.append({
+            "type": "ineq",
+            "fun": lambda q: threshold - np.exp(q) @ h,
+            "jac": lambda q: -np.exp(q) * h,
+        })
+    with warnings.catch_warnings():
+        # SLSQP emits a benign warning when a trial step touches the bounds
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = minimize(neg_f, np.log(p0), jac=True, method="SLSQP",
+                       bounds=bounds, constraints=constraints,
+                       options={"maxiter": 100, "ftol": 1e-12})
+    p = np.minimum(np.exp(res.x), p_max)
+    if cap_active and p @ h > threshold:
+        p = p * (threshold / (p @ h)) * (1.0 - 1e-12)
+    return p
+
+
+def slsqp_sca(matching, instance, scheme="noma", max_iters=100, tol=1e-6):
+    """SCA one RB at a time with slsqp_surrogate_step: start at p_max scaled
+    below each RB's cap, keep an RB's candidate only if its sum rate does not
+    fall, stop when the total gains less than tol (relative). Returns
+    ({BS: power}, sum rate, outer iterations)."""
+    state = []
+    for r, members in enumerate(matching.rb_to_bs):
+        if not members:
+            continue
+        members = list(members)
+        p = np.full(len(members), capped_equal_power(instance, r, members))
+        state.append((r, members, sca_terms(instance, r, members, scheme), p))
+    sigma2 = instance.sigma2
+    prev = sum(sca_objective(t, p, sigma2) for _, _, t, p in state)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        for k, (r, members, terms, p) in enumerate(state):
+            if not terms:
+                continue
+            cand = slsqp_surrogate_step(instance, r, members, p, scheme)
+            if sca_objective(terms, cand, sigma2) >= sca_objective(terms, p, sigma2):
+                state[k] = (r, members, terms, cand)
+        total = sum(sca_objective(t, p, sigma2) for _, _, t, p in state)
+        if total - prev < tol * max(1.0, abs(total)):
+            break
+        prev = total
+    powers = {b: pw for _, members, _, p in state for b, pw in zip(members, p)}
+    rate = sum(sum(pair_rates(instance, r, members, powers, scheme).values())
+               for r, members, _, _ in state)
+    return powers, rate, iterations
 
 
 def all_swap_deltas(instance, matching, scheme="noma"):

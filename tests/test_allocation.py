@@ -10,13 +10,18 @@ from oracles import (
     capped_equal_power,
     pair_rates,
     random_instance,
+    slsqp_sca,
+    slsqp_surrogate_step,
 )
 from unoma.allocation import (
     AllocationInstance,
     InfeasibleError,
     Matching,
     _capped_totals,
+    _padded,
+    _pair_terms,
     _set_rates,
+    _surrogate_step,
     build_preferences,
     jain_fairness,
     match_rbs,
@@ -270,3 +275,60 @@ def test_oma_baseline_consistent():
     direct = sca_power_control(matching, inst, "oma").sum_rate
     assert solve_instance(inst, "oma")[1].sum_rate == pytest.approx(direct)
     assert direct > 0.0
+
+
+def _sca_cases():
+    """(instance, scheme) pairs for the SLSQP comparison: random instances
+    with tau 1 to 3, caps that bind and caps that do not, BSs with
+    g_far == 0; and fig5-scale instances."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for k in range(12):
+        tau = 1 + k % 3
+        inst = random_instance(rng, int(rng.integers(tau + 1, 7)),
+                               int(rng.integers(1, 4)), tau=tau,
+                               threshold=np.inf if k % 2 else 1e-10)
+        if k % 4 < 2:
+            g_far = inst.g_far.copy()
+            g_far[0, :] = 0.0  # BS 0 serves a single user
+            inst = replace(inst, g_far=g_far)
+        cases += [(inst, "noma"), (inst, "oma")]
+    data = preset_config("fig5").data
+    for n, tau in ((12, 2), (32, 3)):
+        inst = generate_instance(n, data, tau, 500 + n)
+        cases += [(inst, "noma"), (inst, "oma")]
+    return cases
+
+
+def test_sca_matches_slsqp_oracle():
+    """One batched surrogate step, from a random feasible start on every RB,
+    and the full SCA give the sum rates of the per-RB SLSQP solve."""
+    rng = np.random.default_rng(78)
+    binding = single = 0
+    for inst, scheme in _sca_cases():
+        matching = match_rbs(inst, scheme)
+        rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms])
+        sets = _padded([matching.rb_to_bs[r] for r in rbs], inst.n_bs,
+                       inst.tau).T
+        h = np.vstack([inst.h_macro, np.zeros(inst.n_rb)])[sets, rbs]
+        cap = inst.i_threshold[rbs]
+        p = rng.uniform(0.05, 1.0, sets.shape) * inst.p_max
+        p *= np.minimum(1.0, 0.5 * cap / (p * h).sum(axis=0))  # half a cap
+        cand = _surrogate_step(inst, _pair_terms(inst, sets, rbs, scheme),
+                               h, cap, p)
+        for col, r in enumerate(rbs.tolist()):
+            members = list(matching.rb_to_bs[r])
+            want = slsqp_surrogate_step(inst, r, members, p[:len(members), col],
+                                        scheme)
+            got = cand[:len(members), col]
+            binding += bool(np.isfinite(cap[col])
+                            and got @ h[:len(members), col] > 0.999 * cap[col])
+            single += bool(np.any(inst.g_far[members, r] == 0.0))
+            rate = [sum(pair_rates(inst, r, members, dict(zip(members, pw)),
+                                   scheme).values()) for pw in (got, want)]
+            np.testing.assert_allclose(rate[0], rate[1], rtol=1e-9, atol=0)
+        sol = sca_power_control(matching, inst, scheme)
+        _, rate, iterations = slsqp_sca(matching, inst, scheme)
+        np.testing.assert_allclose(sol.sum_rate, rate, rtol=1e-9, atol=0)
+        assert sol.iterations == iterations
+    assert binding and single  # the cases the test is meant to reach

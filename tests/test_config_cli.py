@@ -12,7 +12,12 @@ from unoma.config import (
     validate_config,
 )
 from unoma.engine import config_hash, run_experiment, subseed
-from unoma.noma_core import build_matrix
+from unoma.noma_core import (
+    MPA_CHUNK,
+    MPA_MEMORY_BUDGET,
+    build_matrix,
+    mpa_chunk_bytes,
+)
 
 
 def _tiny_link_config():
@@ -140,6 +145,40 @@ def test_matrix_params_must_be_whole_numbers(tmp_path):
         assert main(["run", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 1
     validate_config(dict(scma, matrix_params={"column_weight": 2.0}))
+
+
+def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
+    """A link-level config whose MPA chunk would exceed MPA_MEMORY_BUDGET on
+    its densest RB fails validate and run, before any detection."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    scma = dict(_tiny_link_config(), scheme="scma", k=4, n=6, q=4,
+                matrix_params={"column_weight": 2})
+    validate_config(scma)
+    matrix = build_matrix("scma", 4, 6, {"column_weight": 2},
+                          np.random.default_rng(0))
+    assert mpa_chunk_bytes(matrix, 4) == 4**3 * MPA_CHUNK * 24 < MPA_MEMORY_BUDGET
+    pd = dict(_tiny_link_config(), k=1, n=6, q=8)  # 8^6 * 4096 * 24 B = 24 GiB
+    path = tmp_path / "pd.json"
+    path.write_text(json.dumps(pd))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 1
+    validate_config(dict(pd, q=4))  # 4^6 * 4096 * 24 B = 384 MiB
+
+
+def test_association_rejects_power_split_keys(tmp_path):
+    """a_m/a_n have no effect on an association sweep and are unknown keys
+    there."""
+    for key in ("a_m", "a_n"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(dict(_tiny_association_config(), **{key: 0.6})))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
 
 
 def test_musa_alphabet_pairs(tmp_path):
@@ -279,10 +318,14 @@ def test_cli_run_allocation(tmp_path):
     csv = (out / "alloc.csv").read_text().splitlines()
     assert len(csv) == 1 + 2 * 2  # two points, two schemes
     conventions = json.loads((out / "alloc_manifest.json").read_text())["conventions"]
-    assert set(conventions) == {"fairness", "matching"}
+    assert set(conventions) == {"fairness", "matching", "power_control"}
     for fact in ("cap-scaled equal power", "moves into vacancies before",
                  "row-major (BS, RB) and (BS, BS)", "1e-12"):
         assert fact in conventions["matching"]
+    for fact in ("clip(A_j / (c_j(p) + mu*h_j), p_max*e^-60, p_max)",
+                 "bisection with Newton steps on RBs whose cap binds", "1e-15",
+                 "only if that RB's sum rate does not fall"):
+        assert fact in conventions["power_control"]
 
 
 def test_cli_run_association(tmp_path):

@@ -1,7 +1,11 @@
-"""Guard against dead code: every public name the package defines must be
-used by the package itself or by the acceptance suite."""
+"""Guards on the package's shape: every public name it defines must be used
+by the package itself or by the acceptance suite, and nothing it runs may
+need scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,3 +65,33 @@ def test_every_public_name_is_reached():
                  if not name.startswith("_") and name not in allowed
                  and not _referenced(name, node, trees)]
     assert unreached == [], f"public names nothing uses: {unreached}"
+
+
+def test_no_module_imports_scipy():
+    """No import of scipy anywhere in the package, at module level or inside a
+    function, except in a module-level __getattr__: that runs only when code
+    outside the package asks for a name the module does not define
+    (allocation's resolves `minimize` for the traced benchmark harness)."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.FunctionDef)
+                             and node.name == "__getattr__")]
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == [], f"scipy imported at {offenders}"
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, unoma.cli, unoma.engine; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.strip() == "[]"
