@@ -16,14 +16,7 @@ from .geometry import (
     sample_network,
     sample_uniform,
 )
-from .metrics import Z_95
-
-
-# Drops drawn and associated together; chunk c of a sweep point draws from
-# SeedSequence([point seed, c]), so this size is part of the seeding scheme.
-# In the assoc-fig4 benchmark, 256 ran about 10 % faster than 128 but raised
-# peak RSS by about 1.2 MB (83.1 against 81.9 MB).
-ASSOC_CHUNK = 128
+from .metrics import Z_95, trial_blocks
 
 
 def associate_user(user_pos, snapshot: NetworkSnapshot):
@@ -95,8 +88,8 @@ def association_probability(study: AssociationStudy, trials: int,
     """Monte-Carlo per-tier association probability with Wilson 95% CIs.
 
     Each trial ("drop") draws a fresh network and one probe user (at the
-    origin or uniformly in the region). Drops are drawn and associated
-    ASSOC_CHUNK at a time, chunk c from SeedSequence([seed, c]), so the
+    origin or uniformly in the region). Drops are drawn and associated a
+    block at a time, as metrics.trial_blocks(seed, trials) yields them, so the
     estimate is independent of execution order. Drops without a BS are not
     counted.
     """
@@ -106,9 +99,7 @@ def association_probability(study: AssociationStudy, trials: int,
     if all(t.density == 0 for t in tiers) and study.guaranteed_bs is None:
         raise ValueError("all tier densities are 0 and no BS is guaranteed")
     counts = np.zeros(len(tiers), dtype=np.int64)
-    for chunk, start in enumerate(range(0, trials, ASSOC_CHUNK)):
-        drops = min(ASSOC_CHUNK, trials - start)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+    for rng, drops in trial_blocks(seed, trials):
         snap = sample_network(study.region, tiers, rng, drops,
                               guaranteed_bs=study.guaranteed_bs)
         if snap.n_bs == 0:

@@ -1,16 +1,16 @@
 """Seeded Monte-Carlo execution of configured experiments with CSV output.
 
-Every sweep point gets a sub-seed hashed from (master seed, point index).
-Association trials are drawn ASSOC_CHUNK at a time, chunk c from
-SeedSequence([point sub-seed, c]); allocation instances seed from a hash of
-(master seed, point, trial), and a link-level point draws all its trials from
-one generator seeded by its sub-seed, so results are byte-identical
-regardless of worker count or scheduling.
+Every sweep point gets a sub-seed hashed from (master seed, point index), and
+every kind draws the point's trials by one rule, metrics.trial_blocks: blocks
+of TRIAL_BLOCK trials, each from its own generator, in trial order.
+Processing chunks are whole numbers of blocks, so results are byte-identical
+regardless of chunk size, worker count or scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -28,7 +28,7 @@ from .allocation import (
     jain_fairness,
     solve_instance,
 )
-from .association import ASSOC_CHUNK, AssociationStudy, association_probability
+from .association import AssociationStudy, association_probability
 from .config import ExperimentConfig, tier_density
 from .geometry import (
     Region,
@@ -38,13 +38,13 @@ from .geometry import (
     rayleigh_power_gains,
     sample_uniform,
 )
-from .metrics import aggregate, write_csv
+from .metrics import TRIAL_BLOCK, mean_ci, point_rng, trial_blocks, write_csv
 from .noma_core import (
+    MPA_CHUNK,
     NomaPair,
     build_matrix,
     default_codebook,
     mpa_detect_batch,
-    symbol_error_rate,
 )
 
 _HEADERS = {
@@ -64,9 +64,9 @@ def config_hash(data: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def subseed(*parts) -> int:
-    """Splittable sub-seed: hash of the index tuple, independent of schedule."""
-    canonical = json.dumps(list(parts), separators=(",", ":"))
+def subseed(master_seed: int, index: int) -> int:
+    """Sweep point's sub-seed: hash of (master seed, point index)."""
+    canonical = json.dumps([master_seed, index], separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
 
@@ -78,9 +78,6 @@ _CONVENTIONS = {
                        "to the earlier tier in config order, then to the "
                        "lowest BS index within that tier; drops without a BS "
                        "are not counted in trials",
-        "seeding": f"drops are drawn {ASSOC_CHUNK} at a time (ASSOC_CHUNK), "
-                   "chunk c of a sweep point from "
-                   "numpy.random.SeedSequence([point sub-seed, c])",
     },
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
@@ -122,6 +119,14 @@ _CONVENTIONS = {
 }
 
 
+_SEEDING = ("sweep point i's sub-seed is the first 8 bytes of SHA-256 of "
+            "the JSON list [master seed, i], mod 2^63; its trials are drawn "
+            f"{TRIAL_BLOCK} at a time (TRIAL_BLOCK), block b from "
+            "numpy.random.SeedSequence([point sub-seed, b]), in trial order; "
+            "a link-level point's spreading matrix (MUSA sequences) draws from "
+            "numpy.random.SeedSequence(point sub-seed, spawn_key=(1,))")
+
+
 @dataclass(frozen=True)
 class RunManifest:
     config_hash: str
@@ -158,10 +163,10 @@ def _tiers_at(data: dict, density: float):
     return tiers
 
 
-def generate_instance(n_small: int, data: dict, tau: int, seed: int) -> AllocationInstance:
+def generate_instance(n_small: int, data: dict, tau: int,
+                      rng: np.random.Generator) -> AllocationInstance:
     """Random allocation instance: small BSs dropped uniformly (binomial point
     process conditioned on the sweep count), one near/far user pair each."""
-    rng = np.random.default_rng(seed)
     region = Region(data["region_radius_m"])
     alpha = data["alpha"]
     n_rb = data["n_rb"]
@@ -225,47 +230,44 @@ def _association_point(data: dict, index: int, value: float):
 
 def _allocation_point(data: dict, index: int, n_small: int):
     point_seed = subseed(data["seed"], index)
-    results = {(tau, scheme): {"sum": [], "fair": []}
+    results = {(tau, scheme): ([], [])
                for tau in data["taus"] for scheme in data["schemes"]}
-    for trial in range(data["trials"]):
-        inst_seed = subseed(data["seed"], index, trial)
-        base = generate_instance(n_small, data, data["taus"][0], inst_seed)
-        for tau in data["taus"]:
-            inst = replace(base, tau=tau)
-            for scheme in data["schemes"]:
-                _, sol = solve_instance(inst, scheme)
-                results[(tau, scheme)]["sum"].append(sol.sum_rate)
-                results[(tau, scheme)]["fair"].append(
-                    jain_fairness(sol.per_bs_rates))
-    rows = []
-    for tau in data["taus"]:
-        for scheme in data["schemes"]:
-            acc = results[(tau, scheme)]
-            s = aggregate((0, v) for v in acc["sum"])
-            f = aggregate((0, v) for v in acc["fair"])
-            rows.append((n_small, tau, scheme.upper(), s.mean[0], s.ci_half[0],
-                         f.mean[0], f.ci_half[0], data["trials"], point_seed))
-    return rows
+    for rng, n in trial_blocks(point_seed, data["trials"]):
+        for _ in range(n):
+            base = generate_instance(n_small, data, data["taus"][0], rng)
+            for tau in data["taus"]:
+                inst = replace(base, tau=tau)
+                for scheme in data["schemes"]:
+                    _, sol = solve_instance(inst, scheme)
+                    rates, fairs = results[(tau, scheme)]
+                    rates.append(sol.sum_rate)
+                    fairs.append(jain_fairness(sol.per_bs_rates))
+    return [(n_small, tau, scheme.upper(), *mean_ci(rates), *mean_ci(fairs),
+             data["trials"], point_seed)
+            for (tau, scheme), (rates, fairs) in results.items()]
 
 
 def _link_point(data: dict, index: int, snr_db: float):
     seed = subseed(data["seed"], index)
-    rng = np.random.default_rng(seed)
-    matrix = build_matrix(data["scheme"], data["k"], data["n"],
-                          data["matrix_params"], rng)
-    codebook = default_codebook(matrix, data["q"])
+    n, k, q = data["n"], data["k"], data["q"]
+    matrix = build_matrix(data["scheme"], k, n, data["matrix_params"],
+                          point_rng(seed))
+    codebook = default_codebook(matrix, q)
     noise_var = 10.0 ** (-snr_db / 10.0)  # unit codeword energy per layer
-    trials = data["trials"]
-    truth = rng.integers(0, data["q"], size=(trials, data["n"]))
-    y = np.zeros((trials, data["k"]), dtype=complex)
-    for layer in range(data["n"]):
-        y += codebook.codewords[layer, truth[:, layer], :]
-    noise = rng.normal(size=(trials, data["k"])) + 1j * rng.normal(size=(trials, data["k"]))
-    y += noise * math.sqrt(noise_var / 2.0)
-    _, hard, _ = mpa_detect_batch(y, matrix, codebook, noise_var,
-                                  max_iters=data["max_iters"])
-    ser = symbol_error_rate(hard, truth)
-    return [(snr_db, ser, trials, seed)]
+    blocks = trial_blocks(seed, data["trials"])
+    errors = 0  # only the count outlives a group, so memory is bounded
+    while group := list(itertools.islice(blocks, MPA_CHUNK // TRIAL_BLOCK)):
+        truth, y = [], []
+        for rng, m in group:
+            symbols = rng.integers(0, q, size=(m, n))
+            noise = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+            truth.append(symbols)
+            y.append(codebook.codewords[np.arange(n), symbols].sum(axis=1)
+                     + noise * math.sqrt(noise_var / 2.0))
+        _, hard, _ = mpa_detect_batch(np.concatenate(y), matrix, codebook,
+                                      noise_var, max_iters=data["max_iters"])
+        errors += int(np.count_nonzero(hard != np.concatenate(truth)))
+    return [(snr_db, errors / (data["trials"] * n), data["trials"], seed)]
 
 
 _POINT_FUNCS = {
@@ -308,7 +310,7 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),
         point_seeds=tuple(subseed(config.seed, i) for i in range(len(values))),
-        conventions=_CONVENTIONS.get(config.kind, {}),
+        conventions={**_CONVENTIONS[config.kind], "seeding": _SEEDING},
     )
     manifest_path = out / f"{config.name}_manifest.json"
     manifest.save(manifest_path)

@@ -193,9 +193,10 @@ def test_match_is_exchange_stable():
         assert all(d <= 1e-9 for d in deltas)
 
 
-# rb_to_bs of generate_instance(n, fig5 data, tau, 2024 + n), recorded from
-# the scalar, set-by-set matcher that the batched scoring replaced. At n = 7
-# the 4 RBs have vacancies, so moves are scored as well as exchanges.
+# rb_to_bs of generate_instance(n, fig5 data, tau, default_rng(2024 + n)),
+# recorded from the scalar, set-by-set matcher that the batched scoring
+# replaced. At n = 7 the 4 RBs have vacancies, so moves are scored as well as
+# exchanges.
 _FIG5_MATCHINGS = {
     (7, 2, "noma"): ((1, 4), (3, 5), (0,), (2, 6)),
     (7, 2, "oma"): ((0, 2), (4, 5), (1,), (3, 6)),
@@ -215,7 +216,7 @@ _FIG5_MATCHINGS = {
 def test_match_at_fig5_scale():
     data = preset_config("fig5").data
     for (n, tau, scheme), expected in _FIG5_MATCHINGS.items():
-        inst = generate_instance(n, data, tau, 2024 + n)
+        inst = generate_instance(n, data, tau, np.random.default_rng(2024 + n))
         m = match_rbs(inst, scheme)
         assert m.rb_to_bs == expected
         assert max(all_swap_deltas(inst, m, scheme)) <= 1e-9
@@ -295,7 +296,7 @@ def _sca_cases():
         cases += [(inst, "noma"), (inst, "oma")]
     data = preset_config("fig5").data
     for n, tau in ((12, 2), (32, 3)):
-        inst = generate_instance(n, data, tau, 500 + n)
+        inst = generate_instance(n, data, tau, np.random.default_rng(500 + n))
         cases += [(inst, "noma"), (inst, "oma")]
     return cases
 

@@ -7,12 +7,12 @@ import pytest
 from oracles import associate_drops
 from unoma import association
 from unoma.association import (
-    ASSOC_CHUNK,
     AssociationStudy,
     associate_user,
     association_probability,
 )
 from unoma.geometry import NetworkSnapshot, Region, TierConfig, sample_network
+from unoma.metrics import TRIAL_BLOCK
 
 _MACRO_DENSITY = 1.0 / (2.0 * math.pi * 500.0**2)  # the fig4 preset's
 
@@ -182,28 +182,29 @@ def test_association_memory_bounded_by_chunk():
         finally:
             tracemalloc.stop()
 
-    one, _ = peak(ASSOC_CHUNK)
-    eight, _ = peak(8 * ASSOC_CHUNK)
+    one, _ = peak(TRIAL_BLOCK)
+    eight, _ = peak(8 * TRIAL_BLOCK)
     assert eight <= 1.5 * one, (one, eight)
-    _, stats = peak(2 * ASSOC_CHUNK + 1)  # a partial last chunk
-    assert stats.trials == 2 * ASSOC_CHUNK + 1
+    _, stats = peak(2 * TRIAL_BLOCK + 1)  # a partial last block
+    assert stats.trials == 2 * TRIAL_BLOCK + 1
 
 
-def test_chunks_draw_from_their_own_seed(monkeypatch):
-    """Chunk c draws from SeedSequence([seed, c]): a run is its chunks'
-    counts added up, whatever came before them."""
+def test_chunks_draw_from_their_own_seed():
+    """Drops are drawn and associated a block at a time, block b from
+    SeedSequence([seed, b]): a run is its blocks' counts added up, whatever
+    came before them."""
     study = AssociationStudy(
         Region(500.0),
         (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
          TierConfig("pico", 30.0, 5 * _MACRO_DENSITY)),
         probe="uniform", guaranteed_bs="uniform")
-    monkeypatch.setattr(association, "ASSOC_CHUNK", 10)
-    whole = association_probability(study, 30, seed=8)
+    trials = 2 * TRIAL_BLOCK + 10  # a partial last block
+    whole = association_probability(study, trials, seed=8)
     wins = np.zeros(2)
-    for chunk in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence([8, chunk]))
-        snap = sample_network(study.region, list(study.tiers), rng, 10,
+    for block, drops in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 10)):
+        rng = np.random.default_rng(np.random.SeedSequence([8, block]))
+        snap = sample_network(study.region, list(study.tiers), rng, drops,
                               guaranteed_bs="uniform")
-        probes = association.sample_uniform(10, study.region, rng)
+        probes = association.sample_uniform(drops, study.region, rng)
         wins += np.bincount(associate_user(probes, snap)[0], minlength=2)
-    assert whole.probabilities == tuple(wins / 30)
+    assert whole.probabilities == tuple(wins / trials)

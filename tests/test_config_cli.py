@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from unoma.association import ASSOC_CHUNK
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -12,6 +11,7 @@ from unoma.config import (
     validate_config,
 )
 from unoma.engine import config_hash, run_experiment, subseed
+from unoma.metrics import TRIAL_BLOCK
 from unoma.noma_core import (
     MPA_CHUNK,
     MPA_MEMORY_BUDGET,
@@ -250,7 +250,7 @@ def test_defaults_applied():
 def test_subseed_and_hash_stable():
     assert subseed(1, 2) == subseed(1, 2)
     assert subseed(1, 2) != subseed(2, 1)
-    assert 0 <= subseed(0) < 2**63
+    assert 0 <= subseed(0, 0) < 2**63
     a = config_hash({"b": 1, "a": 2})
     b = config_hash({"a": 2, "b": 1})
     assert a == b and len(a) == 64
@@ -266,6 +266,13 @@ def test_run_experiment_worker_invariant(tmp_path):
     assert len(manifest["point_seeds"]) == 2
     header = csv1.read_text().splitlines()[0]
     assert header == "sweep_value,tier_id,probability,ci_half_width,trials"
+
+
+def _assert_seeding(conventions):
+    """Every kind's manifest states the one seeding rule."""
+    for fact in (f"{TRIAL_BLOCK} at a time", "SeedSequence([point sub-seed, b])",
+                 "in trial order", "SeedSequence(point sub-seed, spawn_key=(1,))"):
+        assert fact in conventions["seeding"]
 
 
 def test_cli_validate_ok(tmp_path, capsys):
@@ -305,7 +312,8 @@ def test_cli_run_link_level(tmp_path):
     ser = [float(line.split(",")[1]) for line in csv[1:]]
     assert ser[1] <= ser[0]
     manifest = json.loads((out / "tiny_manifest.json").read_text())
-    assert set(manifest["conventions"]) == {"snr_db", "mpa_stop"}
+    assert set(manifest["conventions"]) == {"snr_db", "mpa_stop", "seeding"}
+    _assert_seeding(manifest["conventions"])
 
 
 def test_cli_run_allocation(tmp_path):
@@ -318,7 +326,9 @@ def test_cli_run_allocation(tmp_path):
     csv = (out / "alloc.csv").read_text().splitlines()
     assert len(csv) == 1 + 2 * 2  # two points, two schemes
     conventions = json.loads((out / "alloc_manifest.json").read_text())["conventions"]
-    assert set(conventions) == {"fairness", "matching", "power_control"}
+    assert set(conventions) == {"fairness", "matching", "power_control",
+                                "seeding"}
+    _assert_seeding(conventions)
     for fact in ("cap-scaled equal power", "moves into vacancies before",
                  "row-major (BS, RB) and (BS, BS)", "1e-12"):
         assert fact in conventions["matching"]
@@ -340,8 +350,7 @@ def test_cli_run_association(tmp_path):
     for fact in ("largest average received power", "max(d, 1 m)",
                  "earlier tier", "lowest BS index"):
         assert fact in conventions["association"]
-    for fact in (f"{ASSOC_CHUNK} at a time", "SeedSequence([point sub-seed, c])"):
-        assert fact in conventions["seeding"]
+    _assert_seeding(conventions)
 
 
 def test_validate_rejects_sweep_value_without_bs(tmp_path):

@@ -1,0 +1,119 @@
+"""The one seeding rule, metrics.trial_blocks, as each experiment kind uses
+it: results depend on the blocks, not on processing chunks or workers."""
+
+import tracemalloc
+from dataclasses import fields
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from unoma import engine
+from unoma.config import preset_config, validate_config
+from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
+from unoma.noma_core import MPA_CHUNK
+
+_SCMA = {
+    "kind": "link_level", "name": "scma", "seed": 11, "scheme": "scma",
+    "k": 4, "n": 6, "q": 4, "matrix_params": {"column_weight": 2},
+    "max_iters": 8, "trials": 8 * TRIAL_BLOCK + 50,
+    "sweep": {"variable": "snr_db", "values": [4.0, 10.0]},
+}
+
+
+def _configs():
+    fig5 = dict(preset_config("fig5").data, name="alloc", trials=3, taus=[2],
+                sweep={"variable": "n_small_cells", "values": [3, 5]})
+    assoc = dict(preset_config("fig4").data, name="assoc",
+                 trials=2 * TRIAL_BLOCK + 7)
+    assoc["sweep"] = {"variable": assoc["sweep"]["variable"],
+                      "values": assoc["sweep"]["values"][:3]}
+    return {"association_sweep": assoc, "allocation_sweep": fig5,
+            "link_level": _SCMA}
+
+
+def _csv(data, out, workers=1) -> bytes:
+    csv_path, _, _ = engine.run_experiment(validate_config(data), out,
+                                           workers=workers)
+    return csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_configs()))
+def test_csv_invariant_to_workers(kind, tmp_path):
+    data = _configs()[kind]
+    first = _csv(data, tmp_path / "w1")
+    for workers in (2, 4):
+        assert _csv(data, tmp_path / f"w{workers}", workers) == first
+
+
+def test_link_csv_invariant_to_mpa_group(tmp_path, monkeypatch):
+    """A link-level point detects MPA_CHUNK // TRIAL_BLOCK blocks per MPA
+    call; groups of 1 and of 8 blocks give the same bytes as the default."""
+    default = _csv(_SCMA, tmp_path / "default")
+    for blocks in (1, 8):
+        monkeypatch.setattr(engine, "MPA_CHUNK", blocks * TRIAL_BLOCK)
+        assert _csv(_SCMA, tmp_path / str(blocks)) == default
+
+
+def test_allocation_trial_draws_from_its_block(monkeypatch):
+    """Instance t of a point is a draw of block t // TRIAL_BLOCK's generator:
+    trial 128 of a 130-trial point is block 1's first instance."""
+    data = dict(preset_config("fig5").data, trials=130, taus=[2])
+    drawn = []
+
+    def record(*args):
+        drawn.append(generate(*args))
+        return drawn[-1]
+
+    generate = engine.generate_instance
+    solution = SimpleNamespace(sum_rate=1.0, per_bs_rates=np.ones(3))
+    monkeypatch.setattr(engine, "generate_instance", record)
+    monkeypatch.setattr(engine, "solve_instance", lambda inst, s: (None, solution))
+    engine._allocation_point(data, 2, 3)
+    assert len(drawn) == 130
+    block_1 = np.random.default_rng(
+        np.random.SeedSequence([engine.subseed(data["seed"], 2), 1]))
+    expected = generate(3, data, 2, block_1)
+    for field in fields(expected):
+        if isinstance(getattr(expected, field.name), np.ndarray):
+            assert np.array_equal(getattr(drawn[128], field.name),
+                                  getattr(expected, field.name)), field.name
+
+
+def test_link_matrix_draws_from_the_matrix_stream(monkeypatch):
+    """The MUSA sequences come from point_rng(sub-seed), not from block 0."""
+    data = dict(_SCMA, scheme="musa", trials=10,
+                matrix_params={"pool_size": 8, "column_weight": 2})
+    states = []
+
+    def record(scheme, k, n, params, rng):
+        states.append(rng.bit_generator.state)
+        return build(scheme, k, n, params, rng)
+
+    build = engine.build_matrix
+    monkeypatch.setattr(engine, "build_matrix", record)
+    engine._link_point(data, 0, 8.0)
+    seed = engine.subseed(data["seed"], 0)
+    block_0, _ = next(trial_blocks(seed, data["trials"]))
+    assert states == [point_rng(seed).bit_generator.state]
+    assert states[0] != block_0.bit_generator.state
+
+
+def test_link_point_memory_bounded_by_mpa_group():
+    """SCMA 3x3, Q=2: its MPA working set is small next to the symbols,
+    received vectors and marginals of 8 * MPA_CHUNK trials (a point holding
+    every trial at once peaks about 2.1 times higher at 8 than at 1)."""
+    data = dict(_SCMA, k=3, n=3, q=2)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            engine._link_point(dict(data, trials=trials), 0, 8.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(TRIAL_BLOCK)  # one-time allocations are not part of either peak
+    one = peak(MPA_CHUNK)
+    eight = peak(8 * MPA_CHUNK)
+    assert eight <= 1.5 * one, (one, eight)

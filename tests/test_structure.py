@@ -1,6 +1,6 @@
 """Guards on the package's shape: every public name it defines must be used
-by the package itself or by the acceptance suite, and nothing it runs may
-need scipy."""
+by the package itself or by the acceptance suite, nothing it runs may need
+scipy, and every seed goes through the one seeding rule."""
 
 import ast
 import os
@@ -95,3 +95,23 @@ def test_import_loads_no_scipy():
                          text=True, check=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert out.stdout.strip() == "[]"
+
+
+def test_seed_sequences_only_in_the_seeding_rule():
+    """Every SeedSequence the package makes is made in metrics.point_rng, the
+    one seeding rule, so a second seeding scheme cannot come back unnoticed."""
+    inside, outside = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = {id(node) for top in tree.body
+                if path.name == "metrics.py" and isinstance(top, ast.FunctionDef)
+                and top.name == "point_rng" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "SeedSequence" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)):
+                if id(node) in rule:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside > 0 and outside == [], f"SeedSequence made at {outside}"
