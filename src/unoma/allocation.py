@@ -20,8 +20,11 @@ import numpy as np
 
 # Bound on the improving-swap rounds of each matching seed.
 _MAX_SWAP_ROUNDS = 10_000
-# Bounds on SCA's inner loops: fixed-point updates per surrogate solve and
-# steps per search for an interference-cap multiplier.
+# SCA's outer loop stops when an iteration gains less than _SCA_TOL of the
+# total. Bounds on its loops: outer iterations, fixed-point updates per
+# surrogate solve, and steps per search for an interference-cap multiplier.
+_MAX_SCA_ITERS = 100
+_SCA_TOL = 1e-6
 _MAX_FIXED_POINT = 100
 _MAX_MULTIPLIER_STEPS = 200
 _TINY = np.finfo(float).tiny
@@ -552,8 +555,7 @@ def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
 
 
 def sca_power_control(matching: Matching, instance: AllocationInstance,
-                      scheme: str = "noma", max_iters: int = 100,
-                      tol: float = 1e-6) -> PowerSolution:
+                      scheme: str = "noma") -> PowerSolution:
     """Sum-rate power control on every matched RB at once, via the iterated
     concave lower bound.
 
@@ -583,7 +585,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     iterations = 0
     converged = not len(rbs)
     prev = sum(totals.tolist())
-    for it in range(max_iters):
+    for it in range(_MAX_SCA_ITERS):
         iterations = it + 1
         cand = _surrogate_step(instance, terms, h, cap, p)
         cand_totals = _rates(terms, cand, instance.sigma2)[1]
@@ -592,7 +594,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
         totals = np.where(keep, cand_totals, totals)
         total = sum(totals.tolist())
         history.append(total)
-        if total - prev < tol * max(1.0, abs(total)):
+        if total - prev < _SCA_TOL * max(1.0, abs(total)):
             converged = True
             break
         prev = total

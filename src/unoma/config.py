@@ -10,12 +10,12 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import zero_forcing_array_gain
+from .metrics import point_rng
 from .noma_core import (
     MPA_MEMORY_BUDGET,
     SCHEMES,
+    NomaPair,
     build_matrix,
     mpa_chunk_bytes,
 )
@@ -170,13 +170,6 @@ def tier_density(tier: dict, sweep_value: float) -> float:
     return tier["density_per_m2"] + tier["density_factor_of_sweep"] * sweep_value
 
 
-def _check_power_split(data: dict):
-    a_m, a_n = data["a_m"], data["a_n"]
-    if abs(a_m + a_n - 1.0) > 1e-12 or not 0.0 < a_n < a_m < 1.0:
-        raise ConfigError("keys 'a_m'/'a_n' must satisfy 0 < a_n < a_m < 1, "
-                          "a_m + a_n = 1")
-
-
 def _validate_allocation(data: dict):
     _reject_unknown(data, _ALLOC_KEYS)
     data.setdefault("a_m", 0.6)
@@ -202,7 +195,12 @@ def _validate_allocation(data: dict):
     _require(data, "user_ring_radius_m", (int, float), lambda r: r > 0,
              "must be > 0")
     _require(data, "alpha", (int, float), lambda a: a > 2, "must be > 2")
-    _check_power_split(data)
+    _require(data, "a_m", (int, float))
+    _require(data, "a_n", (int, float))
+    try:  # the pair every small cell of the run is built with
+        NomaPair(near_user=0, far_user=1, a_m=data["a_m"], a_n=data["a_n"])
+    except ValueError as exc:
+        raise ConfigError(f"keys 'a_m'/'a_n' invalid: {exc}") from exc
     _validate_sweep(data, "n_small_cells",
                     lambda v: isinstance(v, int) and v >= 1,
                     "must be integers >= 1")
@@ -220,11 +218,10 @@ def _validate_link(data: dict):
     _require(data, "max_iters", int, lambda v: v >= 1, "must be >= 1")
     _require(data, "matrix_params", dict)
     _validate_sweep(data, "snr_db", math.isfinite, "must be finite")
-    # Dry-build the spreading matrix so that validation rejects what a run
-    # would; MUSA draws its sequences, here from a fixed seed.
+    # Build the run's one spreading matrix, so validation rejects what it would.
     try:
         matrix = build_matrix(data["scheme"], data["k"], data["n"],
-                              data["matrix_params"], np.random.default_rng(0))
+                              data["matrix_params"], point_rng(data["seed"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{data['scheme']} matrix with k={data['k']}, "
                           f"n={data['n']}: {exc}") from exc

@@ -4,7 +4,8 @@ Every sweep point gets a sub-seed hashed from (master seed, point index), and
 every kind draws the point's trials by one rule, metrics.trial_blocks: blocks
 of TRIAL_BLOCK trials, each from its own generator, in trial order.
 Processing chunks are whole numbers of blocks, so results are byte-identical
-regardless of chunk size, worker count or scheduling.
+regardless of chunk size, worker count or scheduling. All link-level points
+detect with one matrix, from point_rng(master seed), the one validation checks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from . import __version__
 from .allocation import (
     _MAX_FIXED_POINT,
+    _MAX_SCA_ITERS,
+    _SCA_TOL,
     AllocationInstance,
     jain_fairness,
     solve_instance,
@@ -106,7 +109,8 @@ _CONVENTIONS = {
                          "cap is scaled to 1 - 1e-12 of it and is kept on an "
                          "RB only if that RB's sum rate does not fall; the "
                          "outer loop stops when the total gains less than "
-                         "1e-6 of itself, or after 100 iterations",
+                         + np.format_float_scientific(_SCA_TOL, trim="-", exp_digits=1)
+                         + f" of itself, or after {_MAX_SCA_ITERS} iterations",
     },
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "
@@ -123,8 +127,8 @@ _SEEDING = ("sweep point i's sub-seed is the first 8 bytes of SHA-256 of "
             "the JSON list [master seed, i], mod 2^63; its trials are drawn "
             f"{TRIAL_BLOCK} at a time (TRIAL_BLOCK), block b from "
             "numpy.random.SeedSequence([point sub-seed, b]), in trial order; "
-            "a link-level point's spreading matrix (MUSA sequences) draws from "
-            "numpy.random.SeedSequence(point sub-seed, spawn_key=(1,))")
+            "a link-level experiment has one spreading matrix (MUSA sequences), "
+            "from numpy.random.SeedSequence(master seed, spawn_key=(1,))")
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ def _link_point(data: dict, index: int, snr_db: float):
     seed = subseed(data["seed"], index)
     n, k, q = data["n"], data["k"], data["q"]
     matrix = build_matrix(data["scheme"], k, n, data["matrix_params"],
-                          point_rng(seed))
+                          point_rng(data["seed"]))
     codebook = default_codebook(matrix, q)
     noise_var = 10.0 ** (-snr_db / 10.0)  # unit codeword energy per layer
     blocks = trial_blocks(seed, data["trials"])

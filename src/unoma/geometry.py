@@ -120,21 +120,19 @@ class NetworkSnapshot:
 def sample_network(
     region: Region,
     tiers: list[TierConfig],
-    seed,
+    rng: np.random.Generator,
     drops: int,
     guaranteed_bs: str | None = None,
 ) -> NetworkSnapshot:
-    """Draw `drops` independent networks, one PPP per tier each.
+    """Draw `drops` independent networks, one PPP per tier each, from rng.
 
-    seed is anything np.random.default_rng accepts; a Generator is drawn from
-    as it is. Each tier's drops come from one _sample_ppp_drops call, the
-    draw sample_ppp makes for a single drop.
+    Each tier's drops come from one _sample_ppp_drops call, the draw
+    sample_ppp makes for a single drop.
     guaranteed_bs: None, "center" or "uniform" -- adds to every drop one extra
     BS of the first tier, listed first in its drop, so every drop has coverage.
     """
     if guaranteed_bs not in (None, "center", "uniform"):
         raise ValueError(f"unknown guaranteed_bs mode {guaranteed_bs!r}")
-    rng = np.random.default_rng(seed)
     positions, counts = [], []
     for i, tier in enumerate(tiers):
         pts, n = _sample_ppp_drops(tier.density, region, rng, drops)

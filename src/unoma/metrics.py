@@ -15,16 +15,15 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 TRIAL_BLOCK = 128
 
 
-def point_rng(point_seed: int, block: int | None = None) -> np.random.Generator:
+def point_rng(seed: int, block: int | None = None) -> np.random.Generator:
     """The one seeding rule. Block b of a sweep point's trials draws from
-    SeedSequence([point sub-seed, b]). The point's matrix stream (block None,
-    for MUSA sequences) draws from SeedSequence(point sub-seed,
-    spawn_key=(1,)): SeedSequence(s), SeedSequence([s]) and
-    SeedSequence([s, 0]) all give block 0's stream."""
+    SeedSequence([point sub-seed, b]); a link-level experiment's one spreading
+    matrix (block None: MUSA sequences), from SeedSequence(master seed,
+    spawn_key=(1,)). The spawn key keeps it off block 0's stream, which
+    SeedSequence(s), SeedSequence([s]) and SeedSequence([s, 0]) all give."""
     if block is None:
-        return np.random.default_rng(
-            np.random.SeedSequence(point_seed, spawn_key=(1,)))
-    return np.random.default_rng(np.random.SeedSequence([point_seed, block]))
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return np.random.default_rng(np.random.SeedSequence([seed, block]))
 
 
 def trial_blocks(point_seed: int, trials: int):

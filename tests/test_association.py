@@ -70,7 +70,8 @@ def test_associate_matches_per_drop_oracle():
              TierConfig("femto", 20.0, 3 * _MACRO_DENSITY)]
     empty_drops = 0
     for seed, guaranteed in ((1, None), (2, None), (3, "center"), (4, "uniform")):
-        snap = sample_network(region, tiers, seed, 300, guaranteed_bs=guaranteed)
+        snap = sample_network(region, tiers, np.random.default_rng(seed), 300,
+                              guaranteed_bs=guaranteed)
         probes = region.radius * rng.uniform(-0.7, 0.7, (300, 2))
         tier, bs = associate_user(probes, snap)
         assert list(zip(tier.tolist(), bs.tolist())) == associate_drops(probes, snap)

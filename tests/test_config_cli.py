@@ -170,6 +170,51 @@ def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
     validate_config(dict(pd, q=4))  # 4^6 * 4096 * 24 B = 384 MiB
 
 
+def test_validate_and_run_refuse_the_musa_matrix_over_budget(
+        tmp_path, monkeypatch, capsys):
+    """MUSA k=6, n=8, q=4 from 8 sequences of weight 3: at seed 1 the
+    experiment's one matrix has a degree-7 RB (4^7 * 4096 * 24 B = 1.5 GiB),
+    so validate and run refuse it, also when --seed picks it; at seed 2 its
+    densest RB has degree 5 (96 MiB)."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    musa = dict(_tiny_link_config(), scheme="musa", k=6, n=8, q=4,
+                matrix_params={"pool_size": 8, "column_weight": 3},
+                sweep={"variable": "snr_db", "values": [0.0, 4.0, 8.0]})
+    bad, good = tmp_path / "seed1.json", tmp_path / "seed2.json"
+    bad.write_text(json.dumps(dict(musa, seed=1)))
+    good.write_text(json.dumps(dict(musa, seed=2)))
+    out = str(tmp_path / "out")
+    for argv in (["validate", "--config", str(bad)],
+                 ["run", "--config", str(bad), "--output", out],
+                 ["run", "--config", str(good), "--seed", "1", "--output", out]):
+        assert main(argv) == 1
+        assert f"over the {MPA_MEMORY_BUDGET} B budget" in capsys.readouterr().err
+    assert main(["validate", "--config", str(good)]) == 0
+
+
+def test_power_split_must_be_a_valid_pair(tmp_path, monkeypatch, capsys):
+    """a_m/a_n must be numbers that make the NomaPair the run builds."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    fig5 = preset_config("fig5").data
+    for i, split in enumerate([{"a_m": "0.6"}, {"a_n": None},
+                               {"a_m": 0.4, "a_n": 0.6}]):
+        path = tmp_path / f"split{i}.json"
+        path.write_text(json.dumps(dict(fig5, **split)))
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path),
+                      "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert "'a_" in capsys.readouterr().err
+
+
 def test_association_rejects_power_split_keys(tmp_path):
     """a_m/a_n have no effect on an association sweep and are unknown keys
     there."""
@@ -271,7 +316,7 @@ def test_run_experiment_worker_invariant(tmp_path):
 def _assert_seeding(conventions):
     """Every kind's manifest states the one seeding rule."""
     for fact in (f"{TRIAL_BLOCK} at a time", "SeedSequence([point sub-seed, b])",
-                 "in trial order", "SeedSequence(point sub-seed, spawn_key=(1,))"):
+                 "in trial order", "SeedSequence(master seed, spawn_key=(1,))"):
         assert fact in conventions["seeding"]
 
 

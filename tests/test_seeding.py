@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unoma import engine
+from unoma import config, engine
 from unoma.config import preset_config, validate_config
 from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
 from unoma.noma_core import MPA_CHUNK
@@ -19,6 +19,9 @@ _SCMA = {
     "max_iters": 8, "trials": 8 * TRIAL_BLOCK + 50,
     "sweep": {"variable": "snr_db", "values": [4.0, 10.0]},
 }
+
+_MUSA = dict(_SCMA, scheme="musa", trials=10,
+             matrix_params={"pool_size": 8, "column_weight": 2})
 
 
 def _configs():
@@ -80,10 +83,22 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
                                   getattr(expected, field.name)), field.name
 
 
+def _record_builds(monkeypatch, module) -> list:
+    """Wrap module.build_matrix; returns the list every built matrix joins."""
+    build, built = module.build_matrix, []
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_matrix", record)
+    return built
+
+
 def test_link_matrix_draws_from_the_matrix_stream(monkeypatch):
-    """The MUSA sequences come from point_rng(sub-seed), not from block 0."""
-    data = dict(_SCMA, scheme="musa", trials=10,
-                matrix_params={"pool_size": 8, "column_weight": 2})
+    """Every point's MUSA sequences come from point_rng(master seed), not from
+    the point's block 0."""
+    data = dict(_MUSA, sweep={"variable": "snr_db", "values": [4.0, 8.0, 12.0]})
     states = []
 
     def record(scheme, k, n, params, rng):
@@ -92,11 +107,31 @@ def test_link_matrix_draws_from_the_matrix_stream(monkeypatch):
 
     build = engine.build_matrix
     monkeypatch.setattr(engine, "build_matrix", record)
-    engine._link_point(data, 0, 8.0)
-    seed = engine.subseed(data["seed"], 0)
-    block_0, _ = next(trial_blocks(seed, data["trials"]))
-    assert states == [point_rng(seed).bit_generator.state]
-    assert states[0] != block_0.bit_generator.state
+    values = data["sweep"]["values"]
+    for i, snr_db in enumerate(values):
+        engine._link_point(data, i, snr_db)
+    assert states == [point_rng(data["seed"]).bit_generator.state] * len(values)
+    for i in range(len(values)):
+        block_0, _ = next(trial_blocks(engine.subseed(data["seed"], i),
+                                       data["trials"]))
+        assert states[0] != block_0.bit_generator.state
+
+
+def test_validate_builds_the_matrix_every_point_detects(monkeypatch):
+    """validate_config's dry build is the experiment's one matrix: for MUSA
+    at seeds 0-9, each sweep point detects with exactly that matrix."""
+    validated = _record_builds(monkeypatch, config)
+    detected = _record_builds(monkeypatch, engine)
+    for seed in range(10):
+        validated.clear()
+        detected.clear()
+        data = validate_config(dict(_MUSA, seed=seed)).data
+        for i, snr_db in enumerate(data["sweep"]["values"]):
+            engine._link_point(data, i, snr_db)
+        assert len(validated) == 1 and len(detected) == 2
+        for matrix in detected:
+            assert np.array_equal(matrix.coefficients,
+                                  validated[0].coefficients), seed
 
 
 def test_link_point_memory_bounded_by_mpa_group():

@@ -98,8 +98,9 @@ def test_import_loads_no_scipy():
 
 
 def test_seed_sequences_only_in_the_seeding_rule():
-    """Every SeedSequence the package makes is made in metrics.point_rng, the
-    one seeding rule, so a second seeding scheme cannot come back unnoticed."""
+    """Every SeedSequence and every generator the package makes is made in
+    metrics.point_rng, the one seeding rule, so a second seeding scheme cannot
+    come back unnoticed."""
     inside, outside = 0, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -108,10 +109,10 @@ def test_seed_sequences_only_in_the_seeding_rule():
                 and top.name == "point_rng" for node in ast.walk(top)}
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and "SeedSequence" in (
-                    getattr(func, "id", None), getattr(func, "attr", None)):
+            if isinstance(node, ast.Call) and {"SeedSequence", "default_rng"} & {
+                    getattr(func, "id", None), getattr(func, "attr", None)}:
                 if id(node) in rule:
                     inside += 1
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
-    assert inside > 0 and outside == [], f"SeedSequence made at {outside}"
+    assert inside > 0 and outside == [], f"seeded outside point_rng at {outside}"
