@@ -427,8 +427,6 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     by rate-improving swaps until no single move (into a vacancy) or pairwise
     exchange improves the total; the better of the two local optima is kept.
     Candidate co-channel sets are scored at cap-scaled equal powers."""
-    if instance.tau < 1:
-        raise ValueError("tau must be >= 1")
     b_n, r_n = instance.n_bs, instance.n_rb
     if b_n == 0:
         return Matching(tuple(() for _ in range(r_n)), (), instance.tau)
@@ -464,7 +462,6 @@ class PowerSolution:
     sum_rate: float
     iterations: int
     converged: bool
-    scheme: str
     objective_history: tuple  # total sum rate after each outer iteration
 
 
@@ -610,7 +607,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
                 per_bs[b] = rate
     return PowerSolution(powers=powers, per_bs_rates=per_bs,
                          sum_rate=float(per_bs.sum()), iterations=iterations,
-                         converged=converged, scheme=scheme,
+                         converged=converged,
                          objective_history=tuple(history))
 
 

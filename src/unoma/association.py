@@ -67,6 +67,11 @@ class AssociationStudy:
     def __post_init__(self):
         if self.probe not in ("origin", "uniform"):
             raise ValueError(f"unknown probe mode {self.probe!r}")
+        if self.guaranteed_bs not in (None, "center", "uniform"):
+            raise ValueError(f"unknown guaranteed_bs mode {self.guaranteed_bs!r}")
+        if self.guaranteed_bs is None and all(t.density == 0 for t in self.tiers):
+            raise ValueError("every tier density is 0 and no BS is guaranteed, "
+                             "so no drop has a BS")
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,6 @@ def association_probability(study: AssociationStudy, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tiers = list(study.tiers)
-    if all(t.density == 0 for t in tiers) and study.guaranteed_bs is None:
-        raise ValueError("all tier densities are 0 and no BS is guaranteed")
     counts = np.zeros(len(tiers), dtype=np.int64)
     for rng, drops in trial_blocks(seed, trials):
         snap = sample_network(study.region, tiers, rng, drops,

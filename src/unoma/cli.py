@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config, preset_config, validate_config
+from .config import PRESETS, ConfigError, load_config, preset_config
 from .engine import default_output_dir, run_experiment
 
 EXIT_OK = 0
@@ -35,7 +35,7 @@ def _build_parser() -> _Parser:
                      help="override worker count")
 
     pre = sub.add_parser("preset", help="run a built-in case-study preset")
-    pre.add_argument("--name", required=True, choices=["fig4", "fig5"])
+    pre.add_argument("--name", required=True, choices=list(PRESETS))
     pre.add_argument("--output", default=None, help="output directory")
     pre.add_argument("--seed", type=int, default=None)
     pre.add_argument("--trials", type=int, default=None)
@@ -46,17 +46,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(config, args):
-    data = dict(config.data)
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        data["trials"] = args.trials
-    if getattr(args, "workers", None) is not None:
-        data["workers"] = args.workers
-    return validate_config(data)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -64,18 +53,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers")
+                 if getattr(args, key, None) is not None}
     try:
-        if args.command == "validate":
-            load_config(args.config)
-            print(f"{args.config}: ok")
-            return EXIT_OK
-        if args.command == "run":
-            config = _apply_overrides(load_config(args.config), args)
+        if args.command == "preset":
+            config = preset_config(args.name, overrides)
         else:
-            config = _apply_overrides(preset_config(args.name), args)
+            config = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "validate":
+        print(f"{args.config}: ok")
+        return EXIT_OK
 
     output = args.output if args.output is not None else default_output_dir()
     try:

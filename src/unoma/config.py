@@ -10,7 +10,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import zero_forcing_array_gain
+from .association import AssociationStudy
+from .geometry import (
+    Region,
+    TierConfig,
+    db_to_linear,
+    dbm_to_watts,
+    zero_forcing_array_gain,
+)
 from .metrics import point_rng
 from .noma_core import (
     MPA_MEMORY_BUDGET,
@@ -78,13 +85,22 @@ def _require(data: dict, key: str, types, pred=None, what: str = ""):
     return val
 
 
+def _built(what: str, make, *args):
+    """make(*args), as the run builds it from the config: a bound it enforces
+    is checked there only, and its error becomes a ConfigError naming what."""
+    try:
+        return make(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _reject_unknown(data: dict, allowed: set, where: str = "config"):
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def _validate_sweep(data: dict, variable: str, value_pred, what: str):
+def _validate_sweep(data: dict, variable: str, value_pred=None, what: str = ""):
     sweep = _require(data, "sweep", dict)
     _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
     var = _require(sweep, "variable", str)
@@ -93,10 +109,12 @@ def _validate_sweep(data: dict, variable: str, value_pred, what: str):
     values = _require(sweep, "values", list, lambda v: len(v) > 0,
                       "must be non-empty")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not value_pred(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or value_pred is not None and not value_pred(v):
             raise ConfigError(f"key 'sweep.values' invalid entry {v!r}: {what}")
     if sorted(values) != list(values) or len(set(values)) != len(values):
         raise ConfigError("key 'sweep.values' must be strictly increasing")
+    return values
 
 
 def _validate_common(data: dict):
@@ -118,24 +136,23 @@ def _validate_tier(tier: dict, idx: int) -> dict:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(tier, _TIER_KEYS, where)
     _require(tier, "tier_id", str)
-    _require(tier, "tx_power_dbm", (int, float), math.isfinite, "must be finite")
+    _require(tier, "tx_power_dbm", (int, float))
     tier.setdefault("density_per_m2", 0.0)
     tier.setdefault("density_factor_of_sweep", 0.0)
     tier.setdefault("path_loss_exponent", 4.0)
     _require(tier, "density_per_m2", (int, float), lambda d: d >= 0, "must be >= 0")
     _require(tier, "density_factor_of_sweep", (int, float), lambda d: d >= 0,
              "must be >= 0")
-    _require(tier, "path_loss_exponent", (int, float), lambda a: a > 2,
-             "must be > 2")
+    _require(tier, "path_loss_exponent", (int, float))
+    gain = _require(tier, "array_gain", (int, float)) if "array_gain" in tier else None
     if "antennas" in tier or "streams" in tier:
-        m = _require(tier, "antennas", int, lambda v: v >= 1, "must be >= 1")
-        n = _require(tier, "streams", int, lambda v: v >= 1, "must be >= 1")
-        gain = zero_forcing_array_gain(m, n)
-        if "array_gain" in tier and not math.isclose(tier["array_gain"], gain):
+        zf_gain = _built(f"{where} keys 'antennas'/'streams'",
+                         zero_forcing_array_gain, _require(tier, "antennas", int),
+                         _require(tier, "streams", int))
+        if gain is not None and not math.isclose(gain, zf_gain):
             raise ConfigError(f"{where}: array_gain conflicts with antennas/streams")
-        tier["array_gain"] = gain
-    tier.setdefault("array_gain", 1.0)
-    _require(tier, "array_gain", (int, float), lambda g: g >= 1, "must be >= 1")
+        gain = zf_gain
+    tier["array_gain"] = 1.0 if gain is None else gain
     return tier
 
 
@@ -143,11 +160,9 @@ def _validate_association(data: dict):
     _reject_unknown(data, _ASSOC_KEYS)
     data.setdefault("probe", "uniform")
     data.setdefault("guaranteed_bs", None)
-    _require(data, "region_radius_m", (int, float), lambda r: r > 0, "must be > 0")
-    _require(data, "probe", str, lambda p: p in ("origin", "uniform"),
-             "must be 'origin' or 'uniform'")
-    if data["guaranteed_bs"] not in (None, "center", "uniform"):
-        raise ConfigError("key 'guaranteed_bs' must be null, 'center' or 'uniform'")
+    _require(data, "region_radius_m", (int, float))
+    _require(data, "probe", str)
+    _require(data, "guaranteed_bs", (str, type(None)))
     tiers = _require(data, "tiers", list, lambda t: len(t) >= 1,
                      "need at least one tier")
     for i, tier in enumerate(tiers):
@@ -155,19 +170,21 @@ def _validate_association(data: dict):
     ids = [t["tier_id"] for t in tiers]
     if len(set(ids)) != len(ids):
         raise ConfigError("key 'tiers' contains duplicate tier_id values")
-    _validate_sweep(data, "small_cell_density_per_m2", lambda v: v >= 0,
-                    "must be >= 0")
-    if data["guaranteed_bs"] is None:
-        for v in data["sweep"]["values"]:
-            if all(tier_density(t, v) == 0 for t in tiers):
-                raise ConfigError(f"at sweep value {v!r} every tier density is 0 "
-                                  "and 'guaranteed_bs' is null, so no drop has a BS")
+    for v in _validate_sweep(data, "small_cell_density_per_m2", lambda v: v >= 0,
+                             "must be >= 0"):
+        _built(f"association study at sweep value {v!r}", association_study,
+               data, v)
 
 
-def tier_density(tier: dict, sweep_value: float) -> float:
-    """BS density (per m^2) of a validated tier at a small-cell density sweep
-    value."""
-    return tier["density_per_m2"] + tier["density_factor_of_sweep"] * sweep_value
+def association_study(data: dict, value: float) -> AssociationStudy:
+    """The study an association_sweep config runs at one small-cell density
+    sweep value: tier density density_per_m2 + density_factor_of_sweep * value."""
+    tiers = tuple(TierConfig(t["tier_id"], t["tx_power_dbm"],
+                             t["density_per_m2"] + t["density_factor_of_sweep"] * value,
+                             t["array_gain"], t["path_loss_exponent"])
+                  for t in data["tiers"])
+    return AssociationStudy(Region(data["region_radius_m"]), tiers, data["probe"],
+                            data["guaranteed_bs"])
 
 
 def _validate_allocation(data: dict):
@@ -186,21 +203,18 @@ def _validate_allocation(data: dict):
     if not isinstance(schemes, list) or not schemes or \
             any(s not in ("noma", "oma") for s in schemes):
         raise ConfigError("key 'schemes' must be a non-empty subset of ['noma','oma']")
-    _require(data, "macro_power_dbm", (int, float), math.isfinite, "must be finite")
-    _require(data, "small_power_dbm", (int, float), math.isfinite, "must be finite")
+    # each is converted or built as the run does
+    for key, make in (("macro_power_dbm", dbm_to_watts),
+                      ("small_power_dbm", dbm_to_watts),
+                      ("protection_ratio_db", db_to_linear),
+                      ("region_radius_m", Region),
+                      ("user_ring_radius_m", Region)):
+        _built(f"key {key!r}", make, _require(data, key, (int, float)))
     _require(data, "sigma2_w", (int, float), lambda s: s > 0, "must be > 0")
-    _require(data, "protection_ratio_db", (int, float), math.isfinite,
-             "must be finite")
-    _require(data, "region_radius_m", (int, float), lambda r: r > 0, "must be > 0")
-    _require(data, "user_ring_radius_m", (int, float), lambda r: r > 0,
-             "must be > 0")
     _require(data, "alpha", (int, float), lambda a: a > 2, "must be > 2")
-    _require(data, "a_m", (int, float))
-    _require(data, "a_n", (int, float))
-    try:  # the pair every small cell of the run is built with
-        NomaPair(near_user=0, far_user=1, a_m=data["a_m"], a_n=data["a_n"])
-    except ValueError as exc:
-        raise ConfigError(f"keys 'a_m'/'a_n' invalid: {exc}") from exc
+    # the pair every small cell of the run is built with
+    _built("keys 'a_m'/'a_n'", NomaPair, 0, 1, _require(data, "a_m", (int, float)),
+           _require(data, "a_n", (int, float)))
     _validate_sweep(data, "n_small_cells",
                     lambda v: isinstance(v, int) and v >= 1,
                     "must be integers >= 1")
@@ -217,14 +231,12 @@ def _validate_link(data: dict):
     _require(data, "q", int, lambda v: v in (2, 4, 8), "must be 2, 4 or 8")
     _require(data, "max_iters", int, lambda v: v >= 1, "must be >= 1")
     _require(data, "matrix_params", dict)
-    _validate_sweep(data, "snr_db", math.isfinite, "must be finite")
+    for snr_db in _validate_sweep(data, "snr_db"):  # the run's noise variance
+        _built(f"key 'sweep.values' entry {snr_db!r}", db_to_linear, -snr_db)
     # Build the run's one spreading matrix, so validation rejects what it would.
-    try:
-        matrix = build_matrix(data["scheme"], data["k"], data["n"],
-                              data["matrix_params"], point_rng(data["seed"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{data['scheme']} matrix with k={data['k']}, "
-                          f"n={data['n']}: {exc}") from exc
+    matrix = _built(f"{data['scheme']} matrix with k={data['k']}, n={data['n']}",
+                    build_matrix, data["scheme"], data["k"], data["n"],
+                    data["matrix_params"], point_rng(data["seed"]))
     need = mpa_chunk_bytes(matrix, data["q"])
     if need > MPA_MEMORY_BUDGET:
         raise ConfigError(f"{data['scheme']} with k={data['k']}, n={data['n']}, "
@@ -233,11 +245,12 @@ def _validate_link(data: dict):
                           "budget")
 
 
-def validate_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict (applying defaults); unknown keys rejected."""
+def validate_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Validate a raw config dict, with the keys in overrides replaced, and
+    apply defaults; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    data = json.loads(json.dumps(data))  # deep copy, JSON-typed
+    data = json.loads(json.dumps({**data, **(overrides or {})}))  # JSON-typed copy
     kind = _validate_common(data)
     if kind == "association_sweep":
         _validate_association(data)
@@ -248,68 +261,72 @@ def validate_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(kind, data)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return validate_config(data)
+    return validate_config(data, overrides)
 
 
 _MACRO_DENSITY = 1.0 / (2.0 * math.pi * 500.0**2)
 
 
-def preset_config(name: str) -> ExperimentConfig:
-    """Built-in case-study presets."""
-    if name == "fig4":
-        data = {
-            "kind": "association_sweep",
-            "name": "fig4",
-            "seed": 42,
-            "trials": 20000,
-            "workers": 1,
-            "region_radius_m": 500.0,
-            "probe": "uniform",
-            "guaranteed_bs": "center",
-            "tiers": [
-                {"tier_id": "macro", "tx_power_dbm": 40.0,
-                 "density_per_m2": _MACRO_DENSITY,
-                 "antennas": 200, "streams": 15},
-                {"tier_id": "pico", "tx_power_dbm": 30.0,
-                 "density_factor_of_sweep": 1.0},
-                {"tier_id": "femto", "tx_power_dbm": 20.0,
-                 "density_factor_of_sweep": 5.0},
-            ],
-            "sweep": {
-                "variable": "small_cell_density_per_m2",
-                "values": [_MACRO_DENSITY * m for m in (1, 2, 5, 10, 20, 50)],
-            },
-        }
-    elif name == "fig5":
-        data = {
-            "kind": "allocation_sweep",
-            "name": "fig5",
-            "seed": 7,
-            "trials": 100,
-            "workers": 1,
-            "n_rb": 4,
-            "taus": [2, 3],
-            "schemes": ["noma", "oma"],
-            "macro_power_dbm": 43.0,
-            "small_power_dbm": 23.0,
-            "sigma2_w": 1e-9,
-            "protection_ratio_db": 10.0,
-            "region_radius_m": 500.0,
-            "user_ring_radius_m": 50.0,
-            "alpha": 4.0,
-            "a_m": 0.6,
-            "a_n": 0.4,
-            "sweep": {
-                "variable": "n_small_cells",
-                "values": [12, 16, 20, 24, 28, 32],
-            },
-        }
-    else:
-        raise ConfigError(f"unknown preset {name!r} (available: fig4, fig5)")
-    return validate_config(data)
+# Built-in case-study presets, as raw configs.
+PRESETS = {
+    "fig4": {
+        "kind": "association_sweep",
+        "name": "fig4",
+        "seed": 42,
+        "trials": 20000,
+        "workers": 1,
+        "region_radius_m": 500.0,
+        "probe": "uniform",
+        "guaranteed_bs": "center",
+        "tiers": [
+            {"tier_id": "macro", "tx_power_dbm": 40.0,
+             "density_per_m2": _MACRO_DENSITY,
+             "antennas": 200, "streams": 15},
+            {"tier_id": "pico", "tx_power_dbm": 30.0,
+             "density_factor_of_sweep": 1.0},
+            {"tier_id": "femto", "tx_power_dbm": 20.0,
+             "density_factor_of_sweep": 5.0},
+        ],
+        "sweep": {
+            "variable": "small_cell_density_per_m2",
+            "values": [_MACRO_DENSITY * m for m in (1, 2, 5, 10, 20, 50)],
+        },
+    },
+    "fig5": {
+        "kind": "allocation_sweep",
+        "name": "fig5",
+        "seed": 7,
+        "trials": 100,
+        "workers": 1,
+        "n_rb": 4,
+        "taus": [2, 3],
+        "schemes": ["noma", "oma"],
+        "macro_power_dbm": 43.0,
+        "small_power_dbm": 23.0,
+        "sigma2_w": 1e-9,
+        "protection_ratio_db": 10.0,
+        "region_radius_m": 500.0,
+        "user_ring_radius_m": 50.0,
+        "alpha": 4.0,
+        "a_m": 0.6,
+        "a_n": 0.4,
+        "sweep": {
+            "variable": "n_small_cells",
+            "values": [12, 16, 20, 24, 28, 32],
+        },
+    },
+}
+
+
+def preset_config(name: str, overrides: dict | None = None) -> ExperimentConfig:
+    """A built-in preset, validated with the keys in overrides replaced."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} "
+                          f"(available: {', '.join(PRESETS)})")
+    return validate_config(PRESETS[name], overrides)

@@ -31,11 +31,11 @@ from .allocation import (
     jain_fairness,
     solve_instance,
 )
-from .association import AssociationStudy, association_probability
-from .config import ExperimentConfig, tier_density
+from .association import association_probability
+from .config import ExperimentConfig, association_study
 from .geometry import (
     Region,
-    TierConfig,
+    db_to_linear,
     dbm_to_watts,
     link_distances,
     rayleigh_power_gains,
@@ -154,19 +154,6 @@ class RunManifest:
             }, fh, indent=1)
 
 
-def _tiers_at(data: dict, density: float):
-    tiers = []
-    for t in data["tiers"]:
-        tiers.append(TierConfig(
-            tier_id=t["tier_id"],
-            tx_power_dbm=t["tx_power_dbm"],
-            density=tier_density(t, density),
-            array_gain=t["array_gain"],
-            path_loss_exponent=t["path_loss_exponent"],
-        ))
-    return tiers
-
-
 def generate_instance(n_small: int, data: dict, tau: int,
                       rng: np.random.Generator) -> AllocationInstance:
     """Random allocation instance: small BSs dropped uniformly (binomial point
@@ -206,7 +193,7 @@ def generate_instance(n_small: int, data: dict, tau: int,
     p_macro = dbm_to_watts(data["macro_power_dbm"])
     d_macro = max(float(np.linalg.norm(macro_user)), 1.0)
     signal = p_macro * d_macro ** (-alpha)
-    threshold = signal / 10.0 ** (data["protection_ratio_db"] / 10.0)
+    threshold = signal / db_to_linear(data["protection_ratio_db"])
 
     pairs = tuple(NomaPair(near_user=2 * b, far_user=2 * b + 1,
                            a_m=data["a_m"], a_n=data["a_n"])
@@ -220,13 +207,8 @@ def generate_instance(n_small: int, data: dict, tau: int,
 
 def _association_point(data: dict, index: int, value: float):
     seed = subseed(data["seed"], index)
-    study = AssociationStudy(
-        region=Region(data["region_radius_m"]),
-        tiers=tuple(_tiers_at(data, value)),
-        probe=data["probe"],
-        guaranteed_bs=data["guaranteed_bs"],
-    )
-    stats = association_probability(study, data["trials"], seed)
+    stats = association_probability(association_study(data, value),
+                                    data["trials"], seed)
     return [(value, tid, p, ci, stats.trials)
             for tid, p, ci in zip(stats.tier_ids, stats.probabilities,
                                   stats.ci_half_widths)]
@@ -257,7 +239,7 @@ def _link_point(data: dict, index: int, snr_db: float):
     matrix = build_matrix(data["scheme"], k, n, data["matrix_params"],
                           point_rng(data["seed"]))
     codebook = default_codebook(matrix, q)
-    noise_var = 10.0 ** (-snr_db / 10.0)  # unit codeword energy per layer
+    noise_var = db_to_linear(-snr_db)  # unit codeword energy per layer
     blocks = trial_blocks(seed, data["trials"])
     errors = 0  # only the count outlives a group, so memory is bounded
     while group := list(itertools.islice(blocks, MPA_CHUNK // TRIAL_BLOCK)):

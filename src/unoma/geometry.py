@@ -11,12 +11,22 @@ import numpy as np
 DISTANCE_FLOOR_M = 1.0
 
 
+def db_to_linear(x: float) -> float:
+    """The ratio 10^(x/10) of a level x in dB; ValueError unless it is a
+    positive finite number."""
+    try:
+        ratio = 10.0 ** (x / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"{x!r} dB is out of range: 10^(x/10) = {ratio}, "
+                         "not a positive finite number")
+    return ratio
+
+
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level from dBm to watts."""
-    p = float(p_dbm)
-    if not math.isfinite(p):
-        raise ValueError(f"power in dBm must be finite, got {p_dbm!r}")
-    return 10.0 ** ((p - 30.0) / 10.0)
+    return db_to_linear(p_dbm - 30.0)
 
 
 def zero_forcing_array_gain(n_antennas: int, n_streams: int) -> float:
@@ -35,7 +45,7 @@ class Region:
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
 
     @property
     def area(self) -> float:
@@ -53,12 +63,18 @@ class TierConfig:
     path_loss_exponent: float = 4.0
 
     def __post_init__(self):
-        if self.density < 0:
-            raise ValueError(f"density must be >= 0, got {self.density}")
-        if self.path_loss_exponent <= 2:
-            raise ValueError("path_loss_exponent must be > 2 for finite mean interference")
-        if self.array_gain < 1:
-            raise ValueError(f"array_gain must be >= 1, got {self.array_gain}")
+        where = f"tier {self.tier_id!r}"
+        if not 0 <= self.density < math.inf:
+            raise ValueError(f"{where}: density must be finite and >= 0, "
+                             f"got {self.density}")
+        if not self.path_loss_exponent > 2:  # for a finite mean interference
+            raise ValueError(f"{where}: path_loss_exponent must be > 2")
+        if not self.array_gain >= 1:
+            raise ValueError(f"{where}: array_gain must be >= 1, got {self.array_gain}")
+        try:  # the power in watts must be positive and finite
+            dbm_to_watts(self.tx_power_dbm)
+        except ValueError as exc:
+            raise ValueError(f"{where}: tx_power_dbm {exc}") from None
 
     @property
     def tx_power_w(self) -> float:

@@ -91,22 +91,19 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
     if k < 1 or n < 1:
         raise ValueError("need K >= 1 and N >= 1")
     if scheme == "pd-noma":
-        if k != 1:
-            raise ValueError("PD-NOMA requires K = 1")
-        occ = np.ones((1, n), dtype=np.uint8)
+        occ = np.ones((k, n), dtype=np.uint8)
         return SpreadingMatrix(scheme, occ, occ.astype(complex))
     if scheme == "scma":
         d_v = _whole(params.get("column_weight", 2), "column_weight")
         if not 1 <= d_v <= k:
             raise ValueError(f"column_weight must be in [1, K], got {d_v}")
-        if d_v == k and k > 1 and n > 1:
-            raise ValueError("column_weight = K yields a dense matrix")
-        supports = list(itertools.combinations(range(k), d_v))
+        # the first N supports only: listing all C(K, d_v) grows without bound
+        supports = list(itertools.islice(itertools.combinations(range(k), d_v), n))
         if len(supports) < n:
             raise ValueError(
-                f"C({k},{d_v}) = {len(supports)} distinct columns < N = {n}")
+                f"C({k},{d_v}) = {math.comb(k, d_v)} distinct columns < N = {n}")
         occ = np.zeros((k, n), dtype=np.uint8)
-        for col, sup in enumerate(supports[:n]):
+        for col, sup in enumerate(supports):
             occ[list(sup), col] = 1
         return SpreadingMatrix(scheme, occ, occ.astype(complex))
     if scheme == "pdma":
@@ -117,11 +114,8 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
                 for p in patterns]
         if len(pats) != n:
             raise ValueError(f"expected {n} patterns, got {len(pats)}")
-        for p in pats:
-            if len(p) != k:
-                raise ValueError("each PDMA pattern must have length K")
-            if sum(p) == 0:
-                raise ValueError("PDMA pattern with zero column")
+        if any(len(p) != k for p in pats):
+            raise ValueError("each PDMA pattern must have length K")
         if len(set(pats)) != n:
             raise ValueError("PDMA patterns must be pairwise distinct")
         occ = np.asarray(pats, dtype=np.uint8).T

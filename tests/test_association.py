@@ -118,9 +118,8 @@ def test_zero_density_tier_never_wins():
 
 
 def test_all_empty_network_raises():
-    study = AssociationStudy(Region(500.0), (TierConfig("macro", 40.0, 0.0),))
     with pytest.raises(ValueError):
-        association_probability(study, 10, seed=0)
+        AssociationStudy(Region(500.0), (TierConfig("macro", 40.0, 0.0),))
     with pytest.raises(ValueError):
         AssociationStudy(Region(500.0), (), probe="midpoint")
 

@@ -1,8 +1,11 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
+from unoma import config as config_module
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -116,7 +119,11 @@ def test_validate_rejects_unbuildable_matrix(tmp_path):
                 matrix_params={"column_weight": 2})
     validate_config(base)
     bad = [dict(base, n=7),  # C(4,2) = 6 distinct columns < N = 7
-           dict(base, matrix_params={"column_weight": 2, "bogus": 1})]
+           dict(base, matrix_params={"column_weight": 2, "bogus": 1}),
+           dict(base, matrix_params={"column_weight": 4}),  # weight K: dense
+           dict(base, scheme="pdma", n=3, matrix_params={"patterns": [
+               [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]}),  # a zero column
+           dict(base, scheme="pd-noma", k=2, n=2, matrix_params={})]
     for i, data in enumerate(bad):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(data))
@@ -262,6 +269,107 @@ def test_allocation_config_checks():
     data["a_m"], data["a_n"] = 0.5, 0.5
     with pytest.raises(ConfigError):
         validate_config(data)
+
+
+def _fuzz_musa_config():
+    return dict(_tiny_link_config(), scheme="musa", k=3, n=4, q=2,
+                matrix_params={"pool_size": 4, "column_weight": 2,
+                               "alphabet": [[0.5, 0.5], -1]})
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every number or string inside node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float, str)) else []
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+def test_validate_never_crashes():
+    """Any one leaf of a valid config set to an odd value is accepted or
+    refused with a ConfigError, never another exception."""
+    odd = [math.inf, -math.inf, -1, 0, 1e308, 10**30, "x", None, True, [], {}]
+    for config in (preset_config("fig4"), preset_config("fig5"),
+                   validate_config(_fuzz_musa_config())):
+        for path in _leaf_paths(config.data):
+            for value in odd:
+                data = copy.deepcopy(config.data)
+                node = data
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    validate_config(data)
+                except ConfigError:
+                    pass
+
+
+def _gap_configs():
+    """Configs that validate once accepted and run then refused, or that
+    crashed both with a traceback."""
+    fig4 = dict(preset_config("fig4").data, trials=10)
+    fig5 = dict(preset_config("fig5").data, trials=1)
+
+    def macro(**keys):
+        return dict(fig4, tiers=[dict(fig4["tiers"][0], **keys),
+                                 *fig4["tiers"][1:]])
+
+    return [dict(fig4, region_radius_m=math.inf),
+            dict(fig5, region_radius_m=math.inf),
+            dict(fig5, user_ring_radius_m=math.inf),
+            macro(tx_power_dbm=1e308),
+            dict(fig5, small_power_dbm=1e308),
+            dict(fig5, macro_power_dbm=1e308),
+            dict(fig5, protection_ratio_db=1e308),
+            dict(_tiny_link_config(), sweep={"variable": "snr_db",
+                                             "values": [0.0, 4000.0]}),
+            macro(antennas=2, streams=5),
+            macro(array_gain="x")]
+
+
+def test_validate_and_run_agree(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    for i, data in enumerate(_gap_configs()):
+        path = tmp_path / f"gap{i}.json"
+        path.write_text(json.dumps(data))
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path),
+                      "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1, (i, argv[0])
+            assert "error:" in capsys.readouterr().err
+
+
+def test_each_command_validates_once(tmp_path, monkeypatch):
+    """run builds a MUSA config's matrix in validation once, also with
+    overrides, and preset builds the fig5 power-split pair once."""
+    built = []
+
+    def counted(make):
+        def wrapper(*args, **kwargs):
+            built.append(make.__name__)
+            return make(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config_module, "build_matrix",
+                        counted(config_module.build_matrix))
+    monkeypatch.setattr(config_module, "NomaPair",
+                        counted(config_module.NomaPair))
+    monkeypatch.setattr("unoma.cli.run_experiment",
+                        lambda *args, **kwargs: ("csv", "manifest", None))
+    path = tmp_path / "musa.json"
+    path.write_text(json.dumps(_fuzz_musa_config()))
+    assert main(["run", "--config", str(path), "--seed", "3",
+                 "--trials", "10", "--workers", "2"]) == 0
+    assert built == ["build_matrix"]
+    built.clear()
+    assert main(["preset", "--name", "fig5", "--trials", "1"]) == 0
+    assert built == ["NomaPair"]
 
 
 def test_tier_checks():

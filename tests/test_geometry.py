@@ -7,6 +7,7 @@ from unoma.geometry import (
     Region,
     TierConfig,
     avg_received_power,
+    db_to_linear,
     dbm_to_watts,
     link_distances,
     rayleigh_power_gains,
@@ -29,6 +30,15 @@ def test_dbm_to_watts_rejects_non_finite():
         dbm_to_watts(float("inf"))
 
 
+def test_db_to_linear_only_gives_positive_finite_ratios():
+    assert db_to_linear(10.0) == 10.0
+    for level in (1e308, 4000.0, -4000.0, float("-inf")):  # over- and underflow
+        with pytest.raises(ValueError):
+            db_to_linear(level)
+    with pytest.raises(ValueError):
+        dbm_to_watts(1e308)
+
+
 def test_region_invariants():
     r = Region(500.0)
     assert r.area == pytest.approx(math.pi * 500.0**2)
@@ -45,6 +55,10 @@ def test_tier_config_invariants():
         TierConfig("t", 30.0, 1e-6, path_loss_exponent=2.0)
     with pytest.raises(ValueError):
         TierConfig("t", 30.0, 1e-6, array_gain=0.5)
+    with pytest.raises(ValueError):
+        TierConfig("t", 30.0, float("inf"))
+    with pytest.raises(ValueError):
+        TierConfig("t", 1e308, 1e-6)
     assert TierConfig("t", 30.0, 1e-6).tx_power_w == pytest.approx(1.0)
 
 
