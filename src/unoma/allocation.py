@@ -49,7 +49,8 @@ class InfeasibleError(ValueError):
 
 
 def jain_fairness(values) -> float:
-    """Jain's index (sum x)^2 / (n sum x^2); 1 for equal shares, 1/n for one."""
+    """Jain's index (sum x)^2 / (n sum x^2); 1 for equal shares (all 0
+    included), 1/n for one."""
     x = np.asarray(list(values), dtype=float)
     if x.size < 1:
         raise ValueError("need at least one value")
@@ -57,7 +58,7 @@ def jain_fairness(values) -> float:
         raise ValueError("values must be nonnegative")
     ssq = float(np.sum(x * x))
     if ssq == 0.0:
-        raise ValueError("all-zero input")
+        return 1.0  # every share is 0, so all are equal
     return float(np.sum(x)) ** 2 / (x.size * ssq)
 
 
@@ -81,7 +82,8 @@ class AllocationInstance:
     """One resource-allocation problem over small-cell BSs and RBs.
 
     g_near/g_far: (B, R) own-link gains per BS and RB.
-    x_near/x_far: (B, B, R) cross gains, [tx BS, rx BS's user, RB].
+    x_near/x_far: (B, B, R) cross gains, [tx BS, rx BS's user, RB]; the
+    diagonal (a BS's own users) is ignored.
     h_macro: (B, R) gain from each BS to the protected macro user per RB.
     i_threshold: (R,) received-interference cap at the macro user (watts).
     """
@@ -214,7 +216,7 @@ def _rates(terms, p: np.ndarray, sigma2: float):
     return rates, totals
 
 
-def _set_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
+def rb_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
     """Pair sum rate of every member of every co-channel set.
 
     sets: (n, k) BS indices, one RB's co-channel set per row, padded with the
@@ -226,21 +228,6 @@ def _set_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
     rates, totals = _rates(_pair_terms(instance, sets, rbs, scheme), p,
                            instance.sigma2)
     return rates.T, totals
-
-
-def rb_rates(instance: AllocationInstance, rb: int, bs_list, powers,
-             scheme: str = "noma"):
-    """Per-BS pair sum rates on one RB for the given co-channel set.
-
-    powers is indexable by global BS index. A BS with g_far == 0 serves a
-    single user (no pair): full power, full slot, in both schemes.
-    Returns (total, {bs: rate}).
-    """
-    members = list(bs_list)
-    sets = np.array(members, dtype=np.intp).reshape(1, -1)
-    p = np.array([powers[b] for b in members], dtype=float).reshape(1, -1)
-    rates, totals = _set_rates(instance, sets, np.array([rb]), p, scheme)
-    return float(totals[0]), dict(zip(members, rates[0].tolist()))
 
 
 def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
@@ -266,124 +253,123 @@ def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
     co-channel sets during matching."""
     powers = np.repeat(_capped_power(instance, sets, rbs)[:, None],
                        sets.shape[1], axis=1)
-    return _set_rates(instance, sets, rbs, powers, scheme)[1]
+    return rb_rates(instance, sets, rbs, powers, scheme)[1]
 
 
 @dataclass(frozen=True)
 class Matching:
     """Many-to-one assignment of BSs to RBs under the quota."""
 
-    rb_to_bs: tuple  # R tuples of BS indices, each sorted
-    bs_to_rb: tuple  # B entries, RB index or None
+    bs_to_rb: tuple  # B entries, RB index or -1 for unmatched
+    n_rb: int
     tau: int
 
     def __post_init__(self):
+        if any(not -1 <= r < self.n_rb for r in self.bs_to_rb):
+            raise ValueError(f"RB index outside -1..{self.n_rb - 1}")
         for r, members in enumerate(self.rb_to_bs):
             if len(members) > self.tau:
                 raise ValueError(f"RB {r} exceeds quota {self.tau}")
-            for b in members:
-                if self.bs_to_rb[b] != r:
-                    raise ValueError("rb_to_bs and bs_to_rb disagree")
-        matched = [b for b, r in enumerate(self.bs_to_rb) if r is not None]
-        if sorted(b for ms in self.rb_to_bs for b in ms) != matched:
-            raise ValueError("rb_to_bs and bs_to_rb disagree")
+
+    @property
+    def rb_to_bs(self) -> tuple:
+        """R tuples of BS indices, each sorted."""
+        return tuple(tuple(b for b, rb in enumerate(self.bs_to_rb) if rb == r)
+                     for r in range(self.n_rb))
 
 
 def build_preferences(instance: AllocationInstance, scheme: str = "noma"):
-    """Rate-based preference lists: each side ranks by the pair sum rate the BS
-    would achieve alone on the RB (cap-scaled power); ties broken by lower
-    index."""
+    """Rate-based preferences, (B, R) for the BSs and (R, B) for the RBs, each
+    row one side's ranking, best first, by the pair sum rate the BS would
+    achieve alone on the RB (cap-scaled power); ties broken by lower index."""
     b_n, r_n = instance.n_bs, instance.n_rb
     bs, rb = np.divmod(np.arange(b_n * r_n), r_n)
     score = _capped_totals(instance, bs[:, None], rb, scheme).reshape(b_n, r_n)
-    bs_prefs = np.argsort(-score, axis=1, kind="stable").tolist()
-    rb_prefs = np.argsort(-score.T, axis=1, kind="stable").tolist()
+    bs_prefs = np.argsort(-score, axis=1, kind="stable")
+    rb_prefs = np.argsort(-score.T, axis=1, kind="stable")
     return bs_prefs, rb_prefs
 
 
-def _da_seed(instance: AllocationInstance, scheme: str):
-    """Deferred acceptance: BSs propose, RBs keep their top-tau proposers."""
+def _da_seed(instance: AllocationInstance, scheme: str) -> np.ndarray:
+    """Deferred acceptance: BSs propose, RBs keep their top-tau proposers.
+    Every free BS proposes at once each round; preferences being strict on
+    both sides, that gives the BS-optimal stable matching, as proposing one
+    at a time does. Returns the assignment: one RB index per BS, -1 for
+    unmatched."""
     b_n, r_n = instance.n_bs, instance.n_rb
     bs_prefs, rb_prefs = build_preferences(instance, scheme)
-    rb_rank = [{b: i for i, b in enumerate(rb_prefs[r])} for r in range(r_n)]
-    assign: list = [None] * b_n
-    holders: list = [[] for _ in range(r_n)]
-    pointer = [0] * b_n
-    free = list(range(b_n))
-    while free:
-        b = free.pop(0)
-        if pointer[b] >= r_n:
-            continue
-        r = bs_prefs[b][pointer[b]]
-        pointer[b] += 1
-        holders[r].append(b)
-        holders[r].sort(key=lambda x: rb_rank[r][x])
-        if len(holders[r]) > instance.tau:
-            rejected = holders[r].pop()
-            if rejected != b or pointer[b] < r_n:
-                free.append(rejected)
-            assign[rejected] = None
-        if b in holders[r]:
-            assign[b] = r
-    return assign, [set(ms) for ms in holders]
+    rb_rank = np.argsort(rb_prefs, axis=1)  # rb_rank[r, b]: b's place on r's list
+    src = np.full(b_n, -1)
+    pointer = np.zeros(b_n, dtype=np.intp)
+    while len(free := np.flatnonzero((src < 0) & (pointer < r_n))):
+        src[free] = bs_prefs[free, pointer[free]]
+        pointer[free] += 1
+        held = np.flatnonzero(src >= 0)
+        held = held[np.lexsort((rb_rank[src[held], held], src[held]))]
+        rbs = src[held]
+        # each holder's place among its RB's holders, best first
+        place = np.arange(len(held)) - np.searchsorted(rbs, rbs)
+        src[held[place >= instance.tau]] = -1
+    return src
 
 
-def _padded(occ, n_bs: int, tau: int) -> np.ndarray:
-    """Co-channel sets as a (len(occ), tau) array of sorted members padded
-    with the sentinel index n_bs."""
-    out = np.full((len(occ), tau), n_bs, dtype=np.intp)
-    for i, members in enumerate(occ):
-        out[i, :len(members)] = sorted(members)
-    return out
+def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
+    """Co-channel sets of the RBs rbs under the assignment src (one RB index
+    per BS, -1 for unmatched), as a (len(rbs), width) array of each set's
+    members in increasing order padded with the sentinel index n_bs."""
+    cols = np.where(src == np.reshape(rbs, (-1, 1)), np.arange(n_bs), n_bs)
+    cols.sort(axis=1)
+    if n_bs < width:
+        return np.pad(cols, ((0, 0), (0, width - n_bs)), constant_values=n_bs)
+    return cols[:, :width]
 
 
-def _greedy_seed(instance: AllocationInstance, plus_each):
+def _greedy_seed(instance: AllocationInstance, plus_each) -> np.ndarray:
     """Repeatedly place the (BS, RB) pair with the largest marginal gain, the
     first in row-major (BS, RB) order on ties. Only the column of the RB that
-    changed is rescored."""
+    changed is rescored. Returns the assignment, as _da_seed does."""
     b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
-    assign: list = [None] * b_n
-    occ = [set() for _ in range(r_n)]
-    gain = np.empty((b_n, r_n))  # gain[b, r]: total(occ[r] | {b}) - total(occ[r])
-    closed = np.zeros((b_n, r_n), dtype=bool)  # b placed or r full
+    src = np.full(b_n, -1)
+    # gain[b, r]: total of r's set with b added minus its total; -inf once b
+    # is placed or r is full
+    gain = np.empty((b_n, r_n))
 
     def rescore(rbs):
-        tot = plus_each(_padded([occ[r] for r in rbs], b_n, tau), np.array(rbs))
-        gain[:, rbs] = (tot[:, :b_n] - tot[:, b_n:]).T
+        tot = plus_each(_padded(src, rbs, b_n, tau), rbs)
+        gain[:, rbs] = np.where(src[:, None] < 0, (tot[:, :b_n] - tot[:, b_n:]).T,
+                                -np.inf)
 
-    rescore(list(range(r_n)))
+    rescore(np.arange(r_n))
     while True:
-        masked = np.where(closed, -np.inf, gain)
-        b, r = divmod(int(np.argmax(masked)), r_n)
-        if not masked[b, r] > 0.0:
+        b, r = divmod(int(np.argmax(gain)), r_n)
+        if not gain[b, r] > 0.0:
             break
-        occ[r].add(b)
-        assign[b] = r
-        closed[b, :] = True
-        if len(occ[r]) < tau:
-            rescore([r])
+        src[b] = r
+        gain[b] = -np.inf
+        if np.count_nonzero(src == r) < tau:
+            rescore(np.array([r]))
         else:
-            closed[:, r] = True
-    return assign, occ
+            gain[:, r] = -np.inf
+    return src
 
 
-def _swap_phase(instance: AllocationInstance, assign, occ, plus_each):
+def _swap_phase(instance: AllocationInstance, src, plus_each):
     """Best-improvement moves into vacancies and pairwise exchanges, one side
     of an exchange possibly unmatched. Each round scores every move and every
     exchange from one plus_each table; the best move is the first maximum in
     row-major (BS, RB) order, and an exchange, the first maximum in row-major
-    (BS, BS) order, wins only if strictly better. Returns (assign, occ, total
-    of the final matching)."""
+    (BS, BS) order, wins only if strictly better. Returns (src, total of the
+    final matching)."""
     b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
+    all_rbs = np.arange(r_n)
     upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
     for done in range(_MAX_SWAP_ROUNDS + 1):
-        src = np.array([-1 if r is None else r for r in assign])
         matched = np.flatnonzero(src >= 0)
-        occ_arr = _padded(occ, b_n, tau)
-        without = occ_arr[src[matched]]  # each matched BS's set without it
+        sets = _padded(src, all_rbs, b_n, tau)
+        without = sets[src[matched]]  # each matched BS's set without it
         without[without == matched[:, None]] = b_n
-        tot = plus_each(np.concatenate([occ_arr, without]),
-                        np.concatenate([np.arange(r_n), src[matched]]))
+        tot = plus_each(np.concatenate([sets, without]),
+                        np.concatenate([all_rbs, src[matched]]))
         cur = tot[:r_n, b_n]
         # leave[m, b]: change on m's RB when m leaves it and b joins; the
         # sentinel column b = n_bs is m leaving alone; 0 for unmatched m
@@ -391,35 +377,19 @@ def _swap_phase(instance: AllocationInstance, assign, occ, plus_each):
         leave[matched] = tot[r_n:] - cur[src[matched], None]
         move = (tot[:r_n, :b_n].T - cur) + leave[:, b_n:]
         move[matched, src[matched]] = -np.inf
-        move[:, [len(ms) >= tau for ms in occ]] = -np.inf
+        move[:, np.bincount(src[matched], minlength=r_n) >= tau] = -np.inf
         swap = leave[:, :b_n] + leave[:, :b_n].T
         swap[~upper | (src[:, None] == src)] = -np.inf
 
-        best_delta, best_action = 1e-12, None
         b, r = divmod(int(np.argmax(move)), r_n)
-        if move[b, r] > best_delta:
-            best_delta, best_action = move[b, r], ("move", b, r)
         b1, b2 = divmod(int(np.argmax(swap)), b_n)
-        if swap[b1, b2] > best_delta:
-            best_action = ("swap", b1, b2)
-        if best_action is None or done == _MAX_SWAP_ROUNDS:
-            return assign, occ, sum(cur.tolist())
-        if best_action[0] == "move":
-            _, b, r = best_action
-            if assign[b] is not None:
-                occ[assign[b]].discard(b)
-            occ[r].add(b)
-            assign[b] = r
+        exchange = swap[b1, b2] > max(1e-12, move[b, r])
+        if not (exchange or move[b, r] > 1e-12) or done == _MAX_SWAP_ROUNDS:
+            return src, sum(cur.tolist())
+        if exchange:
+            src[[b1, b2]] = src[[b2, b1]]
         else:
-            _, b1, b2 = best_action
-            r1, r2 = assign[b1], assign[b2]
-            if r1 is not None:
-                occ[r1].discard(b1)
-                occ[r1].add(b2)
-            if r2 is not None:
-                occ[r2].discard(b2)
-                occ[r2].add(b1)
-            assign[b1], assign[b2] = r2, r1
+            src[b] = r
 
 
 def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
@@ -429,7 +399,7 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     Candidate co-channel sets are scored at cap-scaled equal powers."""
     b_n, r_n = instance.n_bs, instance.n_rb
     if b_n == 0:
-        return Matching(tuple(() for _ in range(r_n)), (), instance.tau)
+        return Matching((), r_n, instance.tau)
 
     def plus_each(sets, rbs):
         """(len(sets), n_bs + 1) table of set totals with each BS added; the
@@ -444,15 +414,13 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
                                 np.repeat(rbs, b_n + 1), scheme)
         return totals.reshape(k, b_n + 1)
 
-    best_assign, best_occ, best_total = None, None, -math.inf
+    best_src, best_total = None, -math.inf
     for seed in (_da_seed(instance, scheme),
                  _greedy_seed(instance, plus_each)):
-        assign, occ, total = _swap_phase(instance, seed[0], seed[1], plus_each)
+        src, total = _swap_phase(instance, seed, plus_each)
         if total > best_total + 1e-12:
-            best_assign, best_occ, best_total = assign, occ, total
-
-    rb_to_bs = tuple(tuple(sorted(best_occ[r])) for r in range(r_n))
-    return Matching(rb_to_bs, tuple(best_assign), instance.tau)
+            best_src, best_total = src, total
+    return Matching(tuple(best_src.tolist()), r_n, instance.tau)
 
 
 @dataclass(frozen=True)
@@ -562,10 +530,10 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     objective history is non-decreasing by construction.
     """
     b_n, r_n = instance.n_bs, instance.n_rb
-    rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms],
-                   dtype=np.intp)
-    width = max([1] + [len(ms) for ms in matching.rb_to_bs])
-    sets = _padded([matching.rb_to_bs[r] for r in rbs], b_n, width).T
+    src = np.asarray(matching.bs_to_rb, dtype=np.intp)
+    counts = np.bincount(src[src >= 0], minlength=r_n)
+    rbs = np.flatnonzero(counts)
+    sets = _padded(src, rbs, b_n, int(counts.max(initial=1))).T
     h = instance._tables.h_macro.take(sets * r_n + rbs)
     cap = instance.i_threshold[rbs]
     blocked = (cap < 0) | ((cap == 0) & np.any(h > 0, axis=0))
@@ -576,7 +544,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
             constraint=f"i_threshold[{r}]")
     p = np.repeat(_capped_power(instance, sets.T, rbs)[None], len(sets), axis=0)
     terms = _pair_terms(instance, sets, rbs, scheme)
-    totals = _rates(terms, p, instance.sigma2)[1]
+    rates, totals = _rates(terms, p, instance.sigma2)
 
     history = []
     iterations = 0
@@ -585,9 +553,10 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     for it in range(_MAX_SCA_ITERS):
         iterations = it + 1
         cand = _surrogate_step(instance, terms, h, cap, p)
-        cand_totals = _rates(terms, cand, instance.sigma2)[1]
+        cand_rates, cand_totals = _rates(terms, cand, instance.sigma2)
         keep = cand_totals >= totals
         p = np.where(keep, cand, p)
+        rates = np.where(keep, cand_rates, rates)
         totals = np.where(keep, cand_totals, totals)
         total = sum(totals.tolist())
         history.append(total)
@@ -596,15 +565,10 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
             break
         prev = total
 
-    powers = np.zeros(b_n + 1)
-    powers[sets] = p  # the sentinel's entry, b_n, is dropped below
-    powers = powers[:b_n]
-    per_bs = np.zeros(b_n)
-    for r, members in enumerate(matching.rb_to_bs):
-        if members:
-            _, rates = rb_rates(instance, r, list(members), powers, scheme)
-            for b, rate in rates.items():
-                per_bs[b] = rate
+    # the sentinel's entries, index b_n, are dropped
+    powers, per_bs = np.zeros(b_n + 1), np.zeros(b_n + 1)
+    powers[sets], per_bs[sets] = p, rates
+    powers, per_bs = powers[:b_n], per_bs[:b_n]
     return PowerSolution(powers=powers, per_bs_rates=per_bs,
                          sum_rate=float(per_bs.sum()), iterations=iterations,
                          converged=converged,

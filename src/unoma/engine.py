@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -84,7 +84,8 @@ _CONVENTIONS = {
     },
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
-                    "unmatched (blocked) BSs count as rate 0",
+                    "unmatched (blocked) BSs count as rate 0; a trial whose "
+                    "rates are all 0 has fairness 1 (all shares equal)",
         "matching": "candidate co-channel sets are scored by their sum rate "
                     "at cap-scaled equal power (every member at p_max, "
                     "scaled down uniformly to meet i_threshold); each swap "
@@ -143,15 +144,7 @@ class RunManifest:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump({
-                "config_hash": self.config_hash,
-                "version": self.version,
-                "master_seed": self.master_seed,
-                "started": self.started,
-                "finished": self.finished,
-                "point_seeds": list(self.point_seeds),
-                "conventions": self.conventions,
-            }, fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
 
 
 def generate_instance(n_small: int, data: dict, tau: int,
@@ -179,15 +172,10 @@ def generate_instance(n_small: int, data: dict, tau: int,
         fad = rayleigh_power_gains(rng, (len(tx_points), len(rx_points), n_rb))
         return fad * (d ** (-alpha))[:, :, None]
 
-    g_all_near = gains(bs_pos, user_pos[:, 0, :])
-    g_all_far = gains(bs_pos, user_pos[:, 1, :])
-    idx = np.arange(n_small)
-    g_near = g_all_near[idx, idx, :]
-    g_far = g_all_far[idx, idx, :]
-    x_near = g_all_near.copy()
-    x_far = g_all_far.copy()
-    x_near[idx, idx, :] = 0.0
-    x_far[idx, idx, :] = 0.0
+    # every BS to every BS's near and far user; the diagonal is the own links
+    x_near = gains(bs_pos, user_pos[:, 0, :])
+    x_far = gains(bs_pos, user_pos[:, 1, :])
+    own = np.arange(n_small)
     h_macro = gains(bs_pos, macro_user[None, :])[:, 0, :]
 
     p_macro = dbm_to_watts(data["macro_power_dbm"])
@@ -199,8 +187,8 @@ def generate_instance(n_small: int, data: dict, tau: int,
                            a_m=data["a_m"], a_n=data["a_n"])
                   for b in range(n_small))
     return AllocationInstance(
-        g_near=g_near, g_far=g_far, x_near=x_near, x_far=x_far,
-        h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
+        g_near=x_near[own, own], g_far=x_far[own, own], x_near=x_near,
+        x_far=x_far, h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
         tau=tau, p_max=dbm_to_watts(data["small_power_dbm"]),
         sigma2=data["sigma2_w"], pairs=pairs)
 
@@ -282,7 +270,7 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
     values = config.sweep_values
     tasks = [(config.kind, data, i, v) for i, v in enumerate(values)]
     if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
             per_point = list(pool.map(_run_point, tasks))
     else:
         per_point = [_run_point(t) for t in tasks]

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from unoma.allocation import AllocationInstance
+from unoma.allocation import AllocationInstance, build_preferences
 from unoma.noma_core import NomaPair
 
 
@@ -253,12 +253,37 @@ def slsqp_sca(matching, instance, scheme="noma", max_iters=100, tol=1e-6):
     return powers, rate, iterations
 
 
+def sequential_deferred_acceptance(instance, scheme="noma"):
+    """BS-proposing deferred acceptance on the package's preferences, one
+    proposal at a time from a queue of free BSs; each RB holds its tau best
+    proposers so far. Returns one RB index per BS, -1 for unmatched."""
+    bs_prefs, rb_prefs = build_preferences(instance, scheme)
+    rank = [{b: i for i, b in enumerate(row)} for row in rb_prefs.tolist()]
+    holders = [[] for _ in range(instance.n_rb)]
+    proposals = [0] * instance.n_bs
+    free = list(range(instance.n_bs))
+    while free:
+        b = free.pop(0)
+        if proposals[b] == instance.n_rb:
+            continue
+        r = int(bs_prefs[b][proposals[b]])
+        proposals[b] += 1
+        holders[r] = sorted(holders[r] + [b], key=rank[r].get)
+        if len(holders[r]) > instance.tau:
+            free.append(holders[r].pop())
+    src = [-1] * instance.n_bs
+    for r, members in enumerate(holders):
+        for b in members:
+            src[b] = r
+    return src
+
+
 def all_swap_deltas(instance, matching, scheme="noma"):
     """Sum-rate deltas of every single move-to-vacancy and pairwise exchange
     from the given matching (exhaustive stability check), scored with the
     same cap-scaled equal-power proxy the matcher uses."""
     n_bs, n_rb = instance.n_bs, instance.n_rb
-    assign = list(matching.bs_to_rb)
+    assign = [None if r < 0 else r for r in matching.bs_to_rb]
     occ = [set(ms) for ms in matching.rb_to_bs]
 
     def total(occ_sets):

@@ -10,6 +10,7 @@ from oracles import (
     capped_equal_power,
     pair_rates,
     random_instance,
+    sequential_deferred_acceptance,
     slsqp_sca,
     slsqp_surrogate_step,
 )
@@ -18,9 +19,9 @@ from unoma.allocation import (
     InfeasibleError,
     Matching,
     _capped_totals,
+    _da_seed,
     _padded,
     _pair_terms,
-    _set_rates,
     _surrogate_step,
     build_preferences,
     jain_fairness,
@@ -38,8 +39,7 @@ def test_jain_values():
     assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert jain_fairness([1.0, 2.0, 3.0]) == pytest.approx(6.0 / 7.0)
     assert jain_fairness([5.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        jain_fairness([0.0, 0.0])
+    assert jain_fairness([0.0, 0.0]) == 1.0  # all shares equal
     with pytest.raises(ValueError):
         jain_fairness([1.0, -1.0])
     with pytest.raises(ValueError):
@@ -65,18 +65,25 @@ def _one_bs(g_far, g_near, sigma2=1.0):
         tau=1, p_max=1.0, sigma2=sigma2, pairs=(NomaPair(0, 1, 0.6, 0.4),))
 
 
+def _rates_on_rb0(inst, members, powers, scheme):
+    """The kernel's (rates, total) of one co-channel set on RB 0."""
+    rates, totals = rb_rates(inst, np.array([members]), np.array([0]),
+                             np.array([powers], dtype=float), scheme)
+    return rates[0].tolist(), float(totals[0])
+
+
 def test_noma_pair_rates_values():
     # far: 0.6*10 / (0.4*10 + 1) = 1.2; near: 0.4*10*3 / 1 = 12
-    total, rates = rb_rates(_one_bs(1.0, 3.0), 0, [0], [10.0], "noma")
+    rates, total = _rates_on_rb0(_one_bs(1.0, 3.0), [0], [10.0], "noma")
     assert total == pytest.approx(math.log2(2.2) + math.log2(13.0))
-    assert rates == {0: total}
-    assert rb_rates(_one_bs(1.0, 3.0), 0, [0], [0.0], "noma") == (0.0, {0: 0.0})
+    assert rates == [total]
+    assert _rates_on_rb0(_one_bs(1.0, 3.0), [0], [0.0], "noma") == ([0.0], 0.0)
     with pytest.raises(ValueError):
         _one_bs(1.0, 3.0, sigma2=0.0)
 
 
 def test_oma_pair_rates_values():
-    total, _ = rb_rates(_one_bs(1.0, 3.0), 0, [0], [10.0], "oma")
+    _, total = _rates_on_rb0(_one_bs(1.0, 3.0), [0], [10.0], "oma")
     assert total == pytest.approx(0.5 * math.log2(11.0) + 0.5 * math.log2(31.0))
 
 
@@ -90,9 +97,8 @@ def test_singleton_bs_same_rate_in_both_schemes():
         x_far=inst.x_far, h_macro=inst.h_macro,
         i_threshold=inst.i_threshold, tau=inst.tau, p_max=inst.p_max,
         sigma2=inst.sigma2, pairs=inst.pairs)
-    powers = [inst.p_max, 0.0]
-    noma = rb_rates(inst, 0, [0], powers, "noma")[0]
-    oma = rb_rates(inst, 0, [0], powers, "oma")[0]
+    noma = _rates_on_rb0(inst, [0], [inst.p_max], "noma")[1]
+    oma = _rates_on_rb0(inst, [0], [inst.p_max], "oma")[1]
     assert noma == pytest.approx(oma)
     assert noma == pytest.approx(
         math.log2(1 + inst.p_max * inst.g_near[0, 0] / inst.sigma2))
@@ -101,7 +107,7 @@ def test_singleton_bs_same_rate_in_both_schemes():
 def test_rb_rates_unknown_scheme():
     inst = random_instance(np.random.default_rng(1), 2, 2, tau=1)
     with pytest.raises(ValueError):
-        rb_rates(inst, 0, [0], [inst.p_max] * 2, "tdma")
+        _rates_on_rb0(inst, [0], [inst.p_max], "tdma")
 
 
 def test_instance_validation():
@@ -131,6 +137,25 @@ def test_match_single_bs_single_rb():
     assert m.rb_to_bs == ((0,),)
 
 
+def test_da_seed_matches_one_proposal_at_a_time():
+    """All free BSs propose at once in each round of _da_seed; with strict
+    preferences that gives what one proposal at a time gives."""
+    rng = np.random.default_rng(31)
+    cases = [random_instance(rng, int(rng.integers(1, 12)),
+                             int(rng.integers(1, 6)), tau=int(rng.integers(1, 5)))
+             for _ in range(60)]
+    data = preset_config("fig5").data
+    cases += [generate_instance(n, data, tau, np.random.default_rng(n))
+              for n in (12, 32) for tau in (2, 3)]
+    unmatched = 0
+    for inst in cases:
+        for scheme in ("noma", "oma"):
+            src = _da_seed(inst, scheme).tolist()
+            assert src == sequential_deferred_acceptance(inst, scheme)
+            unmatched += src.count(-1)
+    assert unmatched  # the case the test is meant to reach
+
+
 def test_match_respects_quota():
     inst = random_instance(np.random.default_rng(6), 5, 2, tau=2)
     m = match_rbs(inst)
@@ -158,7 +183,7 @@ def test_set_rate_kernel_matches_scalar_oracle():
     powers = rng.uniform(0.0, inst.p_max, sets.shape)
     powers[::5, 0] = 0.0  # some members silent
     for scheme in ("noma", "oma"):
-        rates, totals = _set_rates(inst, sets, rbs, powers, scheme)
+        rates, totals = rb_rates(inst, sets, rbs, powers, scheme)
         capped = _capped_totals(inst, sets, rbs, scheme)
         for row, (padded, r) in enumerate(zip(sets.tolist(), rbs.tolist())):
             members = [b for b in padded if b < n_bs]
@@ -223,10 +248,13 @@ def test_match_at_fig5_scale():
 
 
 def test_matching_validator():
+    m = Matching((1, -1, 0, 1), n_rb=3, tau=2)
+    assert m.rb_to_bs == ((2,), (0, 3), ())
     with pytest.raises(ValueError):
-        Matching(((0, 1),), (0, 0), tau=1)  # quota exceeded
-    with pytest.raises(ValueError):
-        Matching(((0,), ()), (1, None), tau=1)  # inconsistent maps
+        Matching((0, 0), n_rb=1, tau=1)  # quota exceeded
+    for rb in (1, -2):
+        with pytest.raises(ValueError):
+            Matching((rb,), n_rb=1, tau=1)  # no such RB
 
 
 def test_sca_monotone_and_feasible():
@@ -242,8 +270,8 @@ def test_sca_monotone_and_feasible():
         assert load <= inst.i_threshold[r] * (1 + 1e-9)
     assert sol.sum_rate == pytest.approx(sol.per_bs_rates.sum())
     # optimized powers must not lose rate vs. the capped equal-power start
-    start = sum(rb_rates(inst, r, members, dict.fromkeys(
-                    members, capped_equal_power(inst, r, members)))[0]
+    start = sum(sum(pair_rates(inst, r, members, dict.fromkeys(
+                    members, capped_equal_power(inst, r, members))).values())
                 for r, members in enumerate(matching.rb_to_bs) if members)
     assert sol.sum_rate >= start - 1e-9
 
@@ -256,7 +284,7 @@ def test_sca_improves_on_full_power_when_capped():
     start = np.full(3, inst.p_max)
     load = start @ inst.h_macro[:, 0]
     start *= (inst.i_threshold[0] / load) * (1 - 1e-9)
-    base = rb_rates(inst, 0, [0, 1, 2], start, "noma")[0]
+    base = sum(pair_rates(inst, 0, [0, 1, 2], start, "noma").values())
     assert sol.sum_rate >= base - 1e-9
 
 
@@ -309,7 +337,7 @@ def test_sca_matches_slsqp_oracle():
     for inst, scheme in _sca_cases():
         matching = match_rbs(inst, scheme)
         rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms])
-        sets = _padded([matching.rb_to_bs[r] for r in rbs], inst.n_bs,
+        sets = _padded(np.array(matching.bs_to_rb), rbs, inst.n_bs,
                        inst.tau).T
         h = np.vstack([inst.h_macro, np.zeros(inst.n_rb)])[sets, rbs]
         cap = inst.i_threshold[rbs]

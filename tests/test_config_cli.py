@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unoma import config as config_module
+from unoma import engine as engine_module
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -421,6 +422,31 @@ def test_run_experiment_worker_invariant(tmp_path):
     assert header == "sweep_value,tier_id,probability,ci_half_width,trials"
 
 
+def test_pool_never_outnumbers_the_points(tmp_path, monkeypatch):
+    """The pool gets at most one worker per sweep point, whatever workers
+    says. A stand-in executor records the request and runs the points in this
+    process, so no process starts."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", InlinePool)
+    cfg = validate_config(_tiny_association_config())
+    run_experiment(cfg, tmp_path, workers=100_000)
+    assert requested == [len(cfg.sweep_values)] == [2]
+
+
 def _assert_seeding(conventions):
     """Every kind's manifest states the one seeding rule."""
     for fact in (f"{TRIAL_BLOCK} at a time", "SeedSequence([point sub-seed, b])",
@@ -489,6 +515,27 @@ def test_cli_run_allocation(tmp_path):
                  "bisection with Newton steps on RBs whose cap binds", "1e-15",
                  "only if that RB's sum rate does not fall"):
         assert fact in conventions["power_control"]
+
+
+def test_cli_run_allocation_with_every_rate_zero(tmp_path):
+    """Noise so strong that every rate is 0: the run completes, and Jain's
+    index over all-zero rates reads 1."""
+    data = dict(preset_config("fig5").data, name="zero", trials=1,
+                sigma2_w=1e300,
+                sweep={"variable": "n_small_cells", "values": [12]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    rows = (out / "zero.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    for row in rows[1:]:
+        values = dict(zip(header, row.split(",")))
+        assert float(values["sum_rate"]) == 0.0
+        assert float(values["fairness"]) == 1.0
+    conventions = json.loads((out / "zero_manifest.json").read_text())["conventions"]
+    assert "all 0 has fairness 1" in conventions["fairness"]
 
 
 def test_cli_run_association(tmp_path):

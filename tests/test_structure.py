@@ -1,8 +1,10 @@
 """Guards on the package's shape: every public name it defines must be used
 by the package itself or by the acceptance suite, nothing it runs may need
-scipy, and every seed goes through the one seeding rule."""
+scipy, every seed goes through the one seeding rule, and every name the traced
+benchmark harness wraps exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -116,3 +118,20 @@ def test_seed_sequences_only_in_the_seeding_rule():
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
     assert inside > 0 and outside == [], f"seeded outside point_rng at {outside}"
+
+
+def test_names_the_traced_harness_wraps_exist(monkeypatch):
+    """benchmarks/sweep.py wraps package functions by (module, attribute)
+    name; a rename on the package side fails here, not only in a traced
+    benchmark run. The harness's helpers need only the standard library."""
+    benchmarks = ROOT / "benchmarks"
+    monkeypatch.syspath_prepend(str(benchmarks))
+    spec = importlib.util.spec_from_file_location("sweep", benchmarks / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    import unoma.engine
+    targets = [(module, attr) for module, attr, _, _ in sweep.layer_targets([], [])]
+    targets.append((unoma.engine, "_run_point"))
+    missing = [f"{module.__name__}.{attr}" for module, attr in targets
+               if not hasattr(module, attr)]
+    assert missing == [], f"the traced harness wraps missing names {missing}"
