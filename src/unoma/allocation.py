@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .noma_core import NomaPair
+
 # Bound on the improving-swap rounds of each matching seed.
 _MAX_SWAP_ROUNDS = 10_000
 # SCA's outer loop stops when an iteration gains less than _SCA_TOL of the
@@ -97,7 +99,7 @@ class AllocationInstance:
     tau: int
     p_max: float
     sigma2: float
-    pairs: tuple
+    pair: NomaPair  # every BS's power split
 
     def __post_init__(self):
         b, r = np.shape(self.g_near)
@@ -113,8 +115,6 @@ class AllocationInstance:
             raise ValueError("sigma2 must be > 0")
         if self.p_max <= 0:
             raise ValueError("p_max must be > 0")
-        if len(self.pairs) != b:
-            raise ValueError("one NomaPair per BS required")
         for arr in (self.g_near, self.g_far, self.x_near, self.x_far, self.h_macro):
             if np.any(np.asarray(arr) < 0):
                 raise ValueError("gains must be >= 0")
@@ -141,8 +141,8 @@ class AllocationInstance:
         x_near, x_far = pad(self.x_near), pad(self.x_far)
         x_near[np.arange(b_n), np.arange(b_n)] = 0.0
         x_far[np.arange(b_n), np.arange(b_n)] = 0.0
-        a_m = np.array([pair.a_m for pair in self.pairs] + [0.0])
-        a_n = np.array([pair.a_n for pair in self.pairs] + [0.0])
+        a_m = np.append(np.full(b_n, self.pair.a_m), 0.0)
+        a_n = np.append(np.full(b_n, self.pair.a_n), 0.0)
         return _Tables(pad(self.g_near), pad(self.g_far), pad(self.h_macro),
                        x_near, x_far, a_m, a_n)
 

@@ -25,21 +25,19 @@ def _build_parser() -> _Parser:
                      description="Unified-NOMA HUDN Monte-Carlo experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment from a config file")
-    run.add_argument("--config", required=True, help="path to a JSON config")
-    run.add_argument("--seed", type=int, default=None, help="override master seed")
-    run.add_argument("--trials", type=int, default=None,
-                     help="override trials per sweep point")
-    run.add_argument("--output", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None,
-                     help="override worker count")
+    shared = argparse.ArgumentParser(add_help=False)  # run's and preset's
+    shared.add_argument("--output", default=None, help="output directory")
+    for key, what in (("seed", "master seed"), ("workers", "worker count"),
+                      ("trials", "trials per sweep point")):
+        shared.add_argument(f"--{key}", type=int, default=None,
+                            help=f"override {what}")
 
-    pre = sub.add_parser("preset", help="run a built-in case-study preset")
+    run = sub.add_parser("run", parents=[shared],
+                         help="run an experiment from a config file")
+    run.add_argument("--config", required=True, help="path to a JSON config")
+    pre = sub.add_parser("preset", parents=[shared],
+                         help="run a built-in case-study preset")
     pre.add_argument("--name", required=True, choices=list(PRESETS))
-    pre.add_argument("--output", default=None, help="output directory")
-    pre.add_argument("--seed", type=int, default=None)
-    pre.add_argument("--trials", type=int, default=None)
-    pre.add_argument("--workers", type=int, default=None)
 
     val = sub.add_parser("validate", help="validate a config file")
     val.add_argument("--config", required=True, help="path to a JSON config")

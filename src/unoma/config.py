@@ -213,7 +213,7 @@ def _validate_allocation(data: dict):
     _require(data, "sigma2_w", (int, float), lambda s: s > 0, "must be > 0")
     _require(data, "alpha", (int, float), lambda a: a > 2, "must be > 2")
     # the pair every small cell of the run is built with
-    _built("keys 'a_m'/'a_n'", NomaPair, 0, 1, _require(data, "a_m", (int, float)),
+    _built("keys 'a_m'/'a_n'", NomaPair, _require(data, "a_m", (int, float)),
            _require(data, "a_n", (int, float)))
     _validate_sweep(data, "n_small_cells",
                     lambda v: isinstance(v, int) and v >= 1,

@@ -34,7 +34,9 @@ from .allocation import (
 from .association import association_probability
 from .config import ExperimentConfig, association_study
 from .geometry import (
+    DISTANCE_FLOOR_M,
     Region,
+    avg_received_power,
     db_to_linear,
     dbm_to_watts,
     link_distances,
@@ -157,40 +159,38 @@ def generate_instance(n_small: int, data: dict, tau: int,
     bs_pos = sample_uniform(n_small, region, rng)
     macro_user = sample_uniform(1, region, rng)[0]
 
-    user_pos = np.zeros((n_small, 2, 2))
-    for b in range(n_small):
-        ring = Region(data["user_ring_radius_m"], center=tuple(bs_pos[b]))
-        two = sample_uniform(2, ring, rng)
-        d = link_distances(bs_pos[b], two)
-        order = np.argsort(d, kind="stable")
-        user_pos[b] = two[order]  # [near, far]
+    # two users uniform in each BS's ring, drawn per BS as two radii and then
+    # two angles, sorted [near, far] (a tie keeps the draw order)
+    u = rng.random((n_small, 2, 2))
+    r = data["user_ring_radius_m"] * np.sqrt(u[:, 0])
+    theta = 2.0 * math.pi * u[:, 1]
+    users = bs_pos[:, None, :] + np.stack([r * np.cos(theta),
+                                           r * np.sin(theta)], axis=-1)
+    d = link_distances(bs_pos[:, None, :], users)
+    users = np.where((d[:, 1] < d[:, 0])[:, None, None], users[:, ::-1], users)
 
     def gains(tx_points, rx_points):
         # (n_tx, n_rx, n_rb) instantaneous gains, fading drawn per RB
-        d = np.maximum(np.linalg.norm(
-            tx_points[:, None, :] - rx_points[None, :, :], axis=2), 1.0)
-        fad = rayleigh_power_gains(rng, (len(tx_points), len(rx_points), n_rb))
-        return fad * (d ** (-alpha))[:, :, None]
+        d = link_distances(tx_points[:, None, :], rx_points[None, :, :])
+        fad = rayleigh_power_gains(rng, d.shape + (n_rb,))
+        return fad * avg_received_power(1.0, 1.0, d, alpha)[:, :, None]
 
     # every BS to every BS's near and far user; the diagonal is the own links
-    x_near = gains(bs_pos, user_pos[:, 0, :])
-    x_far = gains(bs_pos, user_pos[:, 1, :])
+    x_near = gains(bs_pos, users[:, 0])
+    x_far = gains(bs_pos, users[:, 1])
     own = np.arange(n_small)
     h_macro = gains(bs_pos, macro_user[None, :])[:, 0, :]
 
-    p_macro = dbm_to_watts(data["macro_power_dbm"])
-    d_macro = max(float(np.linalg.norm(macro_user)), 1.0)
-    signal = p_macro * d_macro ** (-alpha)
+    # Python floats on purpose: link_distances' axis norm and a numpy power
+    # each differ in the last place on some draws, moving i_threshold.
+    signal = dbm_to_watts(data["macro_power_dbm"]) * max(
+        float(np.linalg.norm(macro_user)), DISTANCE_FLOOR_M) ** (-alpha)
     threshold = signal / db_to_linear(data["protection_ratio_db"])
-
-    pairs = tuple(NomaPair(near_user=2 * b, far_user=2 * b + 1,
-                           a_m=data["a_m"], a_n=data["a_n"])
-                  for b in range(n_small))
     return AllocationInstance(
         g_near=x_near[own, own], g_far=x_far[own, own], x_near=x_near,
         x_far=x_far, h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
         tau=tau, p_max=dbm_to_watts(data["small_power_dbm"]),
-        sigma2=data["sigma2_w"], pairs=pairs)
+        sigma2=data["sigma2_w"], pair=NomaPair(data["a_m"], data["a_n"]))
 
 
 def _association_point(data: dict, index: int, value: float):

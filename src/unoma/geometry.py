@@ -38,10 +38,9 @@ def zero_forcing_array_gain(n_antennas: int, n_streams: int) -> float:
 
 @dataclass(frozen=True)
 class Region:
-    """Disc-shaped simulation window."""
+    """Disc-shaped simulation window centred on the origin."""
 
     radius: float
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -101,8 +100,7 @@ def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarr
     """n i.i.d. uniform points in the region (binomial point process)."""
     r = region.radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return pts + np.asarray(region.center)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def sample_network(
         pts, n = _sample_ppp_drops(tier.density, region, rng, drops)
         if i == 0 and guaranteed_bs is not None:
             if guaranteed_bs == "center":
-                extra = np.tile(np.asarray(region.center, dtype=float), (drops, 1))
+                extra = np.zeros((drops, 2))
             else:
                 extra = sample_uniform(drops, region, rng)
             pts = np.insert(pts, np.cumsum(n) - n, extra, axis=0)
@@ -165,11 +163,9 @@ def sample_network(
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Euclidean distances from one point to many, or from each of n points
-    to the matching one of n positions, clamped to the 1 m floor."""
-    if len(positions) == 0:
-        return np.empty(0)
-    d = np.linalg.norm(np.atleast_2d(positions) - np.asarray(point), axis=1)
+    """Euclidean distances between (..., 2) arrays of points and positions,
+    broadcast against each other, clamped to the 1 m floor."""
+    d = np.linalg.norm(np.asarray(positions) - np.asarray(point), axis=-1)
     return np.maximum(d, DISTANCE_FLOOR_M)
 
 

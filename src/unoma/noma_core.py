@@ -181,11 +181,15 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     absolute cross-correlation is kept. Returns
     (sequences array of shape (pool_size, k), max cross-correlation).
     """
-    alphabet = np.asarray([_alphabet_entry(a) for a in alphabet], dtype=complex)
-    if alphabet.size == 0:
+    values = [_alphabet_entry(a) for a in alphabet]
+    if not values:
         raise ValueError("alphabet must be non-empty")
-    if np.any(np.abs(alphabet) == 0):
-        raise ValueError("alphabet entries must be nonzero")
+    for v in values:  # K entries of v, squared as np.linalg.norm squares them
+        if not 0.0 < k * (v.real * v.real + v.imag * v.imag) < math.inf:
+            raise ValueError(f"alphabet {list(alphabet)!r}: entry {v!r} must "
+                             f"be finite and give a {k}-entry sequence a norm "
+                             "that neither overflows to inf nor underflows to 0")
+    alphabet = np.asarray(values, dtype=complex)
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     w = k if weight is None else int(weight)
@@ -286,16 +290,12 @@ def default_codebook(matrix: SpreadingMatrix, q: int) -> Codebook:
 
 @dataclass(frozen=True)
 class NomaPair:
-    """Near/far user pair served by one BS with power-sharing coefficients."""
+    """Power split of the near/far user pair a BS serves."""
 
-    near_user: int
-    far_user: int
     a_m: float  # far-user share
     a_n: float  # near-user share
 
     def __post_init__(self):
-        if self.near_user == self.far_user:
-            raise ValueError("pair must contain two distinct users")
         if abs(self.a_m + self.a_n - 1.0) > 1e-12:
             raise ValueError(f"a_m + a_n must be 1, got {self.a_m + self.a_n}")
         if not 0.0 < self.a_n < self.a_m < 1.0:

@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite: brute-force enumeration for
 detection, scalar pair rates, exhaustive search and a per-RB SLSQP power
-control for allocation, and a per-drop loop for user association.
-Deliberately naive."""
+control for allocation, a per-BS loop for the small-cell drop, and a
+per-drop loop for user association. Deliberately naive."""
 
 import itertools
 import math
@@ -11,6 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from unoma.allocation import AllocationInstance, build_preferences
+from unoma.geometry import db_to_linear, dbm_to_watts
 from unoma.noma_core import NomaPair
 
 
@@ -60,11 +61,49 @@ def random_instance(rng, n_bs, n_rb, tau, p_max=0.2, sigma2=1e-9,
         x_near[i, i, :] = 0.0
         x_far[i, i, :] = 0.0
     h_macro = rng.exponential(1.0, (n_bs, n_rb)) * 1e-9
-    pairs = tuple(NomaPair(2 * b, 2 * b + 1, a_m, a_n) for b in range(n_bs))
     return AllocationInstance(
         g_near=g_near, g_far=g_far, x_near=x_near, x_far=x_far,
         h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
-        tau=tau, p_max=p_max, sigma2=sigma2, pairs=pairs)
+        tau=tau, p_max=p_max, sigma2=sigma2, pair=NomaPair(a_m, a_n))
+
+
+def reference_instance(n_small, data, tau, rng):
+    """engine.generate_instance drawn BS by BS: each BS's two users from
+    their own two radii and two angles, sorted by a stable argsort of their
+    distances, and each gain from its own distance floor and path loss."""
+    alpha, n_rb = data["alpha"], data["n_rb"]
+
+    def disc(n, radius, center):
+        r = radius * np.sqrt(rng.random(n))
+        theta = 2.0 * math.pi * rng.random(n)
+        return np.column_stack([r * np.cos(theta), r * np.sin(theta)]) + center
+
+    bs_pos = disc(n_small, data["region_radius_m"], np.zeros(2))
+    macro_user = disc(1, data["region_radius_m"], np.zeros(2))[0]
+    user_pos = np.zeros((n_small, 2, 2))
+    for b in range(n_small):
+        two = disc(2, data["user_ring_radius_m"], bs_pos[b])
+        d = np.maximum(np.linalg.norm(two - bs_pos[b], axis=1), 1.0)
+        user_pos[b] = two[np.argsort(d, kind="stable")]  # [near, far]
+
+    def gains(tx_points, rx_points):
+        d = np.maximum(np.linalg.norm(
+            tx_points[:, None, :] - rx_points[None, :, :], axis=2), 1.0)
+        fad = rng.exponential(1.0, (len(tx_points), len(rx_points), n_rb))
+        return fad * (d ** (-alpha))[:, :, None]
+
+    x_near = gains(bs_pos, user_pos[:, 0, :])
+    x_far = gains(bs_pos, user_pos[:, 1, :])
+    own = np.arange(n_small)
+    h_macro = gains(bs_pos, macro_user[None, :])[:, 0, :]
+    d_macro = max(float(np.linalg.norm(macro_user)), 1.0)
+    signal = dbm_to_watts(data["macro_power_dbm"]) * d_macro ** (-alpha)
+    threshold = signal / db_to_linear(data["protection_ratio_db"])
+    return AllocationInstance(
+        g_near=x_near[own, own], g_far=x_far[own, own], x_near=x_near,
+        x_far=x_far, h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
+        tau=tau, p_max=dbm_to_watts(data["small_power_dbm"]),
+        sigma2=data["sigma2_w"], pair=NomaPair(data["a_m"], data["a_n"]))
 
 
 def pair_rates(instance, rb, members, powers, scheme="noma"):
@@ -84,7 +123,7 @@ def pair_rates(instance, rb, members, powers, scheme="noma"):
                 i_far += powers[other] * instance.x_far[other, b, rb]
                 i_near += powers[other] * instance.x_near[other, b, rb]
         g_far, g_near = instance.g_far[b, rb], instance.g_near[b, rb]
-        a_m, a_n = instance.pairs[b].a_m, instance.pairs[b].a_n
+        a_m, a_n = instance.pair.a_m, instance.pair.a_n
         if p <= 0:
             rates[b] = 0.0
         elif g_far == 0:
@@ -147,9 +186,8 @@ def sca_terms(instance, rb, members, scheme="noma"):
     denominator coefficients over members): each term's rate is
     weight * log2(1 + num p[i] / (den . p + sigma2)). Terms with a zero
     numerator are left out."""
-    terms = []
+    terms, pair = [], instance.pair
     for i, b in enumerate(members):
-        pair = instance.pairs[b]
         xf = np.array([instance.x_far[b2, b, rb] if b2 != b else 0.0
                        for b2 in members])
         xn = np.array([instance.x_near[b2, b, rb] if b2 != b else 0.0

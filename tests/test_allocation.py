@@ -62,7 +62,7 @@ def _one_bs(g_far, g_near, sigma2=1.0):
     return AllocationInstance(
         g_near=np.array([[g_near]]), g_far=np.array([[g_far]]), x_near=zero,
         x_far=zero, h_macro=np.zeros((1, 1)), i_threshold=np.array([np.inf]),
-        tau=1, p_max=1.0, sigma2=sigma2, pairs=(NomaPair(0, 1, 0.6, 0.4),))
+        tau=1, p_max=1.0, sigma2=sigma2, pair=NomaPair(0.6, 0.4))
 
 
 def _rates_on_rb0(inst, members, powers, scheme):
@@ -96,7 +96,7 @@ def test_singleton_bs_same_rate_in_both_schemes():
         g_near=inst.g_near, g_far=g_far, x_near=inst.x_near,
         x_far=inst.x_far, h_macro=inst.h_macro,
         i_threshold=inst.i_threshold, tau=inst.tau, p_max=inst.p_max,
-        sigma2=inst.sigma2, pairs=inst.pairs)
+        sigma2=inst.sigma2, pair=inst.pair)
     noma = _rates_on_rb0(inst, [0], [inst.p_max], "noma")[1]
     oma = _rates_on_rb0(inst, [0], [inst.p_max], "oma")[1]
     assert noma == pytest.approx(oma)
@@ -120,7 +120,7 @@ def test_instance_validation():
             g_near=inst.g_near, g_far=inst.g_far[:, :1], x_near=inst.x_near,
             x_far=inst.x_far, h_macro=inst.h_macro,
             i_threshold=inst.i_threshold, tau=1, p_max=0.2, sigma2=1e-9,
-            pairs=inst.pairs)
+            pair=inst.pair)
 
 
 def test_build_preferences_single_rb():

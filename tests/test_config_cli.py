@@ -257,6 +257,20 @@ def test_musa_alphabet_pairs(tmp_path):
                      "--output", str(tmp_path / "out")]) == 1
 
 
+def test_musa_alphabet_magnitudes(tmp_path, capsys):
+    """An entry that is not finite, or whose K-entry sequence's norm would
+    overflow or underflow, is refused before drawing, naming the alphabet."""
+    base = dict(_tiny_link_config(), scheme="musa", k=4, n=6, q=4)
+    for i, alphabet in enumerate([[[1e200, 0], [1, 0]], [[1e-200, 0]],
+                                  [math.nan, 1]]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(base, matrix_params={"alphabet": alphabet})))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert "error: musa matrix with k=4, n=6: alphabet" in capsys.readouterr().err
+
+
 def test_allocation_config_checks():
     data = dict(preset_config("fig5").data)
     data["taus"] = [2, 0]

@@ -87,10 +87,10 @@ def test_sample_ppp_mean_count_macro_density():
 
 
 def test_sample_ppp_points_inside_region():
-    region = Region(100.0, center=(50.0, -20.0))
+    region = Region(100.0)
     pts = sample_ppp(1e-3, region, np.random.default_rng(1))
     assert len(pts) > 0
-    d = np.linalg.norm(pts - region.center, axis=1)
+    d = np.linalg.norm(pts, axis=1)
     assert np.all(d <= region.radius * (1 + 1e-12))
 
 
@@ -148,24 +148,23 @@ def test_guaranteed_bs_center():
     assert len(snap.bs_positions[0]) == 1
     assert np.allclose(snap.bs_positions[0][0], (0.0, 0.0))
     # several drops: each drop's own guaranteed BS comes first in its group
-    snap = sample_network(Region(500.0, center=(5.0, -2.0)),
-                          [TierConfig("macro", 40.0, 2e-6)],
+    snap = sample_network(Region(500.0), [TierConfig("macro", 40.0, 2e-6)],
                           np.random.default_rng(2), 50, guaranteed_bs="center")
     counts = snap.bs_counts[0]
     assert len(counts) == 50 and np.all(counts >= 1) and np.any(counts > 1)
     first = np.cumsum(counts) - counts
-    assert np.all(snap.bs_positions[0][first] == (5.0, -2.0))
+    assert np.all(snap.bs_positions[0][first] == (0.0, 0.0))
 
 
 def test_sample_network_poisson_counts_per_drop():
-    # mean 0.5 BSs per drop in a 100 m disc off the origin
-    region = Region(100.0, center=(50.0, -20.0))
+    # mean 0.5 BSs per drop in a 100 m disc
+    region = Region(100.0)
     snap = sample_network(region, [TierConfig("t", 30.0, 0.5 / region.area)],
                           np.random.default_rng(42), 100_000)
     counts = snap.bs_counts[0]
     assert abs(counts.mean() - 0.5) < 3.0 * math.sqrt(0.5 / len(counts))
     assert counts.var() == pytest.approx(0.5, rel=0.05)
-    d = np.linalg.norm(snap.bs_positions[0] - region.center, axis=1)
+    d = np.linalg.norm(snap.bs_positions[0], axis=1)
     assert np.all(d <= region.radius * (1 + 1e-12))
 
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import reference_instance
 from unoma import config, engine
 from unoma.config import preset_config, validate_config
 from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
@@ -81,6 +82,24 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
         if isinstance(getattr(expected, field.name), np.ndarray):
             assert np.array_equal(getattr(drawn[128], field.name),
                                   getattr(expected, field.name)), field.name
+
+
+def test_generate_instance_matches_the_per_bs_draw():
+    """The array draw of a small-cell drop gives every array of the per-BS
+    reference bit for bit, and leaves the generator where the reference does,
+    so the later trials of a block are unchanged too."""
+    data = preset_config("fig5").data
+    arrays = ("g_near", "g_far", "x_near", "x_far", "h_macro", "i_threshold")
+    for seed in range(200):
+        for n in (1, 2, 12, 32):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            inst = engine.generate_instance(n, data, 2, rng)
+            ref = reference_instance(n, data, 2, ref_rng)
+            for name in arrays:
+                a, b = getattr(inst, name), getattr(ref, name)
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), \
+                    (seed, n, name)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _record_builds(monkeypatch, module) -> list:

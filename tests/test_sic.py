@@ -16,13 +16,11 @@ BPSK = np.array([1.0 + 0j, -1.0 + 0j])
 
 def test_noma_pair_invariants():
     with pytest.raises(ValueError):
-        NomaPair(0, 0, 0.6, 0.4)
+        NomaPair(0.7, 0.4)
     with pytest.raises(ValueError):
-        NomaPair(0, 1, 0.7, 0.4)
+        NomaPair(1.0, 0.0)  # degenerate a_m = 1
     with pytest.raises(ValueError):
-        NomaPair(0, 1, 1.0, 0.0)  # degenerate a_m = 1
-    with pytest.raises(ValueError):
-        NomaPair(0, 1, 0.4, 0.6)  # near share must be smaller
+        NomaPair(0.4, 0.6)  # near share must be smaller
 
 
 def test_nearest_symbol_tie_lowest_index():
