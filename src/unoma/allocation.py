@@ -75,8 +75,6 @@ class _Tables(NamedTuple):
     h_macro: np.ndarray  # (B + 1, R)
     x_near: np.ndarray  # (B + 1, B + 1, R)
     x_far: np.ndarray  # (B + 1, B + 1, R)
-    a_m: np.ndarray  # (B + 1,)
-    a_n: np.ndarray  # (B + 1,)
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,8 @@ class AllocationInstance:
         x_near, x_far = pad(self.x_near), pad(self.x_far)
         x_near[np.arange(b_n), np.arange(b_n)] = 0.0
         x_far[np.arange(b_n), np.arange(b_n)] = 0.0
-        a_m = np.append(np.full(b_n, self.pair.a_m), 0.0)
-        a_n = np.append(np.full(b_n, self.pair.a_n), 0.0)
         return _Tables(pad(self.g_near), pad(self.g_far), pad(self.h_macro),
-                       x_near, x_far, a_m, a_n)
+                       x_near, x_far)
 
 
 class _Term(NamedTuple):
@@ -168,7 +164,7 @@ def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
     """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
     indices padded with the sentinel index n_bs, on RBs rbs (n,). A BS with
     g_far == 0 serves a single user (no pair): full power, full slot, in both
-    schemes."""
+    schemes. The sentinel's power split does not matter: its gains are 0."""
     if scheme not in ("noma", "oma"):
         raise ValueError(f"unknown scheme {scheme!r}")
     tab, b_n, r_n = instance._tables, instance.n_bs, instance.n_rb
@@ -181,8 +177,8 @@ def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
         # the far user decodes its share treating the near user's as noise;
         # the near user cancels the far share first (SIC). A single user
         # takes the near term at a_n = 1; its far term is log2(1) = 0.
-        a_n = np.where(single, 1.0, tab.a_n[sets])
-        return (_Term(1.0, tab.a_m[sets], g_far, x_far, own=a_n),
+        a_n = np.where(single, 1.0, instance.pair.a_n)
+        return (_Term(1.0, instance.pair.a_m, g_far, x_far, own=a_n),
                 _Term(1.0, a_n, g_near, x_near))
     # equal time sharing: each user gets half the slot at full power; a
     # single user gets the whole slot, its far term being log2(1) = 0
@@ -219,25 +215,23 @@ def _rates(terms, p: np.ndarray, sigma2: float):
 def rb_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
     """Pair sum rate of every member of every co-channel set.
 
-    sets: (n, k) BS indices, one RB's co-channel set per row, padded with the
-    sentinel index n_bs; rbs: (n,) the RB of each row; powers: (n, k) the
-    transmit power of each member. Returns (rates (n, k), totals (n,)).
+    sets: (k, n) BS indices, slot-major, one RB's co-channel set per column,
+    padded with the sentinel index n_bs; rbs: (n,) the RB of each column;
+    powers: (k, n) the transmit power of each member. Slot-major arrays keep
+    numpy's inner loops n long. Returns (rates (k, n), totals (n,)).
     """
-    # slot-major (k, n) arrays keep numpy's inner loops n long
-    sets, p = np.ascontiguousarray(sets.T), np.ascontiguousarray(powers.T)
-    rates, totals = _rates(_pair_terms(instance, sets, rbs, scheme), p,
-                           instance.sigma2)
-    return rates.T, totals
+    return _rates(_pair_terms(instance, sets, rbs, scheme), powers,
+                  instance.sigma2)
 
 
 def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
-    """Cap-scaled equal power, one per row of the (n, k) sets: every member at
-    p_max, scaled down uniformly so that the set's load at the macro user
-    stays below i_threshold (0 where that is not positive). It scores
-    candidate sets during matching (the true powers are only known after SCA)
-    and is where SCA starts."""
+    """Cap-scaled equal power, one per column of the slot-major sets (k, n):
+    every member at p_max, scaled down uniformly so that the set's load at
+    the macro user stays below i_threshold (0 where that is not positive). It
+    scores candidate sets during matching (the true powers are only known
+    after SCA) and is where SCA starts."""
     h = np.zeros(len(rbs))
-    for slot in sets.T:
+    for slot in sets:
         h = h + instance._tables.h_macro.take(slot * instance.n_rb + rbs)
     load = instance.p_max * h
     t = instance.i_threshold[rbs]
@@ -246,14 +240,6 @@ def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
     p[over] = np.where(t[over] <= 0, 0.0,
                        instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9))
     return p
-
-
-def _capped_totals(instance: AllocationInstance, sets, rbs, scheme: str):
-    """Set totals at _capped_power, the power proxy that scores candidate
-    co-channel sets during matching."""
-    powers = np.repeat(_capped_power(instance, sets, rbs)[:, None],
-                       sets.shape[1], axis=1)
-    return rb_rates(instance, sets, rbs, powers, scheme)[1]
 
 
 @dataclass(frozen=True)
@@ -278,26 +264,16 @@ class Matching:
                      for r in range(self.n_rb))
 
 
-def build_preferences(instance: AllocationInstance, scheme: str = "noma"):
-    """Rate-based preferences, (B, R) for the BSs and (R, B) for the RBs, each
-    row one side's ranking, best first, by the pair sum rate the BS would
-    achieve alone on the RB (cap-scaled power); ties broken by lower index."""
-    b_n, r_n = instance.n_bs, instance.n_rb
-    bs, rb = np.divmod(np.arange(b_n * r_n), r_n)
-    score = _capped_totals(instance, bs[:, None], rb, scheme).reshape(b_n, r_n)
-    bs_prefs = np.argsort(-score, axis=1, kind="stable")
-    rb_prefs = np.argsort(-score.T, axis=1, kind="stable")
-    return bs_prefs, rb_prefs
-
-
-def _da_seed(instance: AllocationInstance, scheme: str) -> np.ndarray:
+def _da_seed(score: np.ndarray, tau: int) -> np.ndarray:
     """Deferred acceptance: BSs propose, RBs keep their top-tau proposers.
+    Both sides rank by score (B, R), best first, ties to the lower index.
     Every free BS proposes at once each round; preferences being strict on
     both sides, that gives the BS-optimal stable matching, as proposing one
     at a time does. Returns the assignment: one RB index per BS, -1 for
     unmatched."""
-    b_n, r_n = instance.n_bs, instance.n_rb
-    bs_prefs, rb_prefs = build_preferences(instance, scheme)
+    b_n, r_n = score.shape
+    bs_prefs = np.argsort(-score, axis=1, kind="stable")
+    rb_prefs = np.argsort(-score.T, axis=1, kind="stable")
     rb_rank = np.argsort(rb_prefs, axis=1)  # rb_rank[r, b]: b's place on r's list
     src = np.full(b_n, -1)
     pointer = np.zeros(b_n, dtype=np.intp)
@@ -309,37 +285,32 @@ def _da_seed(instance: AllocationInstance, scheme: str) -> np.ndarray:
         rbs = src[held]
         # each holder's place among its RB's holders, best first
         place = np.arange(len(held)) - np.searchsorted(rbs, rbs)
-        src[held[place >= instance.tau]] = -1
+        src[held[place >= tau]] = -1
     return src
 
 
 def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
     """Co-channel sets of the RBs rbs under the assignment src (one RB index
-    per BS, -1 for unmatched), as a (len(rbs), width) array of each set's
-    members in increasing order padded with the sentinel index n_bs."""
+    per BS, -1 for unmatched), slot-major: a C-contiguous (width, len(rbs))
+    array of each set's members in increasing order padded with the sentinel
+    index n_bs."""
     cols = np.where(src == np.reshape(rbs, (-1, 1)), np.arange(n_bs), n_bs)
     cols.sort(axis=1)
     if n_bs < width:
-        return np.pad(cols, ((0, 0), (0, width - n_bs)), constant_values=n_bs)
-    return cols[:, :width]
+        cols = np.pad(cols, ((0, 0), (0, width - n_bs)), constant_values=n_bs)
+    return np.ascontiguousarray(cols[:, :width].T)
 
 
-def _greedy_seed(instance: AllocationInstance, plus_each) -> np.ndarray:
+def _greedy_seed(instance: AllocationInstance, solo, plus_each) -> np.ndarray:
     """Repeatedly place the (BS, RB) pair with the largest marginal gain, the
-    first in row-major (BS, RB) order on ties. Only the column of the RB that
-    changed is rescored. Returns the assignment, as _da_seed does."""
+    first in row-major (BS, RB) order on ties. The gains start from solo, the
+    plus_each table of the empty sets; only the column of the RB that changed
+    is rescored. Returns the assignment, as _da_seed does."""
     b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
     src = np.full(b_n, -1)
     # gain[b, r]: total of r's set with b added minus its total; -inf once b
     # is placed or r is full
-    gain = np.empty((b_n, r_n))
-
-    def rescore(rbs):
-        tot = plus_each(_padded(src, rbs, b_n, tau), rbs)
-        gain[:, rbs] = np.where(src[:, None] < 0, (tot[:, :b_n] - tot[:, b_n:]).T,
-                                -np.inf)
-
-    rescore(np.arange(r_n))
+    gain = (solo[:, :b_n] - solo[:, b_n:]).T.copy()
     while True:
         b, r = divmod(int(np.argmax(gain)), r_n)
         if not gain[b, r] > 0.0:
@@ -347,7 +318,9 @@ def _greedy_seed(instance: AllocationInstance, plus_each) -> np.ndarray:
         src[b] = r
         gain[b] = -np.inf
         if np.count_nonzero(src == r) < tau:
-            rescore(np.array([r]))
+            rbs = np.array([r])
+            tot = plus_each(_padded(src, rbs, b_n, tau), rbs)[0]
+            gain[:, r] = np.where(src < 0, tot[:b_n] - tot[b_n], -np.inf)
         else:
             gain[:, r] = -np.inf
     return src
@@ -366,9 +339,9 @@ def _swap_phase(instance: AllocationInstance, src, plus_each):
     for done in range(_MAX_SWAP_ROUNDS + 1):
         matched = np.flatnonzero(src >= 0)
         sets = _padded(src, all_rbs, b_n, tau)
-        without = sets[src[matched]]  # each matched BS's set without it
-        without[without == matched[:, None]] = b_n
-        tot = plus_each(np.concatenate([sets, without]),
+        without = sets[:, src[matched]]  # each matched BS's set without it
+        without[without == matched] = b_n
+        tot = plus_each(np.concatenate([sets, without], axis=1),
                         np.concatenate([all_rbs, src[matched]]))
         cur = tot[:r_n, b_n]
         # leave[m, b]: change on m's RB when m leaves it and b joins; the
@@ -396,31 +369,39 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     """Two seeds (deferred acceptance and marginal-gain greedy), each refined
     by rate-improving swaps until no single move (into a vacancy) or pairwise
     exchange improves the total; the better of the two local optima is kept.
-    Candidate co-channel sets are scored at cap-scaled equal powers."""
-    b_n, r_n = instance.n_bs, instance.n_rb
+    Candidate co-channel sets are scored at cap-scaled equal powers, every
+    phase from plus_each tables: DA's preferences and greedy's first gains
+    from solo, every BS alone on every RB."""
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
     if b_n == 0:
-        return Matching((), r_n, instance.tau)
+        return Matching((), r_n, tau)
 
     def plus_each(sets, rbs):
-        """(len(sets), n_bs + 1) table of set totals with each BS added; the
-        last column (the sentinel) is each set's own total. A full set drops
-        its largest member to make room: those entries are never read."""
-        k, tau = sets.shape
-        rows = np.empty((k, b_n + 1, tau + 1), dtype=np.intp)
-        rows[:, :, :tau] = sets[:, None, :]
+        """(n, n_bs + 1) table of the totals of the slot-major sets (tau, n)
+        with each BS added; the last column (the sentinel) is each set's own
+        total. A full set drops its largest member to make room: those
+        entries are never read."""
+        n = len(rbs)
+        rows = np.empty((n, b_n + 1, tau + 1), dtype=np.intp)
+        rows[:, :, :tau] = sets.T[:, None, :]
         rows[:, :, tau] = np.arange(b_n + 1)
         rows.sort(axis=2)
-        totals = _capped_totals(instance, rows[:, :, :tau].reshape(-1, tau),
-                                np.repeat(rbs, b_n + 1), scheme)
-        return totals.reshape(k, b_n + 1)
+        rows = np.ascontiguousarray(rows[:, :, :tau].reshape(-1, tau).T)
+        rbs = np.repeat(rbs, b_n + 1)
+        p = _capped_power(instance, rows, rbs)
+        totals = rb_rates(instance, rows, rbs, np.broadcast_to(p, rows.shape),
+                          scheme)[1]
+        return totals.reshape(n, b_n + 1)
 
+    all_rbs = np.arange(r_n)
+    solo = plus_each(_padded(np.full(b_n, -1), all_rbs, b_n, tau), all_rbs)
     best_src, best_total = None, -math.inf
-    for seed in (_da_seed(instance, scheme),
-                 _greedy_seed(instance, plus_each)):
+    for seed in (_da_seed(solo[:, :b_n].T, tau),
+                 _greedy_seed(instance, solo, plus_each)):
         src, total = _swap_phase(instance, seed, plus_each)
         if total > best_total + 1e-12:
             best_src, best_total = src, total
-    return Matching(tuple(best_src.tolist()), r_n, instance.tau)
+    return Matching(tuple(best_src.tolist()), r_n, tau)
 
 
 @dataclass(frozen=True)
@@ -533,7 +514,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     src = np.asarray(matching.bs_to_rb, dtype=np.intp)
     counts = np.bincount(src[src >= 0], minlength=r_n)
     rbs = np.flatnonzero(counts)
-    sets = _padded(src, rbs, b_n, int(counts.max(initial=1))).T
+    sets = _padded(src, rbs, b_n, int(counts.max(initial=1)))
     h = instance._tables.h_macro.take(sets * r_n + rbs)
     cap = instance.i_threshold[rbs]
     blocked = (cap < 0) | ((cap == 0) & np.any(h > 0, axis=0))
@@ -542,7 +523,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
         raise InfeasibleError(
             f"no positive power meets the interference cap on RB {r}",
             constraint=f"i_threshold[{r}]")
-    p = np.repeat(_capped_power(instance, sets.T, rbs)[None], len(sets), axis=0)
+    p = np.repeat(_capped_power(instance, sets, rbs)[None], len(sets), axis=0)
     terms = _pair_terms(instance, sets, rbs, scheme)
     rates, totals = _rates(terms, p, instance.sigma2)
 

@@ -4,8 +4,9 @@ Every sweep point gets a sub-seed hashed from (master seed, point index), and
 every kind draws the point's trials by one rule, metrics.trial_blocks: blocks
 of TRIAL_BLOCK trials, each from its own generator, in trial order.
 Processing chunks are whole numbers of blocks, so results are byte-identical
-regardless of chunk size, worker count or scheduling. All link-level points
-detect with one matrix, from point_rng(master seed), the one validation checks.
+regardless of chunk size, worker count or scheduling. A link-level run builds
+one matrix, from point_rng(master seed), the one validation checks, and one
+codebook, and every point detects with them.
 """
 
 from __future__ import annotations
@@ -221,12 +222,9 @@ def _allocation_point(data: dict, index: int, n_small: int):
             for (tau, scheme), (rates, fairs) in results.items()]
 
 
-def _link_point(data: dict, index: int, snr_db: float):
+def _link_point(data: dict, index: int, snr_db: float, matrix, codebook):
     seed = subseed(data["seed"], index)
     n, k, q = data["n"], data["k"], data["q"]
-    matrix = build_matrix(data["scheme"], k, n, data["matrix_params"],
-                          point_rng(data["seed"]))
-    codebook = default_codebook(matrix, q)
     noise_var = db_to_linear(-snr_db)  # unit codeword energy per layer
     blocks = trial_blocks(seed, data["trials"])
     errors = 0  # only the count outlives a group, so memory is bounded
@@ -252,8 +250,10 @@ _POINT_FUNCS = {
 
 
 def _run_point(args):
-    kind, data, index, value = args
-    return _POINT_FUNCS[kind](data, index, value)
+    """One sweep point of the task (kind, data, index, value, *shared); the
+    point index stays at position 2, where benchmarks/sweep.py reads it."""
+    kind, *rest = args
+    return _POINT_FUNCS[kind](*rest)
 
 
 def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = None):
@@ -268,7 +268,12 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     values = config.sweep_values
-    tasks = [(config.kind, data, i, v) for i, v in enumerate(values)]
+    shared = ()
+    if config.kind == "link_level":
+        matrix = build_matrix(data["scheme"], data["k"], data["n"],
+                              data["matrix_params"], point_rng(data["seed"]))
+        shared = (matrix, default_codebook(matrix, data["q"]))
+    tasks = [(config.kind, data, i, v, *shared) for i, v in enumerate(values)]
     if n_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
             per_point = list(pool.map(_run_point, tasks))

@@ -107,7 +107,6 @@ def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarr
 class NetworkSnapshot:
     """Independent random draws ("drops") of BS positions per tier."""
 
-    region: Region
     tiers: tuple[TierConfig, ...]
     bs_positions: tuple[np.ndarray, ...]  # one (n_i, 2) array per tier
     # one (drops,) array per tier: how many of the tier's positions, taken
@@ -159,7 +158,7 @@ def sample_network(
             n = n + 1
         positions.append(pts)
         counts.append(n)
-    return NetworkSnapshot(region, tuple(tiers), tuple(positions), tuple(counts))
+    return NetworkSnapshot(tuple(tiers), tuple(positions), tuple(counts))
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:

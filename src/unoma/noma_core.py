@@ -195,6 +195,11 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     w = k if weight is None else int(weight)
     if not 1 <= w <= k:
         raise ValueError(f"weight must be in [1, K], got {w}")
+    if max_row_weight is not None and pool_size * w > k * max_row_weight:
+        raise ValueError(
+            f"{pool_size} sequences of column_weight {w} fill {pool_size * w} "
+            f"row slots, more than the {k} rows x {max_row_weight} the "
+            "row-weight cap allows: lower column_weight or pool_size")
 
     def draw_pool():
         seqs = np.zeros((pool_size, k), dtype=complex)

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from unoma.allocation import AllocationInstance, build_preferences
+from unoma.allocation import AllocationInstance
 from unoma.geometry import db_to_linear, dbm_to_watts
 from unoma.noma_core import NomaPair
 
@@ -291,25 +291,27 @@ def slsqp_sca(matching, instance, scheme="noma", max_iters=100, tol=1e-6):
     return powers, rate, iterations
 
 
-def sequential_deferred_acceptance(instance, scheme="noma"):
-    """BS-proposing deferred acceptance on the package's preferences, one
-    proposal at a time from a queue of free BSs; each RB holds its tau best
-    proposers so far. Returns one RB index per BS, -1 for unmatched."""
-    bs_prefs, rb_prefs = build_preferences(instance, scheme)
-    rank = [{b: i for i, b in enumerate(row)} for row in rb_prefs.tolist()]
-    holders = [[] for _ in range(instance.n_rb)]
-    proposals = [0] * instance.n_bs
-    free = list(range(instance.n_bs))
+def sequential_deferred_acceptance(score, tau):
+    """BS-proposing deferred acceptance, both sides ranking by score (B, R),
+    best first, ties to the lower index; one proposal at a time from a queue
+    of free BSs; each RB holds its tau best proposers so far. Returns one RB
+    index per BS, -1 for unmatched."""
+    score = np.asarray(score).tolist()
+    n_bs, n_rb = len(score), len(score[0])
+    bs_prefs = [sorted(range(n_rb), key=lambda r: -row[r]) for row in score]
+    holders = [[] for _ in range(n_rb)]
+    proposals = [0] * n_bs
+    free = list(range(n_bs))
     while free:
         b = free.pop(0)
-        if proposals[b] == instance.n_rb:
+        if proposals[b] == n_rb:
             continue
-        r = int(bs_prefs[b][proposals[b]])
+        r = bs_prefs[b][proposals[b]]
         proposals[b] += 1
-        holders[r] = sorted(holders[r] + [b], key=rank[r].get)
-        if len(holders[r]) > instance.tau:
+        holders[r] = sorted(holders[r] + [b], key=lambda m: (-score[m][r], m))
+        if len(holders[r]) > tau:
             free.append(holders[r].pop())
-    src = [-1] * instance.n_bs
+    src = [-1] * n_bs
     for r, members in enumerate(holders):
         for b in members:
             src[b] = r

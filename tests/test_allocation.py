@@ -14,16 +14,16 @@ from oracles import (
     slsqp_sca,
     slsqp_surrogate_step,
 )
+import unoma.allocation as allocation
 from unoma.allocation import (
     AllocationInstance,
     InfeasibleError,
     Matching,
-    _capped_totals,
+    _capped_power,
     _da_seed,
     _padded,
     _pair_terms,
     _surrogate_step,
-    build_preferences,
     jain_fairness,
     match_rbs,
     rb_rates,
@@ -67,9 +67,9 @@ def _one_bs(g_far, g_near, sigma2=1.0):
 
 def _rates_on_rb0(inst, members, powers, scheme):
     """The kernel's (rates, total) of one co-channel set on RB 0."""
-    rates, totals = rb_rates(inst, np.array([members]), np.array([0]),
-                             np.array([powers], dtype=float), scheme)
-    return rates[0].tolist(), float(totals[0])
+    rates, totals = rb_rates(inst, np.array([members]).T, np.array([0]),
+                             np.array([powers], dtype=float).T, scheme)
+    return rates[:, 0].tolist(), float(totals[0])
 
 
 def test_noma_pair_rates_values():
@@ -123,11 +123,52 @@ def test_instance_validation():
             pair=inst.pair)
 
 
-def test_build_preferences_single_rb():
-    inst = random_instance(np.random.default_rng(4), 3, 1, tau=3)
-    bs_prefs, rb_prefs = build_preferences(inst)
-    assert all(p == [0] for p in bs_prefs)
-    assert sorted(rb_prefs[0]) == [0, 1, 2]
+def _alone_scores(inst, scheme):
+    """(B, R) total of every BS alone on every RB at the capped power: one
+    width-1 kernel set per (BS, RB) pair."""
+    bs, rb = np.divmod(np.arange(inst.n_bs * inst.n_rb), inst.n_rb)
+    sets = bs[None]
+    p = _capped_power(inst, sets, rb)
+    totals = rb_rates(inst, sets, rb, p[None], scheme)[1]
+    return totals.reshape(inst.n_bs, inst.n_rb)
+
+
+def test_solo_table_scores_every_bs_alone(monkeypatch):
+    """match_rbs scores once, at width tau, every BS alone on every RB: the
+    table DA ranks by and greedy starts from equals the width-1 kernel
+    scores bit for bit."""
+    seen = []
+
+    def da_seed(score, tau):
+        seen.append(score.copy())
+        return _da_seed(score, tau)
+
+    def greedy_seed(inst, solo, plus_each):
+        seen.append(solo.copy())
+        return greedy(inst, solo, plus_each)
+
+    greedy = allocation._greedy_seed
+    monkeypatch.setattr(allocation, "_da_seed", da_seed)
+    monkeypatch.setattr(allocation, "_greedy_seed", greedy_seed)
+    rng = np.random.default_rng(4)
+    cases = [random_instance(rng, 3, 1, tau=3)]  # one RB: every BS ranks it first
+    cases += [random_instance(rng, int(rng.integers(1, 9)),
+                              int(rng.integers(1, 5)), tau=int(rng.integers(1, 5)),
+                              threshold=10.0 ** rng.uniform(-12, -8))
+              for _ in range(30)]
+    data = preset_config("fig5").data
+    cases += [generate_instance(n, data, tau, np.random.default_rng(n))
+              for n in (12, 32) for tau in (1, 4)]
+    for inst in cases:
+        for scheme in ("noma", "oma"):
+            seen.clear()
+            match_rbs(inst, scheme)
+            score, solo = seen
+            want = _alone_scores(inst, scheme)
+            assert score.tobytes() == want.tobytes()
+            assert solo[:, :inst.n_bs].T.tobytes() == want.tobytes()
+            assert not solo[:, inst.n_bs].any()  # the empty sets' totals
+    assert _da_seed(_alone_scores(cases[0], "noma"), 3).tolist() == [0, 0, 0]
 
 
 def test_match_single_bs_single_rb():
@@ -150,8 +191,9 @@ def test_da_seed_matches_one_proposal_at_a_time():
     unmatched = 0
     for inst in cases:
         for scheme in ("noma", "oma"):
-            src = _da_seed(inst, scheme).tolist()
-            assert src == sequential_deferred_acceptance(inst, scheme)
+            score = _alone_scores(inst, scheme)
+            src = _da_seed(score, inst.tau).tolist()
+            assert src == sequential_deferred_acceptance(score, inst.tau)
             unmatched += src.count(-1)
     assert unmatched  # the case the test is meant to reach
 
@@ -182,17 +224,20 @@ def test_set_rate_kernel_matches_scalar_oracle():
     sets, rbs = np.array(sets), np.array(rbs)
     powers = rng.uniform(0.0, inst.p_max, sets.shape)
     powers[::5, 0] = 0.0  # some members silent
+    sets, powers = sets.T, powers.T  # slot-major, one set per column
     for scheme in ("noma", "oma"):
         rates, totals = rb_rates(inst, sets, rbs, powers, scheme)
-        capped = _capped_totals(inst, sets, rbs, scheme)
-        for row, (padded, r) in enumerate(zip(sets.tolist(), rbs.tolist())):
+        p = _capped_power(inst, sets, rbs)
+        capped = rb_rates(inst, sets, rbs, np.broadcast_to(p, sets.shape),
+                          scheme)[1]
+        for row, (padded, r) in enumerate(zip(sets.T.tolist(), rbs.tolist())):
             members = [b for b in padded if b < n_bs]
             want = pair_rates(inst, r, members,
-                              dict(zip(members, powers[row])), scheme)
-            np.testing.assert_allclose(rates[row, :len(members)],
+                              dict(zip(members, powers[:, row])), scheme)
+            np.testing.assert_allclose(rates[:len(members), row],
                                        [want[b] for b in members],
                                        rtol=1e-12, atol=0)
-            assert np.all(rates[row, len(members):] == 0.0)  # sentinel slots
+            assert np.all(rates[len(members):, row] == 0.0)  # sentinel slots
             np.testing.assert_allclose(totals[row], sum(want.values()),
                                        rtol=1e-12, atol=0)
             p = capped_equal_power(inst, r, members)
@@ -203,7 +248,7 @@ def test_set_rate_kernel_matches_scalar_oracle():
     # the cases the test is meant to reach
     assert np.any(sets == 2)
     assert any(0 < capped_equal_power(inst, 1, [b for b in row if b < n_bs])
-               < inst.p_max for row in sets[rbs == 1].tolist())
+               < inst.p_max for row in sets[:, rbs == 1].T.tolist())
 
 
 def test_match_is_exchange_stable():
@@ -337,8 +382,7 @@ def test_sca_matches_slsqp_oracle():
     for inst, scheme in _sca_cases():
         matching = match_rbs(inst, scheme)
         rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms])
-        sets = _padded(np.array(matching.bs_to_rb), rbs, inst.n_bs,
-                       inst.tau).T
+        sets = _padded(np.array(matching.bs_to_rb), rbs, inst.n_bs, inst.tau)
         h = np.vstack([inst.h_macro, np.zeros(inst.n_rb)])[sets, rbs]
         cap = inst.i_threshold[rbs]
         p = rng.uniform(0.05, 1.0, sets.shape) * inst.p_max

@@ -24,8 +24,7 @@ def _snapshot(tiers, drops):
                  for k in range(len(tiers))]
     counts = [np.array([len(drop[k]) for drop in drops])
               for k in range(len(tiers))]
-    return NetworkSnapshot(Region(500.0), tuple(tiers), tuple(positions),
-                           tuple(counts))
+    return NetworkSnapshot(tuple(tiers), tuple(positions), tuple(counts))
 
 
 def _winner(tiers, positions):

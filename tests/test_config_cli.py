@@ -271,6 +271,20 @@ def test_musa_alphabet_magnitudes(tmp_path, capsys):
         assert "error: musa matrix with k=4, n=6: alphabet" in capsys.readouterr().err
 
 
+def test_musa_default_column_weight_overfills_the_row_cap(tmp_path, capsys):
+    """At the default column_weight (K) a k=4, n=6 pool needs 24 row slots
+    and the cap of n - 1 per row allows 20: refused before drawing, naming
+    column_weight."""
+    path = tmp_path / "musa.json"
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=4,
+                                    n=6, q=4, matrix_params={})))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "column_weight" in capsys.readouterr().err
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "column_weight" in capsys.readouterr().err
+
+
 def test_allocation_config_checks():
     data = dict(preset_config("fig5").data)
     data["taus"] = [2, 0]

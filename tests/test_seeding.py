@@ -12,7 +12,7 @@ from oracles import reference_instance
 from unoma import config, engine
 from unoma.config import preset_config, validate_config
 from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
-from unoma.noma_core import MPA_CHUNK
+from unoma.noma_core import MPA_CHUNK, build_matrix, default_codebook
 
 _SCMA = {
     "kind": "link_level", "name": "scma", "seed": 11, "scheme": "scma",
@@ -114,10 +114,14 @@ def _record_builds(monkeypatch, module) -> list:
     return built
 
 
-def test_link_matrix_draws_from_the_matrix_stream(monkeypatch):
-    """Every point's MUSA sequences come from point_rng(master seed), not from
-    the point's block 0."""
-    data = dict(_MUSA, sweep={"variable": "snr_db", "values": [4.0, 8.0, 12.0]})
+_FOUR_POINTS = {"variable": "snr_db", "values": [0.0, 4.0, 8.0, 12.0]}
+
+
+def test_link_matrix_draws_from_the_matrix_stream(monkeypatch, tmp_path):
+    """A run's MUSA sequences come from point_rng(master seed), not from a
+    point's block 0."""
+    run = validate_config(dict(_MUSA, sweep=_FOUR_POINTS))
+    data = run.data
     states = []
 
     def record(scheme, k, n, params, rng):
@@ -126,31 +130,74 @@ def test_link_matrix_draws_from_the_matrix_stream(monkeypatch):
 
     build = engine.build_matrix
     monkeypatch.setattr(engine, "build_matrix", record)
-    values = data["sweep"]["values"]
-    for i, snr_db in enumerate(values):
-        engine._link_point(data, i, snr_db)
-    assert states == [point_rng(data["seed"]).bit_generator.state] * len(values)
-    for i in range(len(values)):
+    engine.run_experiment(run, tmp_path)
+    assert states == [point_rng(data["seed"]).bit_generator.state]
+    for i in range(len(_FOUR_POINTS["values"])):
         block_0, _ = next(trial_blocks(engine.subseed(data["seed"], i),
                                        data["trials"]))
         assert states[0] != block_0.bit_generator.state
 
 
-def test_validate_builds_the_matrix_every_point_detects(monkeypatch):
+def test_link_run_builds_matrix_and_codebook_once(monkeypatch, tmp_path):
+    """A 4-point MUSA run builds one matrix and one codebook for all its
+    points; validation keeps its own dry build."""
+    calls = []
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(f"{module.__name__}.{name}")
+            return func(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((config, "build_matrix"), (engine, "build_matrix"),
+                         (engine, "default_codebook")):
+        counted(module, name)
+    run = validate_config(dict(_MUSA, sweep=_FOUR_POINTS))
+    assert calls == ["unoma.config.build_matrix"]
+    calls.clear()
+    engine.run_experiment(run, tmp_path)
+    assert calls == ["unoma.engine.build_matrix",
+                     "unoma.engine.default_codebook"]
+
+
+def test_validate_builds_the_matrix_every_point_detects(monkeypatch, tmp_path):
     """validate_config's dry build is the experiment's one matrix: for MUSA
     at seeds 0-9, each sweep point detects with exactly that matrix."""
     validated = _record_builds(monkeypatch, config)
-    detected = _record_builds(monkeypatch, engine)
+    detect, detected = engine.mpa_detect_batch, []
+
+    def record(received, matrix, *args, **kwargs):
+        detected.append(matrix)
+        return detect(received, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "mpa_detect_batch", record)
     for seed in range(10):
         validated.clear()
         detected.clear()
-        data = validate_config(dict(_MUSA, seed=seed)).data
-        for i, snr_db in enumerate(data["sweep"]["values"]):
-            engine._link_point(data, i, snr_db)
+        engine.run_experiment(validate_config(dict(_MUSA, seed=seed)), tmp_path)
         assert len(validated) == 1 and len(detected) == 2
         for matrix in detected:
             assert np.array_equal(matrix.coefficients,
                                   validated[0].coefficients), seed
+
+
+@pytest.mark.parametrize("kind", sorted(_configs()))
+def test_tasks_carry_the_point_index_at_position_2(kind, monkeypatch, tmp_path):
+    """benchmarks/sweep.py keys point timings on args[0][2] of
+    engine._run_point: in a serial run it reads 0, 1, ..., P - 1 in order."""
+    run_point, indices = engine._run_point, []
+
+    def record(args):
+        indices.append(args[2])
+        return run_point(args)
+
+    monkeypatch.setattr(engine, "_run_point", record)
+    data = _configs()[kind]
+    engine.run_experiment(validate_config(data), tmp_path, workers=1)
+    assert indices == list(range(len(data["sweep"]["values"])))
 
 
 def test_link_point_memory_bounded_by_mpa_group():
@@ -158,11 +205,14 @@ def test_link_point_memory_bounded_by_mpa_group():
     received vectors and marginals of 8 * MPA_CHUNK trials (a point holding
     every trial at once peaks about 2.1 times higher at 8 than at 1)."""
     data = dict(_SCMA, k=3, n=3, q=2)
+    matrix = build_matrix("scma", 3, 3, data["matrix_params"])
+    codebook = default_codebook(matrix, 2)
 
     def peak(trials):
         tracemalloc.start()
         try:
-            engine._link_point(dict(data, trials=trials), 0, 8.0)
+            engine._link_point(dict(data, trials=trials), 0, 8.0, matrix,
+                               codebook)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
