@@ -42,14 +42,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class InfeasibleError(ValueError):
-    """Raised when no positive power satisfies the constraints."""
-
-    def __init__(self, message: str, constraint: str):
-        super().__init__(message)
-        self.constraint = constraint
-
-
 def jain_fairness(values) -> float:
     """Jain's index (sum x)^2 / (n sum x^2); 1 for equal shares (all 0
     included), 1/n for one."""
@@ -65,10 +57,10 @@ def jain_fairness(values) -> float:
 
 
 class _Tables(NamedTuple):
-    """An instance's gains padded with a sentinel BS, index n_bs, whose gains,
-    cross gains and macro gain are all 0, and with the cross-gain diagonal set
-    to 0. A sentinel slot or a BS's own slot in a co-channel set then adds an
-    exact +0.0 to every sum, so no mask is needed."""
+    """An instance's gains padded with a sentinel BS, index n_bs, whose gains
+    are all 0. The own gains are the link tensors' diagonals, which the cross
+    tables set to 0. A sentinel slot or a BS's own slot in a co-channel set
+    then adds an exact +0.0 to every sum, so no mask is needed."""
 
     g_near: np.ndarray  # (B + 1, R)
     g_far: np.ndarray  # (B + 1, R)
@@ -81,15 +73,14 @@ class _Tables(NamedTuple):
 class AllocationInstance:
     """One resource-allocation problem over small-cell BSs and RBs.
 
-    g_near/g_far: (B, R) own-link gains per BS and RB.
-    x_near/x_far: (B, B, R) cross gains, [tx BS, rx BS's user, RB]; the
-    diagonal (a BS's own users) is ignored.
+    x_near/x_far: (B, B, R) link gains, [tx BS, rx BS's user, RB];
+    x[b, b, r] is BS b's own link.
     h_macro: (B, R) gain from each BS to the protected macro user per RB.
-    i_threshold: (R,) received-interference cap at the macro user (watts).
+    i_threshold: (R,) received-interference cap at the macro user (watts);
+    an RB whose cap is 0 is closed: a set on it that the macro user hears
+    stays silent.
     """
 
-    g_near: np.ndarray
-    g_far: np.ndarray
     x_near: np.ndarray
     x_far: np.ndarray
     h_macro: np.ndarray
@@ -100,30 +91,30 @@ class AllocationInstance:
     pair: NomaPair  # every BS's power split
 
     def __post_init__(self):
-        b, r = np.shape(self.g_near)
-        if np.shape(self.g_far) != (b, r) or np.shape(self.h_macro) != (b, r):
-            raise ValueError("g_far/h_macro must match g_near shape (B, R)")
+        b, r = np.shape(self.h_macro)
         if np.shape(self.x_near) != (b, b, r) or np.shape(self.x_far) != (b, b, r):
-            raise ValueError("cross-gain arrays must have shape (B, B, R)")
+            raise ValueError("link-gain arrays must have shape (B, B, R)")
         if np.shape(self.i_threshold) != (r,):
             raise ValueError("i_threshold must have shape (R,)")
+        if not np.all(np.asarray(self.i_threshold) >= 0):
+            raise ValueError("i_threshold must be >= 0")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be > 0")
         if self.p_max <= 0:
             raise ValueError("p_max must be > 0")
-        for arr in (self.g_near, self.g_far, self.x_near, self.x_far, self.h_macro):
+        for arr in (self.x_near, self.x_far, self.h_macro):
             if np.any(np.asarray(arr) < 0):
                 raise ValueError("gains must be >= 0")
 
     @property
     def n_bs(self) -> int:
-        return self.g_near.shape[0]
+        return self.h_macro.shape[0]
 
     @property
     def n_rb(self) -> int:
-        return self.g_near.shape[1]
+        return self.h_macro.shape[1]
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -137,10 +128,11 @@ class AllocationInstance:
             return out
 
         x_near, x_far = pad(self.x_near), pad(self.x_far)
-        x_near[np.arange(b_n), np.arange(b_n)] = 0.0
-        x_far[np.arange(b_n), np.arange(b_n)] = 0.0
-        return _Tables(pad(self.g_near), pad(self.g_far), pad(self.h_macro),
-                       x_near, x_far)
+        own = np.arange(b_n + 1)
+        g_near, g_far = x_near[own, own], x_far[own, own]
+        x_near[own, own] = 0.0
+        x_far[own, own] = 0.0
+        return _Tables(g_near, g_far, pad(self.h_macro), x_near, x_far)
 
 
 class _Term(NamedTuple):
@@ -150,21 +142,19 @@ class _Term(NamedTuple):
         share p gain / (own p gain + sum_j p[j] cross[j] + sigma2),
 
     own being 0 where it is None, and its rate is weight log2(1 + SINR);
-    cross[j] is the gain from member j to member i's user. A float stands
-    for an array of that value."""
+    cross[j] is the gain from member j to member i's user."""
 
-    weight: np.ndarray | float  # (k, n)
-    share: np.ndarray | float  # (k, n) power share of the user's signal
+    weight: float
+    share: float  # power share of the user's signal
     gain: np.ndarray  # (k, n)
     cross: np.ndarray  # (k, k, n) [tx slot, rx slot, row]
-    own: np.ndarray | None = None  # (k, n) own power share heard as noise
+    own: float | None = None  # own power share heard as noise
 
 
 def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
     """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
-    indices padded with the sentinel index n_bs, on RBs rbs (n,). A BS with
-    g_far == 0 serves a single user (no pair): full power, full slot, in both
-    schemes. The sentinel's power split does not matter: its gains are 0."""
+    indices padded with the sentinel index n_bs, on RBs rbs (n,). A zero
+    gain gives a term of log2(1) = 0, so the sentinel needs no case."""
     if scheme not in ("noma", "oma"):
         raise ValueError(f"unknown scheme {scheme!r}")
     tab, b_n, r_n = instance._tables, instance.n_bs, instance.n_rb
@@ -172,18 +162,14 @@ def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
     cross = (sets[:, None] * (b_n + 1) + sets[None]) * r_n + rbs  # [tx, rx, row]
     x_far, x_near = tab.x_far.take(cross), tab.x_near.take(cross)
     g_far, g_near = tab.g_far.take(own), tab.g_near.take(own)
-    single = g_far == 0.0
     if scheme == "noma":
         # the far user decodes its share treating the near user's as noise;
-        # the near user cancels the far share first (SIC). A single user
-        # takes the near term at a_n = 1; its far term is log2(1) = 0.
-        a_n = np.where(single, 1.0, instance.pair.a_n)
-        return (_Term(1.0, instance.pair.a_m, g_far, x_far, own=a_n),
+        # the near user cancels the far share first (SIC)
+        a_m, a_n = instance.pair.a_m, instance.pair.a_n
+        return (_Term(1.0, a_m, g_far, x_far, own=a_n),
                 _Term(1.0, a_n, g_near, x_near))
-    # equal time sharing: each user gets half the slot at full power; a
-    # single user gets the whole slot, its far term being log2(1) = 0
-    return (_Term(0.5, 1.0, g_far, x_far),
-            _Term(np.where(single, 1.0, 0.5), 1.0, g_near, x_near))
+    # equal time sharing: each user gets half the slot at full power
+    return (_Term(0.5, 1.0, g_far, x_far), _Term(0.5, 1.0, g_near, x_near))
 
 
 def _sinr(term: _Term, p: np.ndarray, sigma2: float):
@@ -227,8 +213,8 @@ def rb_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
 def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
     """Cap-scaled equal power, one per column of the slot-major sets (k, n):
     every member at p_max, scaled down uniformly so that the set's load at
-    the macro user stays below i_threshold (0 where that is not positive). It
-    scores candidate sets during matching (the true powers are only known
+    the macro user stays below i_threshold: 0 on a closed RB, whose cap is 0.
+    It scores candidate sets during matching (the true powers are only known
     after SCA) and is where SCA starts."""
     h = np.zeros(len(rbs))
     for slot in sets:
@@ -237,8 +223,7 @@ def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
     t = instance.i_threshold[rbs]
     over = (load > 0) & np.isfinite(t) & (load > t)
     p = np.full(len(rbs), instance.p_max)
-    p[over] = np.where(t[over] <= 0, 0.0,
-                       instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9))
+    p[over] = instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9)
     return p
 
 
@@ -508,7 +493,9 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     Powers start at _capped_power. Each outer iteration re-linearizes and
     solves the surrogate on every RB (_surrogate_step); an RB's candidate is
     kept only if its true sum rate does not decrease, so the reported
-    objective history is non-decreasing by construction.
+    objective history is non-decreasing by construction. The members of a
+    closed RB (cap 0, a member heard by the macro user) get power and rate
+    0, as _capped_power scores them.
     """
     b_n, r_n = instance.n_bs, instance.n_rb
     src = np.asarray(matching.bs_to_rb, dtype=np.intp)
@@ -517,12 +504,9 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     sets = _padded(src, rbs, b_n, int(counts.max(initial=1)))
     h = instance._tables.h_macro.take(sets * r_n + rbs)
     cap = instance.i_threshold[rbs]
-    blocked = (cap < 0) | ((cap == 0) & np.any(h > 0, axis=0))
-    if blocked.any():
-        r = int(rbs[np.argmax(blocked)])
-        raise InfeasibleError(
-            f"no positive power meets the interference cap on RB {r}",
-            constraint=f"i_threshold[{r}]")
+    closed = (cap == 0) & np.any(h > 0, axis=0)
+    if closed.any():  # left out of the solve: their members keep power 0
+        rbs, sets, h, cap = (a[..., ~closed] for a in (rbs, sets, h, cap))
     p = np.repeat(_capped_power(instance, sets, rbs)[None], len(sets), axis=0)
     terms = _pair_terms(instance, sets, rbs, scheme)
     rates, totals = _rates(terms, p, instance.sigma2)

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import PRESETS, ConfigError, load_config, preset_config
-from .engine import default_output_dir, run_experiment
+from .engine import run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,7 +26,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # run's and preset's
-    shared.add_argument("--output", default=None, help="output directory")
+    shared.add_argument("--output", default="out", help="output directory")
     for key, what in (("seed", "master seed"), ("workers", "worker count"),
                       ("trials", "trials per sweep point")):
         shared.add_argument(f"--{key}", type=int, default=None,
@@ -65,9 +65,8 @@ def main(argv=None) -> int:
         print(f"{args.config}: ok")
         return EXIT_OK
 
-    output = args.output if args.output is not None else default_output_dir()
     try:
-        csv_path, manifest_path, _ = run_experiment(config, output)
+        csv_path, manifest_path, _ = run_experiment(config, args.output)
     except Exception as exc:  # noqa: BLE001 - report and map to exit code
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -126,7 +126,10 @@ def _validate_common(data: dict):
     _require(data, "seed", int, lambda s: s >= 0, "must be >= 0")
     _require(data, "trials", int, lambda t: t >= 1, "trials must be >= 1")
     _require(data, "workers", int, lambda w: w >= 1, "must be >= 1")
-    _require(data, "name", str, lambda n: len(n) > 0, "must be non-empty")
+    _require(data, "name", str,
+             lambda n: n not in ("", ".", "..") and not set("/\\\0") & set(n),
+             "must be a file name: not empty, '.' or '..', and without '/', "
+             "'\\' or NUL")
     return kind
 
 

@@ -15,9 +15,8 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,8 +60,6 @@ _HEADERS = {
                          "seed"],
     "link_level": ["snr_db", "ser", "trials", "seed"],
 }
-
-OUTPUT_ENV_VAR = "UNOMA_OUTPUT_DIR"
 
 
 def config_hash(data: dict) -> str:
@@ -114,7 +111,9 @@ _CONVENTIONS = {
                          "RB only if that RB's sum rate does not fall; the "
                          "outer loop stops when the total gains less than "
                          + np.format_float_scientific(_SCA_TOL, trim="-", exp_digits=1)
-                         + f" of itself, or after {_MAX_SCA_ITERS} iterations",
+                         + f" of itself, or after {_MAX_SCA_ITERS} iterations; "
+                         "an RB whose cap is 0 keeps the members the macro "
+                         "user hears silent, at power and rate 0",
     },
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "
@@ -133,21 +132,6 @@ _SEEDING = ("sweep point i's sub-seed is the first 8 bytes of SHA-256 of "
             "numpy.random.SeedSequence([point sub-seed, b]), in trial order; "
             "a link-level experiment has one spreading matrix (MUSA sequences), "
             "from numpy.random.SeedSequence(master seed, spawn_key=(1,))")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    version: str
-    master_seed: int
-    started: str
-    finished: str
-    point_seeds: tuple
-    conventions: dict
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1)
 
 
 def generate_instance(n_small: int, data: dict, tau: int,
@@ -179,7 +163,6 @@ def generate_instance(n_small: int, data: dict, tau: int,
     # every BS to every BS's near and far user; the diagonal is the own links
     x_near = gains(bs_pos, users[:, 0])
     x_far = gains(bs_pos, users[:, 1])
-    own = np.arange(n_small)
     h_macro = gains(bs_pos, macro_user[None, :])[:, 0, :]
 
     # Python floats on purpose: link_distances' axis norm and a numpy power
@@ -188,8 +171,8 @@ def generate_instance(n_small: int, data: dict, tau: int,
         float(np.linalg.norm(macro_user)), DISTANCE_FLOOR_M) ** (-alpha)
     threshold = signal / db_to_linear(data["protection_ratio_db"])
     return AllocationInstance(
-        g_near=x_near[own, own], g_far=x_far[own, own], x_near=x_near,
-        x_far=x_far, h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
+        x_near=x_near, x_far=x_far, h_macro=h_macro,
+        i_threshold=np.full(n_rb, threshold),
         tau=tau, p_max=dbm_to_watts(data["small_power_dbm"]),
         sigma2=data["sigma2_w"], pair=NomaPair(data["a_m"], data["a_n"]))
 
@@ -259,8 +242,8 @@ def _run_point(args):
 def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = None):
     """Execute the experiment; writes <name>.csv and <name>_manifest.json.
 
-    Returns (csv_path, manifest_path, RunManifest). Identical config and seed
-    produce byte-identical CSV regardless of worker count.
+    Returns (csv_path, manifest_path, the manifest dict). Identical config
+    and seed produce byte-identical CSV regardless of worker count.
     """
     data = config.data
     n_workers = workers if workers is not None else config.workers
@@ -282,19 +265,16 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
     rows = [row for point_rows in per_point for row in point_rows]
     csv_path = out / f"{config.name}.csv"
     write_csv(csv_path, _HEADERS[config.kind], rows)
-    manifest = RunManifest(
-        config_hash=config_hash(data),
-        version=__version__,
-        master_seed=config.seed,
-        started=started,
-        finished=datetime.now(timezone.utc).isoformat(),
-        point_seeds=tuple(subseed(config.seed, i) for i in range(len(values))),
-        conventions={**_CONVENTIONS[config.kind], "seeding": _SEEDING},
-    )
+    manifest = {
+        "config_hash": config_hash(data),
+        "version": __version__,
+        "master_seed": config.seed,
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "point_seeds": [subseed(config.seed, i) for i in range(len(values))],
+        "conventions": {**_CONVENTIONS[config.kind], "seeding": _SEEDING},
+    }
     manifest_path = out / f"{config.name}_manifest.json"
-    manifest.save(manifest_path)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=1)
     return csv_path, manifest_path, manifest
-
-
-def default_output_dir() -> str:
-    return os.environ.get(OUTPUT_ENV_VAR, "out")

@@ -57,14 +57,14 @@ def random_instance(rng, n_bs, n_rb, tau, p_max=0.2, sigma2=1e-9,
     g_far = g_near * rng.uniform(0.05, 0.8, (n_bs, n_rb))
     x_near = rng.exponential(1.0, (n_bs, n_bs, n_rb)) * 1e-8
     x_far = rng.exponential(1.0, (n_bs, n_bs, n_rb)) * 1e-8
-    for i in range(n_bs):
-        x_near[i, i, :] = 0.0
-        x_far[i, i, :] = 0.0
+    for i in range(n_bs):  # the own links
+        x_near[i, i, :] = g_near[i]
+        x_far[i, i, :] = g_far[i]
     h_macro = rng.exponential(1.0, (n_bs, n_rb)) * 1e-9
     return AllocationInstance(
-        g_near=g_near, g_far=g_far, x_near=x_near, x_far=x_far,
-        h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
-        tau=tau, p_max=p_max, sigma2=sigma2, pair=NomaPair(a_m, a_n))
+        x_near=x_near, x_far=x_far, h_macro=h_macro,
+        i_threshold=np.full(n_rb, threshold), tau=tau, p_max=p_max,
+        sigma2=sigma2, pair=NomaPair(a_m, a_n))
 
 
 def reference_instance(n_small, data, tau, rng):
@@ -94,14 +94,13 @@ def reference_instance(n_small, data, tau, rng):
 
     x_near = gains(bs_pos, user_pos[:, 0, :])
     x_far = gains(bs_pos, user_pos[:, 1, :])
-    own = np.arange(n_small)
     h_macro = gains(bs_pos, macro_user[None, :])[:, 0, :]
     d_macro = max(float(np.linalg.norm(macro_user)), 1.0)
     signal = dbm_to_watts(data["macro_power_dbm"]) * d_macro ** (-alpha)
     threshold = signal / db_to_linear(data["protection_ratio_db"])
     return AllocationInstance(
-        g_near=x_near[own, own], g_far=x_far[own, own], x_near=x_near,
-        x_far=x_far, h_macro=h_macro, i_threshold=np.full(n_rb, threshold),
+        x_near=x_near, x_far=x_far, h_macro=h_macro,
+        i_threshold=np.full(n_rb, threshold),
         tau=tau, p_max=dbm_to_watts(data["small_power_dbm"]),
         sigma2=data["sigma2_w"], pair=NomaPair(data["a_m"], data["a_n"]))
 
@@ -111,8 +110,8 @@ def pair_rates(instance, rb, members, powers, scheme="noma"):
 
     NOMA: the far user decodes its a_m share treating the near user's a_n
     share as noise; the near user cancels the far share first (SIC). OMA:
-    each user gets half the slot at full power. A BS with g_far == 0 serves
-    one user alone over the whole slot. powers maps BS -> watts."""
+    each user gets half the slot at full power. A BS's own gains are the
+    diagonals x_near[b, b] and x_far[b, b]. powers maps BS -> watts."""
     s2 = instance.sigma2
     rates = {}
     for b in members:
@@ -122,12 +121,10 @@ def pair_rates(instance, rb, members, powers, scheme="noma"):
             if other != b:
                 i_far += powers[other] * instance.x_far[other, b, rb]
                 i_near += powers[other] * instance.x_near[other, b, rb]
-        g_far, g_near = instance.g_far[b, rb], instance.g_near[b, rb]
+        g_far, g_near = instance.x_far[b, b, rb], instance.x_near[b, b, rb]
         a_m, a_n = instance.pair.a_m, instance.pair.a_n
         if p <= 0:
             rates[b] = 0.0
-        elif g_far == 0:
-            rates[b] = math.log2(1 + p * g_near / (i_near + s2))
         elif scheme == "noma":
             sinr_far = a_m * p * g_far / (a_n * p * g_far + i_far + s2)
             sinr_near = a_n * p * g_near / (i_near + s2)
@@ -192,16 +189,15 @@ def sca_terms(instance, rb, members, scheme="noma"):
                        for b2 in members])
         xn = np.array([instance.x_near[b2, b, rb] if b2 != b else 0.0
                        for b2 in members])
-        if instance.g_far[b, rb] == 0.0:
-            terms.append((1.0, i, instance.g_near[b, rb], xn))
-        elif scheme == "noma":
+        g_far, g_near = instance.x_far[b, b, rb], instance.x_near[b, b, rb]
+        if scheme == "noma":
             den_far = xf.copy()
-            den_far[i] += pair.a_n * instance.g_far[b, rb]
-            terms.append((1.0, i, pair.a_m * instance.g_far[b, rb], den_far))
-            terms.append((1.0, i, pair.a_n * instance.g_near[b, rb], xn))
+            den_far[i] += pair.a_n * g_far
+            terms.append((1.0, i, pair.a_m * g_far, den_far))
+            terms.append((1.0, i, pair.a_n * g_near, xn))
         else:
-            terms.append((0.5, i, instance.g_far[b, rb], xf))
-            terms.append((0.5, i, instance.g_near[b, rb], xn))
+            terms.append((0.5, i, g_far, xf))
+            terms.append((0.5, i, g_near, xn))
     return [t for t in terms if t[2] > 0]
 
 

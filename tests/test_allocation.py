@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from oracles import (
 import unoma.allocation as allocation
 from unoma.allocation import (
     AllocationInstance,
-    InfeasibleError,
     Matching,
     _capped_power,
     _da_seed,
@@ -58,10 +58,9 @@ def test_jain_scale_invariant(values, scale):
 
 def _one_bs(g_far, g_near, sigma2=1.0):
     """Instance with one BS on one RB, unit power cap, no cap on interference."""
-    zero = np.zeros((1, 1, 1))
     return AllocationInstance(
-        g_near=np.array([[g_near]]), g_far=np.array([[g_far]]), x_near=zero,
-        x_far=zero, h_macro=np.zeros((1, 1)), i_threshold=np.array([np.inf]),
+        x_near=np.full((1, 1, 1), g_near), x_far=np.full((1, 1, 1), g_far),
+        h_macro=np.zeros((1, 1)), i_threshold=np.array([np.inf]),
         tau=1, p_max=1.0, sigma2=sigma2, pair=NomaPair(0.6, 0.4))
 
 
@@ -87,23 +86,6 @@ def test_oma_pair_rates_values():
     assert total == pytest.approx(0.5 * math.log2(11.0) + 0.5 * math.log2(31.0))
 
 
-def test_singleton_bs_same_rate_in_both_schemes():
-    rng = np.random.default_rng(0)
-    inst = random_instance(rng, 2, 2, tau=2)
-    g_far = inst.g_far.copy()
-    g_far[0, :] = 0.0  # BS 0 serves a single user
-    inst = AllocationInstance(
-        g_near=inst.g_near, g_far=g_far, x_near=inst.x_near,
-        x_far=inst.x_far, h_macro=inst.h_macro,
-        i_threshold=inst.i_threshold, tau=inst.tau, p_max=inst.p_max,
-        sigma2=inst.sigma2, pair=inst.pair)
-    noma = _rates_on_rb0(inst, [0], [inst.p_max], "noma")[1]
-    oma = _rates_on_rb0(inst, [0], [inst.p_max], "oma")[1]
-    assert noma == pytest.approx(oma)
-    assert noma == pytest.approx(
-        math.log2(1 + inst.p_max * inst.g_near[0, 0] / inst.sigma2))
-
-
 def test_rb_rates_unknown_scheme():
     inst = random_instance(np.random.default_rng(1), 2, 2, tau=1)
     with pytest.raises(ValueError):
@@ -116,11 +98,10 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         replace(inst, tau=0)
     with pytest.raises(ValueError):
-        AllocationInstance(
-            g_near=inst.g_near, g_far=inst.g_far[:, :1], x_near=inst.x_near,
-            x_far=inst.x_far, h_macro=inst.h_macro,
-            i_threshold=inst.i_threshold, tau=1, p_max=0.2, sigma2=1e-9,
-            pair=inst.pair)
+        replace(inst, x_far=inst.x_far[:, :, :1])
+    for cap in (-1e-12, np.nan):  # a cap no power can meet, and none at all
+        with pytest.raises(ValueError, match="i_threshold"):
+            replace(inst, i_threshold=np.array([1e-10, cap]))
 
 
 def _alone_scores(inst, scheme):
@@ -210,10 +191,10 @@ def test_set_rate_kernel_matches_scalar_oracle():
     rng = np.random.default_rng(12)
     n_bs, tau = 7, 3
     inst = random_instance(rng, n_bs, 3, tau=tau)
-    g_far = inst.g_far.copy()
-    g_far[2, :] = 0.0  # BS 2 serves a single user
+    x_far = inst.x_far.copy()
+    x_far[2, 2, :] = 0.0  # BS 2's far user hears nothing: a zero far term
     # RB 1's cap binds for most sets; RB 2 allows no power at all
-    inst = replace(inst, g_far=g_far, i_threshold=np.array([np.inf, 1e-10, 0.0]))
+    inst = replace(inst, x_far=x_far, i_threshold=np.array([np.inf, 1e-10, 0.0]))
     sets, rbs = [], []
     for r in range(inst.n_rb):
         for size in range(tau + 1):
@@ -333,13 +314,26 @@ def test_sca_improves_on_full_power_when_capped():
     assert sol.sum_rate >= base - 1e-9
 
 
-def test_infeasible_threshold_raises():
+def test_closed_rb_is_silent():
+    """On an RB whose cap is 0, the members the macro user hears get power
+    and rate 0, as the matcher scores them, with no warning; an open RB
+    beside it is solved as usual."""
     rng = np.random.default_rng(9)
-    inst = random_instance(rng, 2, 1, tau=2, threshold=0.0)
-    matching = match_rbs(inst)
-    with pytest.raises(InfeasibleError) as exc:
-        sca_power_control(matching, inst)
-    assert "i_threshold" in exc.value.constraint
+    inst = random_instance(rng, 4, 2, tau=2, threshold=0.0)
+    matching = Matching((0, 0, 1, 1), n_rb=2, tau=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in ("noma", "oma"):
+            m, sol = solve_instance(inst, scheme)
+            assert min(m.bs_to_rb) >= 0  # every BS on a closed RB
+            assert not sol.powers.any() and not sol.per_bs_rates.any()
+            assert sol.sum_rate == 0.0 and sol.converged
+            sol = sca_power_control(
+                matching, replace(inst, i_threshold=np.array([0.0, np.inf])),
+                scheme)
+            assert not sol.powers[:2].any() and not sol.per_bs_rates[:2].any()
+            assert np.all((sol.powers[2:] > 0) & (sol.powers[2:] <= inst.p_max))
+            assert np.all(sol.per_bs_rates[2:] > 0)
 
 
 def test_oma_baseline_consistent():
@@ -353,8 +347,8 @@ def test_oma_baseline_consistent():
 
 def _sca_cases():
     """(instance, scheme) pairs for the SLSQP comparison: random instances
-    with tau 1 to 3, caps that bind and caps that do not, BSs with
-    g_far == 0; and fig5-scale instances."""
+    with tau 1 to 3, caps that bind and caps that do not, BSs with a zero
+    far gain; and fig5-scale instances."""
     rng = np.random.default_rng(77)
     cases = []
     for k in range(12):
@@ -363,9 +357,9 @@ def _sca_cases():
                                int(rng.integers(1, 4)), tau=tau,
                                threshold=np.inf if k % 2 else 1e-10)
         if k % 4 < 2:
-            g_far = inst.g_far.copy()
-            g_far[0, :] = 0.0  # BS 0 serves a single user
-            inst = replace(inst, g_far=g_far)
+            x_far = inst.x_far.copy()
+            x_far[0, 0, :] = 0.0  # BS 0's far user hears nothing
+            inst = replace(inst, x_far=x_far)
         cases += [(inst, "noma"), (inst, "oma")]
     data = preset_config("fig5").data
     for n, tau in ((12, 2), (32, 3)):
@@ -396,7 +390,7 @@ def test_sca_matches_slsqp_oracle():
             got = cand[:len(members), col]
             binding += bool(np.isfinite(cap[col])
                             and got @ h[:len(members), col] > 0.999 * cap[col])
-            single += bool(np.any(inst.g_far[members, r] == 0.0))
+            single += bool(np.any(inst.x_far[members, members, r] == 0.0))
             rate = [sum(pair_rates(inst, r, members, dict(zip(members, pw)),
                                    scheme).values()) for pw in (got, want)]
             np.testing.assert_allclose(rate[0], rate[1], rtol=1e-9, atol=0)

@@ -155,6 +155,21 @@ def test_matrix_params_must_be_whole_numbers(tmp_path):
     validate_config(dict(scma, matrix_params={"column_weight": 2.0}))
 
 
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "..", ".", "a\\b",
+                                  "a\0b"])
+def test_name_must_be_a_file_name(tmp_path, name):
+    """A name that is not a plain file name would put the CSV in another
+    directory, or in none: validate and run refuse it, and nothing is
+    written."""
+    path = tmp_path / "cfg" / "cfg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(_tiny_link_config(), name=name)))
+    out = tmp_path / "out" / "deep"
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "cfg.json"]
+
+
 def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
     """A link-level config whose MPA chunk would exceed MPA_MEMORY_BUDGET on
     its densest RB fails validate and run, before any detection."""
@@ -564,6 +579,33 @@ def test_cli_run_allocation_with_every_rate_zero(tmp_path):
         assert float(values["fairness"]) == 1.0
     conventions = json.loads((out / "zero_manifest.json").read_text())["conventions"]
     assert "all 0 has fairness 1" in conventions["fairness"]
+
+
+def test_cli_run_allocation_with_closed_rbs(tmp_path):
+    """Path loss so steep that the macro user's signal, and so every cap,
+    underflows to 0: an RB is then closed to every set the macro user hears,
+    whose members stay silent, and the run completes. Only a BS whose near
+    user lies within the 1 m distance floor keeps a rate above 0."""
+    data = dict(preset_config("fig5").data, name="closed", trials=1, alpha=150)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    rows = (out / "closed.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    zero = 0
+    for row in rows[1:]:
+        values = dict(zip(header, row.split(",")))
+        rate, fairness = float(values["sum_rate"]), float(values["fairness"])
+        assert rate >= 0.0
+        assert 1.0 / int(values["n_small_cells"]) <= fairness <= 1.0
+        assert rate > 0.0 or fairness == 1.0
+        zero += rate == 0.0
+    assert zero  # the case the test is meant to reach
+    conventions = json.loads((out / "closed_manifest.json").read_text())["conventions"]
+    assert "cap is 0 keeps the members the macro user hears silent" \
+        in conventions["power_control"]
 
 
 def test_cli_run_association(tmp_path):

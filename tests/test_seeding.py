@@ -89,7 +89,7 @@ def test_generate_instance_matches_the_per_bs_draw():
     reference bit for bit, and leaves the generator where the reference does,
     so the later trials of a block are unchanged too."""
     data = preset_config("fig5").data
-    arrays = ("g_near", "g_far", "x_near", "x_far", "h_macro", "i_threshold")
+    arrays = ("x_near", "x_far", "h_macro", "i_threshold")
     for seed in range(200):
         for n in (1, 2, 12, 32):
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))

@@ -1,7 +1,7 @@
 """Guards on the package's shape: every public name it defines must be used
 by the package itself or by the acceptance suite, nothing it runs may need
-scipy, every seed goes through the one seeding rule, and every name the traced
-benchmark harness wraps exists."""
+scipy, every seed goes through the one seeding rule, nothing reads the
+environment, and every name the traced benchmark harness wraps exists."""
 
 import ast
 import importlib.util
@@ -118,6 +118,23 @@ def test_seed_sequences_only_in_the_seeding_rule():
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
     assert inside > 0 and outside == [], f"seeded outside point_rng at {outside}"
+
+
+def test_no_module_reads_the_environment():
+    """No os.environ, os.environb or os.getenv anywhere in the package, so an
+    environment knob beside the config and the command line cannot come back
+    unnoticed."""
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module == "os"
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     and getattr(node.value, "id", None) == "os" else [])
+            offenders += [f"{path.name}:{node.lineno} os.{name}"
+                          for name in names if name in knobs]
+    assert offenders == [], f"the environment is read at {offenders}"
 
 
 def test_names_the_traced_harness_wraps_exist(monkeypatch):
