@@ -221,7 +221,7 @@ def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
         h = h + instance._tables.h_macro.take(slot * instance.n_rb + rbs)
     load = instance.p_max * h
     t = instance.i_threshold[rbs]
-    over = (load > 0) & np.isfinite(t) & (load > t)
+    over = load > t
     p = np.full(len(rbs), instance.p_max)
     p[over] = instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9)
     return p

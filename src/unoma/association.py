@@ -22,37 +22,29 @@ from .metrics import Z_95, trial_blocks
 def associate_user(user_pos, snapshot: NetworkSnapshot):
     """Associate one user per drop of the snapshot; user_pos is (drops, 2).
 
-    Returns (tier, bs) integer arrays of length drops: the index into
-    snapshot.tiers and the BS index within that tier's drop of the BS with
-    the largest average received power at the drop's user, ties broken by
-    tier order then lowest BS index. Drops without a BS get tier -1 and bs -1.
+    Returns an integer array of length drops: the index into snapshot.tiers
+    whose nearest BS gives the largest average received power at the drop's
+    user (a tier's strongest BS is its nearest), ties going to the earlier
+    tier; -1 for a drop without a BS.
     """
     if snapshot.n_bs == 0:
         raise ValueError("cannot associate in an empty network")
     probes = np.reshape(np.asarray(user_pos, dtype=float), (snapshot.n_drops, 2))
     best_p = np.full(snapshot.n_drops, -math.inf)
     best_tier = np.full(snapshot.n_drops, -1)
-    best_bs = np.full(snapshot.n_drops, -1)
     for k, (tier, positions, counts) in enumerate(
             zip(snapshot.tiers, snapshot.bs_positions, snapshot.bs_counts)):
         if len(positions) == 0:
             continue
         d = link_distances(np.repeat(probes, counts, axis=0), positions)
-        p = avg_received_power(tier.tx_power_w, tier.array_gain, d,
-                               tier.path_loss_exponent)
         drops = np.flatnonzero(counts)  # empty drops have no segment
-        starts = (np.cumsum(counts) - counts)[drops]
-        top = np.maximum.reduceat(p, starts)
-        # Segments are contiguous and in drop order, so the first position at
-        # or after a segment's start that attains its maximum is the lowest
-        # index attaining it.
-        hits = np.flatnonzero(p == np.repeat(top, counts[drops]))
-        first = hits[np.searchsorted(hits, starts)]
-        win = top > best_p[drops]  # strict: a tie stays with the earlier tier
-        best_p[drops[win]] = top[win]
+        nearest = np.minimum.reduceat(d, (np.cumsum(counts) - counts)[drops])
+        p = avg_received_power(tier.tx_power_w, tier.array_gain, nearest,
+                               tier.path_loss_exponent)
+        win = p > best_p[drops]  # strict: a tie stays with the earlier tier
+        best_p[drops[win]] = p[win]
         best_tier[drops[win]] = k
-        best_bs[drops[win]] = first[win] - starts[win]
-    return best_tier, best_bs
+    return best_tier
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def association_probability(study: AssociationStudy, trials: int,
             probes = np.zeros((drops, 2))
         else:
             probes = sample_uniform(drops, study.region, rng)
-        winner, _ = associate_user(probes, snap)
+        winner = associate_user(probes, snap)
         counts += np.bincount(winner[winner >= 0], minlength=len(tiers))
     total = int(counts.sum())
     if total == 0:

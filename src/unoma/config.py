@@ -202,9 +202,12 @@ def _validate_allocation(data: dict):
     for t in taus:
         if isinstance(t, bool) or not isinstance(t, int) or t < 1:
             raise ConfigError(f"key 'taus' entries must be integers >= 1, got {t!r}")
+    if len(set(taus)) != len(taus):  # a repeat counts each sample twice
+        raise ConfigError(f"key 'taus' repeats an entry: {taus}")
     schemes = data["schemes"]
     if not isinstance(schemes, list) or not schemes or \
-            any(s not in ("noma", "oma") for s in schemes):
+            any(s not in ("noma", "oma") for s in schemes) or \
+            len(set(schemes)) != len(schemes):
         raise ConfigError("key 'schemes' must be a non-empty subset of ['noma','oma']")
     # each is converted or built as the run does
     for key, make in (("macro_power_dbm", dbm_to_watts),

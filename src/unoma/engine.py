@@ -76,11 +76,11 @@ def subseed(master_seed: int, index: int) -> int:
 
 _CONVENTIONS = {
     "association_sweep": {
-        "association": "each drop's probe user joins the BS with the largest "
-                       "average received power P*G*max(d, 1 m)^-alpha; ties go "
-                       "to the earlier tier in config order, then to the "
-                       "lowest BS index within that tier; drops without a BS "
-                       "are not counted in trials",
+        "association": "each drop's probe user joins the tier whose nearest "
+                       "BS gives the largest average received power "
+                       "P*G*max(d, 1 m)^-alpha; ties go to the earlier tier in "
+                       "config order; drops without a BS are not counted in "
+                       "trials",
     },
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
@@ -144,13 +144,10 @@ def generate_instance(n_small: int, data: dict, tau: int,
     bs_pos = sample_uniform(n_small, region, rng)
     macro_user = sample_uniform(1, region, rng)[0]
 
-    # two users uniform in each BS's ring, drawn per BS as two radii and then
-    # two angles, sorted [near, far] (a tie keeps the draw order)
-    u = rng.random((n_small, 2, 2))
-    r = data["user_ring_radius_m"] * np.sqrt(u[:, 0])
-    theta = 2.0 * math.pi * u[:, 1]
-    users = bs_pos[:, None, :] + np.stack([r * np.cos(theta),
-                                           r * np.sin(theta)], axis=-1)
+    # two users uniform in each BS's ring, sorted [near, far] (a tie keeps
+    # the draw order)
+    users = bs_pos[:, None, :] + sample_uniform(
+        (n_small, 2), Region(data["user_ring_radius_m"]), rng)
     d = link_distances(bs_pos[:, None, :], users)
     users = np.where((d[:, 1] < d[:, 0])[:, None, None], users[:, ::-1], users)
 

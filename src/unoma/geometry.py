@@ -96,11 +96,15 @@ def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.n
     return _sample_ppp_drops(density, region, rng, 1)[0]
 
 
-def sample_uniform(n: int, region: Region, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points in the region (binomial point process)."""
-    r = region.radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+def sample_uniform(shape, region: Region, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. uniform points in the region (binomial point process), an
+    (*shape, 2) array. shape is n or (..., n): each leading entry draws its n
+    radii, then its n angles."""
+    *lead, n = np.atleast_1d(shape)
+    u = rng.random((*lead, 2, n))
+    r = region.radius * np.sqrt(u[..., 0, :])
+    theta = 2.0 * math.pi * u[..., 1, :]
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,7 @@ def avg_received_power(tx_power: float, array_gain: float, distance, alpha: floa
         raise ValueError("distance must be > 0 (clamp to the 1 m floor upstream)")
     if alpha <= 2:
         raise ValueError(f"alpha must be > 2, got {alpha}")
-    out = tx_power * array_gain * d ** (-alpha)
-    return float(out) if np.isscalar(distance) else out
+    return tx_power * array_gain * d ** (-alpha)
 
 
 def rayleigh_power_gains(rng: np.random.Generator, size=None):

@@ -47,8 +47,6 @@ def mean_ci(values) -> tuple[float, float]:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):

@@ -21,7 +21,7 @@ MATRIX_PARAMS = {
     "pd-noma": (),
     "scma": ("column_weight",),
     "pdma": ("patterns",),
-    "musa": ("pool_size", "alphabet", "column_weight"),
+    "musa": ("alphabet", "column_weight"),
 }
 SCHEMES = tuple(MATRIX_PARAMS)
 
@@ -123,16 +123,13 @@ def build_matrix(scheme: str, k: int, n: int, params: dict | None = None,
     # musa
     if rng is None:
         raise ValueError("MUSA construction needs an rng")
-    pool_size = _whole(params.get("pool_size", n), "pool_size")
-    if pool_size < n:
-        raise ValueError("MUSA pool_size must be >= N")
     alphabet = params.get("alphabet", _DEFAULT_MUSA_ALPHABET)
     weight = params.get("column_weight")
     if weight is not None:
         weight = _whole(weight, "column_weight")
-    sequences, _ = musa_pool(pool_size, k, alphabet, rng, weight=weight,
-                             max_row_weight=(n - 1 if (k > 1 and n > 1) else None))
-    coef = sequences[:n].T.astype(complex)
+    sequences = musa_pool(n, k, alphabet, rng, weight=weight,
+                          max_row_weight=(n - 1 if (k > 1 and n > 1) else None))
+    coef = sequences.T.astype(complex)
     occ = (np.abs(coef) > 0).astype(np.uint8)
     return SpreadingMatrix(scheme, occ, coef)
 
@@ -178,8 +175,8 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     Sequences take values from `alphabet` (numbers or [re, im] pairs) on a
     random support of the given weight (default: full length). Of
     _MUSA_CANDIDATES random pools, the one minimizing the maximum pairwise
-    absolute cross-correlation is kept. Returns
-    (sequences array of shape (pool_size, k), max cross-correlation).
+    absolute cross-correlation is kept. Returns the sequences, an array of
+    shape (pool_size, k).
     """
     values = [_alphabet_entry(a) for a in alphabet]
     if not values:
@@ -199,7 +196,7 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
         raise ValueError(
             f"{pool_size} sequences of column_weight {w} fill {pool_size * w} "
             f"row slots, more than the {k} rows x {max_row_weight} the "
-            "row-weight cap allows: lower column_weight or pool_size")
+            "row-weight cap allows: lower column_weight")
 
     def draw_pool():
         seqs = np.zeros((pool_size, k), dtype=complex)
@@ -233,7 +230,7 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
             break
     if best is None:
         raise ValueError("could not draw a pool satisfying the row-weight cap")
-    return best, (0.0 if pool_size == 1 else best_x)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +259,6 @@ class Codebook:
     @property
     def q(self) -> int:
         return self.codewords.shape[1]
-
-    @property
-    def n_rbs(self) -> int:
-        return self.codewords.shape[2]
 
 
 def default_codebook(matrix: SpreadingMatrix, q: int) -> Codebook:
@@ -330,13 +323,11 @@ class SicLink:
 
 
 def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
-                      noise_var: float, constellation: np.ndarray,
-                      true_near_symbol: complex | None = None):
+                      noise_var: float, constellation: np.ndarray):
     """Uplink SIC: decode the nearby user first, subtract, decode the distant one.
 
-    Returns (near_symbol, far_symbol, near_sinr, far_sinr). When
-    true_near_symbol is given the subtraction is perfect (default SIC
-    assumption); otherwise the actual near decision is subtracted.
+    Returns (near_symbol, far_symbol, near_sinr, far_sinr). The near decision
+    is what is subtracted, so an error in it carries into the far one.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be > 0")
@@ -345,8 +336,7 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
     sinr_far = p_f / noise_var
     amp_n, amp_f = math.sqrt(p_n), math.sqrt(p_f)
     _, s_near = nearest_symbol(y / amp_n if amp_n > 0 else y, constellation)
-    cancel = true_near_symbol if true_near_symbol is not None else s_near
-    residual = y - amp_n * cancel
+    residual = y - amp_n * s_near
     _, s_far = nearest_symbol(residual / amp_f if amp_f > 0 else residual,
                               constellation)
     return s_near, s_far, sinr_near, sinr_far

@@ -357,14 +357,14 @@ def all_swap_deltas(instance, matching, scheme="noma"):
 
 
 def associate_drops(probes, snapshot):
-    """Per drop of a NetworkSnapshot, (tier index, BS index within the tier's
-    drop) of the largest average received power P G max(d, 1 m)^-alpha at
-    that drop's probe, one drop, tier and BS at a time; ties go to the
-    earlier tier, then the lower index; (-1, -1) for a drop without a BS."""
+    """Per drop of a NetworkSnapshot, the tier index of the BS with the
+    largest average received power P G max(d, 1 m)^-alpha at that drop's
+    probe, every BS's power computed, one drop, tier and BS at a time; ties
+    go to the earlier tier; -1 for a drop without a BS."""
     winners = []
     offsets = [0] * len(snapshot.tiers)
     for drop, (px, py) in enumerate(probes):
-        best, best_p = (-1, -1), -math.inf
+        best, best_p = -1, -math.inf
         for k, tier in enumerate(snapshot.tiers):
             watts = 10.0 ** ((tier.tx_power_dbm - 30.0) / 10.0)
             n = int(snapshot.bs_counts[k][drop])
@@ -373,7 +373,7 @@ def associate_drops(probes, snapshot):
                 d = max(math.hypot(x - px, y - py), 1.0)
                 p = watts * tier.array_gain * d ** -tier.path_loss_exponent
                 if p > best_p:
-                    best, best_p = (k, j), p
+                    best, best_p = k, p
             offsets[k] += n
         winners.append(best)
     return winners

@@ -28,16 +28,15 @@ def _snapshot(tiers, drops):
 
 
 def _winner(tiers, positions):
-    """(tier_id, BS index) of the one-drop snapshot with these positions,
-    the user at the origin."""
+    """tier_id of the winning tier of the one-drop snapshot with these
+    positions, the user at the origin."""
     snap = _snapshot(tiers, [positions])
-    tier, bs = associate_user(np.zeros(2), snap)
-    return tiers[tier[0]].tier_id, int(bs[0])
+    return tiers[associate_user(np.zeros(2), snap)[0]].tier_id
 
 
 def test_associate_single_bs():
     tiers = [TierConfig("macro", 40.0, 0.0)]
-    assert _winner(tiers, [[(100.0, 0.0)]]) == ("macro", 0)
+    assert _winner(tiers, [[(100.0, 0.0)]]) == "macro"
 
 
 def test_associate_femto_beats_distant_macro():
@@ -45,12 +44,7 @@ def test_associate_femto_beats_distant_macro():
     # femto: 0.1 W at 10 m -> 1e-5 W, so the femto BS wins
     tiers = [TierConfig("macro", 40.0, 0.0, array_gain=12.4),
              TierConfig("femto", 20.0, 0.0)]
-    assert _winner(tiers, [[(200.0, 0.0)], [(10.0, 0.0)]]) == ("femto", 0)
-
-
-def test_associate_picks_nearest_within_tier():
-    tiers = [TierConfig("pico", 30.0, 0.0)]
-    assert _winner(tiers, [[(100.0, 0.0), (20.0, 0.0), (50.0, 0.0)]]) == ("pico", 1)
+    assert _winner(tiers, [[(200.0, 0.0)], [(10.0, 0.0)]]) == "femto"
 
 
 def test_associate_empty_network_raises():
@@ -72,8 +66,8 @@ def test_associate_matches_per_drop_oracle():
         snap = sample_network(region, tiers, np.random.default_rng(seed), 300,
                               guaranteed_bs=guaranteed)
         probes = region.radius * rng.uniform(-0.7, 0.7, (300, 2))
-        tier, bs = associate_user(probes, snap)
-        assert list(zip(tier.tolist(), bs.tolist())) == associate_drops(probes, snap)
+        tier = associate_user(probes, snap)
+        assert tier.tolist() == associate_drops(probes, snap)
         empty_drops += int(np.sum(tier == -1))
     assert empty_drops > 0  # the unguaranteed draws left some drops empty
 
@@ -84,16 +78,15 @@ def test_associate_matches_per_drop_oracle():
     drops = [
         [[(40.0, 0.0)], [(0.5, 0.0)], [(0.2, 0.0)]],         # b alone at the floor
         [[(0.9, 0.0)], [(0.0, 0.3)], []],                    # tie across tiers -> a
-        [[], [(9.0, 0.0), (0.0, 0.4), (0.6, 0.0)], []],      # tie within b -> 1
+        [[], [(9.0, 0.0), (0.0, 0.4), (0.6, 0.0)], []],      # tie within b -> b
         [[], [], []],                                        # empty drop
-        [[(0.0, -1.0), (0.1, 0.0)], [(0.5, 0.5)], [(0.0, 0.0)]],  # -> a, 0
-        [[], [], [(3.0, 4.0), (-3.0, 4.0)]],                 # tie at 5 m -> c, 0
+        [[(0.0, -1.0), (0.1, 0.0)], [(0.5, 0.5)], [(0.0, 0.0)]],  # -> a
+        [[], [], [(3.0, 4.0), (-3.0, 4.0)]],                 # tie at 5 m -> c
     ]
     snap = _snapshot(equal, drops)
     probes = np.zeros((len(drops), 2))
-    tier, bs = associate_user(probes, snap)
-    expected = [(1, 0), (0, 0), (1, 1), (-1, -1), (0, 0), (2, 0)]
-    assert list(zip(tier.tolist(), bs.tolist())) == expected
+    expected = [1, 0, 1, -1, 0, 2]
+    assert associate_user(probes, snap).tolist() == expected
     assert associate_drops(probes, snap) == expected
 
 
@@ -205,5 +198,5 @@ def test_chunks_draw_from_their_own_seed():
         snap = sample_network(study.region, list(study.tiers), rng, drops,
                               guaranteed_bs="uniform")
         probes = association.sample_uniform(drops, study.region, rng)
-        wins += np.bincount(associate_user(probes, snap)[0], minlength=2)
+        wins += np.bincount(associate_user(probes, snap), minlength=2)
     assert whole.probabilities == tuple(wins / trials)

@@ -143,7 +143,6 @@ def test_matrix_params_must_be_whole_numbers(tmp_path):
     bad = [dict(scma, matrix_params={"column_weight": 2.7}),
            dict(scma, matrix_params={"column_weight": True}),
            dict(musa, matrix_params={"column_weight": 2.5}),
-           dict(musa, matrix_params={"pool_size": 6.9}),
            dict(pdma, matrix_params={"patterns": [
                [True, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]})]
     for i, data in enumerate(bad):
@@ -153,6 +152,19 @@ def test_matrix_params_must_be_whole_numbers(tmp_path):
         assert main(["run", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 1
     validate_config(dict(scma, matrix_params={"column_weight": 2.0}))
+
+
+def test_musa_refuses_pool_size(tmp_path, capsys):
+    """A MUSA pool is the matrix's N columns; a pool_size key is unknown."""
+    path = tmp_path / "musa.json"
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=4,
+                                    n=6, q=4, matrix_params={
+                                        "pool_size": 8, "column_weight": 2})))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--output", str(tmp_path)]):
+        assert main(argv) == 1
+        assert "unknown musa matrix parameter(s) ['pool_size']" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["a/b", "../escaped", "..", ".", "a\\b",
@@ -195,7 +207,7 @@ def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
 
 def test_validate_and_run_refuse_the_musa_matrix_over_budget(
         tmp_path, monkeypatch, capsys):
-    """MUSA k=6, n=8, q=4 from 8 sequences of weight 3: at seed 1 the
+    """MUSA k=6, n=8, q=4, 8 sequences of weight 3: at seed 1 the
     experiment's one matrix has a degree-7 RB (4^7 * 4096 * 24 B = 1.5 GiB),
     so validate and run refuse it, also when --seed picks it; at seed 2 its
     densest RB has degree 5 (96 MiB)."""
@@ -205,7 +217,7 @@ def test_validate_and_run_refuse_the_musa_matrix_over_budget(
 
     monkeypatch.setattr("unoma.cli.run_experiment", no_run)
     musa = dict(_tiny_link_config(), scheme="musa", k=6, n=8, q=4,
-                matrix_params={"pool_size": 8, "column_weight": 3},
+                matrix_params={"column_weight": 3},
                 sweep={"variable": "snr_db", "values": [0.0, 4.0, 8.0]})
     bad, good = tmp_path / "seed1.json", tmp_path / "seed2.json"
     bad.write_text(json.dumps(dict(musa, seed=1)))
@@ -300,6 +312,21 @@ def test_musa_default_column_weight_overfills_the_row_cap(tmp_path, capsys):
     assert "column_weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat", [{"taus": [2, 2]},
+                                    {"schemes": ["noma", "noma"]}])
+def test_allocation_refuses_a_repeated_entry(tmp_path, capsys, repeat):
+    """A repeated tau or scheme would pool one key's samples twice and
+    shrink its CI, so validate and run both refuse it."""
+    path = tmp_path / "fig5.json"
+    path.write_text(json.dumps(dict(preset_config("fig5").data, trials=1,
+                                    sweep={"variable": "n_small_cells",
+                                           "values": [3]}, **repeat)))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--output", str(tmp_path)]):
+        assert main(argv) == 1
+        assert repr(next(iter(repeat))) in capsys.readouterr().err
+
+
 def test_allocation_config_checks():
     data = dict(preset_config("fig5").data)
     data["taus"] = [2, 0]
@@ -317,7 +344,7 @@ def test_allocation_config_checks():
 
 def _fuzz_musa_config():
     return dict(_tiny_link_config(), scheme="musa", k=3, n=4, q=2,
-                matrix_params={"pool_size": 4, "column_weight": 2,
+                matrix_params={"column_weight": 2,
                                "alphabet": [[0.5, 0.5], -1]})
 
 
@@ -618,7 +645,7 @@ def test_cli_run_association(tmp_path):
     conventions = json.loads((out / "assoc_manifest.json").read_text())["conventions"]
     assert set(conventions) == {"association", "seeding"}
     for fact in ("largest average received power", "max(d, 1 m)",
-                 "earlier tier", "lowest BS index"):
+                 "earlier tier", "nearest BS"):
         assert fact in conventions["association"]
     _assert_seeding(conventions)
 

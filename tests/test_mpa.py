@@ -18,7 +18,7 @@ def _tree_matrix():
 
 def _receive(codebook, truth, noise_var, rng):
     b, n = truth.shape
-    k = codebook.n_rbs
+    k = codebook.codewords.shape[2]
     y = np.zeros((b, k), dtype=complex)
     for layer in range(n):
         y += codebook.codewords[layer, truth[:, layer], :]

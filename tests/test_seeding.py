@@ -22,7 +22,7 @@ _SCMA = {
 }
 
 _MUSA = dict(_SCMA, scheme="musa", trials=10,
-             matrix_params={"pool_size": 8, "column_weight": 2})
+             matrix_params={"column_weight": 2})
 
 
 def _configs():

@@ -52,17 +52,6 @@ def test_uplink_noiseless_decodes_all_combos():
         assert got_f == sf
 
 
-def test_uplink_true_symbol_cancellation():
-    near = SicLink(0.9, 1.0)
-    far = SicLink(1.0, 1.0)
-    # near decision is ambiguous here, but genie-aided cancellation still
-    # recovers the far symbol
-    y = math.sqrt(0.9) * (-1.0) + 1.0
-    _, got_f, _, _ = sic_decode_uplink(y, near, far, 1e-9, BPSK,
-                                       true_near_symbol=-1.0)
-    assert got_f == 1.0
-
-
 def test_uplink_polymatroid_identity():
     rng = np.random.default_rng(123)
     for _ in range(200):

@@ -1,7 +1,8 @@
-"""Guards on the package's shape: every public name it defines must be used
-by the package itself or by the acceptance suite, nothing it runs may need
-scipy, every seed goes through the one seeding rule, nothing reads the
-environment, and every name the traced benchmark harness wraps exists."""
+"""Guards on the package's shape: every public name it defines, and every
+default of its public functions, must be used by the package itself or by the
+acceptance suite, nothing it runs may need scipy, every seed goes through the
+one seeding rule, nothing reads the environment, and every name the traced
+benchmark harness wraps exists."""
 
 import ast
 import importlib.util
@@ -67,6 +68,55 @@ def test_every_public_name_is_reached():
                  if not name.startswith("_") and name not in allowed
                  and not _referenced(name, node, trees)]
     assert unreached == [], f"public names nothing uses: {unreached}"
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, name, parameter, position) for each parameter with a
+    default of each public function and public method; position is None for
+    a keyword-only one, and a method's excludes self."""
+    for qualified, name, node in _definitions(tree):
+        if not isinstance(node, ast.FunctionDef) or name.startswith("_"):
+            continue
+        params = node.args.posonlyargs + node.args.args
+        if "." in qualified:
+            params = params[1:]
+        first = len(params) - len(node.args.defaults)
+        for pos, arg in enumerate(params[first:], first):
+            yield qualified, name, arg.arg, pos
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def _passes(call, name, param, pos) -> bool:
+    """Whether the call is to `name` (as a name or an attribute) and sets
+    param, by keyword, by position, or through *args or **kwargs."""
+    func = call.func
+    if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+        return False
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return any(isinstance(a, ast.Starred) for a in call.args) or (
+        pos is not None and len(call.args) > pos)
+
+
+def test_every_default_is_passed_by_some_caller():
+    """Each parameter with a default of a public function or method is set
+    by some call in the package or in the acceptance suite, so an option only
+    tests set cannot stay. cli.main's argv is exempt: the console script
+    calls main() and relies on its default."""
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    trees = [*modules.values(),
+             ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = [f"{module}:{qualified}.{param}"
+             for module, tree in modules.items()
+             for qualified, name, param, pos in _defaulted_parameters(tree)
+             if (module, qualified, param) != ("cli.py", "main", "argv")
+             and not any(_passes(c, name, param, pos) for c in calls)]
+    assert unset == [], f"parameters no caller sets: {unset}"
 
 
 def test_no_module_imports_scipy():
