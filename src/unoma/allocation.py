@@ -7,6 +7,22 @@ each RB are then optimized with an iterated logarithmic lower bound
 (log(1+z) >= a*log z + b, tight at the current point) that is concave in
 log-power variables, solved on every RB at once by the fixed point of its KKT
 conditions.
+
+solve_group solves every (instance, tau, scheme) of a lockstep group of
+instances together. The instances' padded gain tables sit side by side along
+the RB axis (_stack), so a kernel row's column names its instance and its RB,
+and every tau of an instance reads the same tables, its sets padded to the
+group's largest tau with the sentinel BS, whose gains add an exact +0.0. Per
+scheme, each greedy step, each swap round (a solve's DA-seeded and
+greedy-seeded swap phases are two lanes of it) and each SCA step is one pass
+over the rows of the solves still active, and each solve stops on its own:
+the swap rounds, SCA's outer loop, the surrogate's fixed point and the
+cap-multiplier search each test a solve's rows alone and freeze a finished
+solve's rows, so every solve gets the bytes it gets alone. A pass goes to the
+rate kernel at most RATE_ROWS rows per call, and SCA runs its solves in
+batches of at most RATE_ROWS rows, so memory does not grow with the group;
+group_size caps a group's stacked tables at GROUP_BYTES. match_rbs,
+sca_power_control and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -30,6 +46,15 @@ _SCA_TOL = 1e-6
 _MAX_FIXED_POINT = 100
 _MAX_MULTIPLIER_STEPS = 200
 _TINY = np.finfo(float).tiny
+# Rows per rate-kernel call, whose fixed cost is that of about 300 rows. At
+# 1 024 rows a call's arrays take 0.34 MB. 2 048 rows ran no faster on fig5
+# and raised its peak RSS above the per-instance solver's.
+RATE_ROWS = 1024
+# Bytes of a lockstep group's stacked gain tables (group_size): 73 kB per
+# instance at 32 BSs and 4 RBs, so 3 instances. A group's swap-round arrays
+# grow with it too. A 512 KiB cap ran about 10 % faster on fig5 but raised
+# the summed peak RSS of a 2-worker fig5 run by 0.6 MB more.
+GROUP_BYTES = 1 << 18
 
 
 def __getattr__(name):
@@ -57,16 +82,23 @@ def jain_fairness(values) -> float:
 
 
 class _Tables(NamedTuple):
-    """An instance's gains padded with a sentinel BS, index n_bs, whose gains
-    are all 0. The own gains are the link tensors' diagonals, which the cross
-    tables set to 0. A sentinel slot or a BS's own slot in a co-channel set
-    then adds an exact +0.0 to every sum, so no mask is needed."""
+    """The gains of a group of instances, padded with a sentinel BS, index
+    n_bs, whose gains are all 0, and side by side along the RB axis: instance
+    i's RB r is column i * n_rb + r. The own gains are the link tensors'
+    diagonals, which the cross tables set to 0. A sentinel slot or a BS's own
+    slot in a co-channel set then adds an exact +0.0 to every sum, so no mask
+    is needed. The scalars are shared by every instance of the group."""
 
-    g_near: np.ndarray  # (B + 1, R)
-    g_far: np.ndarray  # (B + 1, R)
-    h_macro: np.ndarray  # (B + 1, R)
-    x_near: np.ndarray  # (B + 1, B + 1, R)
-    x_far: np.ndarray  # (B + 1, B + 1, R)
+    g_near: np.ndarray  # (B + 1, C)
+    g_far: np.ndarray  # (B + 1, C)
+    h_macro: np.ndarray  # (B + 1, C)
+    x_near: np.ndarray  # (B + 1, B + 1, C)
+    x_far: np.ndarray  # (B + 1, B + 1, C)
+    i_threshold: np.ndarray  # (C,)
+    n_rb: int
+    p_max: float
+    sigma2: float
+    pair: NomaPair
 
 
 @dataclass(frozen=True)
@@ -118,21 +150,45 @@ class AllocationInstance:
 
     @cached_property
     def _tables(self) -> _Tables:
-        """The rate kernel's padded gains, built on first use and kept: an
-        instance's gain arrays are not to be changed in place."""
-        b_n, r_n = self.n_bs, self.n_rb
+        """The rate kernel's tables of this instance alone, built on first
+        use and kept: an instance's gain arrays are not to be changed in
+        place."""
+        return _stack([self])
 
-        def pad(arr):
-            out = np.zeros((b_n + 1,) * (arr.ndim - 1) + (r_n,))
-            out[(slice(b_n),) * (arr.ndim - 1)] = arr
-            return out
 
-        x_near, x_far = pad(self.x_near), pad(self.x_far)
-        own = np.arange(b_n + 1)
-        g_near, g_far = x_near[own, own], x_far[own, own]
-        x_near[own, own] = 0.0
-        x_far[own, own] = 0.0
-        return _Tables(g_near, g_far, pad(self.h_macro), x_near, x_far)
+def _stack(instances) -> _Tables:
+    """The _Tables of instances that share n_bs, n_rb, p_max, sigma2 and
+    pair, built in place."""
+    first = instances[0]
+    b_n, r_n = first.n_bs, first.n_rb
+    shared = (b_n, r_n, first.p_max, first.sigma2, first.pair)
+    if any((inst.n_bs, inst.n_rb, inst.p_max, inst.sigma2, inst.pair) != shared
+           for inst in instances):
+        raise ValueError("a group's instances must share n_bs, n_rb, p_max, "
+                         "sigma2 and pair")
+    c_n = len(instances) * r_n
+    x_near = np.zeros((b_n + 1, b_n + 1, c_n))
+    x_far = np.zeros((b_n + 1, b_n + 1, c_n))
+    h_macro = np.zeros((b_n + 1, c_n))
+    for i, inst in enumerate(instances):
+        cols = slice(i * r_n, (i + 1) * r_n)
+        x_near[:b_n, :b_n, cols] = inst.x_near
+        x_far[:b_n, :b_n, cols] = inst.x_far
+        h_macro[:b_n, cols] = inst.h_macro
+    own = np.arange(b_n + 1)
+    g_near, g_far = x_near[own, own], x_far[own, own]
+    x_near[own, own] = 0.0
+    x_far[own, own] = 0.0
+    return _Tables(g_near, g_far, h_macro, x_near, x_far,
+                   np.concatenate([inst.i_threshold for inst in instances]),
+                   r_n, first.p_max, first.sigma2, first.pair)
+
+
+def group_size(n_bs: int, n_rb: int) -> int:
+    """Instances per lockstep group: as many as keep their stacked tables
+    (_stack) within GROUP_BYTES, and at least one."""
+    table_bytes = 8 * n_rb * ((n_bs + 1) * (2 * n_bs + 5) + 1)
+    return max(1, GROUP_BYTES // table_bytes)
 
 
 class _Term(NamedTuple):
@@ -151,21 +207,22 @@ class _Term(NamedTuple):
     own: float | None = None  # own power share heard as noise
 
 
-def _pair_terms(instance: AllocationInstance, sets, rbs, scheme: str):
+def _pair_terms(tab: _Tables, sets, cols, scheme: str):
     """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
-    indices padded with the sentinel index n_bs, on RBs rbs (n,). A zero
-    gain gives a term of log2(1) = 0, so the sentinel needs no case."""
+    indices padded with the sentinel index n_bs, on the table columns cols
+    (n,). A zero gain gives a term of log2(1) = 0, so the sentinel needs no
+    case."""
     if scheme not in ("noma", "oma"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    tab, b_n, r_n = instance._tables, instance.n_bs, instance.n_rb
-    own = sets * r_n + rbs  # flat index into the (B + 1, R) gains
-    cross = (sets[:, None] * (b_n + 1) + sets[None]) * r_n + rbs  # [tx, rx, row]
+    b1, c_n = tab.h_macro.shape
+    own = sets * c_n + cols  # flat index into the (B + 1, C) gains
+    cross = (sets[:, None] * b1 + sets[None]) * c_n + cols  # [tx, rx, row]
     x_far, x_near = tab.x_far.take(cross), tab.x_near.take(cross)
     g_far, g_near = tab.g_far.take(own), tab.g_near.take(own)
     if scheme == "noma":
         # the far user decodes its share treating the near user's as noise;
         # the near user cancels the far share first (SIC)
-        a_m, a_n = instance.pair.a_m, instance.pair.a_n
+        a_m, a_n = tab.pair.a_m, tab.pair.a_n
         return (_Term(1.0, a_m, g_far, x_far, own=a_n),
                 _Term(1.0, a_n, g_near, x_near))
     # equal time sharing: each user gets half the slot at full power
@@ -198,33 +255,72 @@ def _rates(terms, p: np.ndarray, sigma2: float):
     return rates, totals
 
 
-def rb_rates(instance: AllocationInstance, sets, rbs, powers, scheme: str):
+def rb_rates(instance, sets, rbs, powers, scheme: str):
     """Pair sum rate of every member of every co-channel set.
 
-    sets: (k, n) BS indices, slot-major, one RB's co-channel set per column,
-    padded with the sentinel index n_bs; rbs: (n,) the RB of each column;
-    powers: (k, n) the transmit power of each member. Slot-major arrays keep
-    numpy's inner loops n long. Returns (rates (k, n), totals (n,)).
+    instance: an AllocationInstance, or the _Tables of a group, whose columns
+    rbs then names. sets: (k, n) BS indices, slot-major, one RB's co-channel
+    set per column, padded with the sentinel index n_bs; rbs: (n,) the RB of
+    each column; powers: (k, n) the transmit power of each member.
+    Slot-major arrays keep numpy's inner loops n long. Returns (rates (k, n),
+    totals (n,)).
     """
-    return _rates(_pair_terms(instance, sets, rbs, scheme), powers,
-                  instance.sigma2)
+    tab = instance if isinstance(instance, _Tables) else instance._tables
+    return _rates(_pair_terms(tab, sets, rbs, scheme), powers, tab.sigma2)
 
 
-def _capped_power(instance: AllocationInstance, sets, rbs) -> np.ndarray:
+def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
     """Cap-scaled equal power, one per column of the slot-major sets (k, n):
     every member at p_max, scaled down uniformly so that the set's load at
     the macro user stays below i_threshold: 0 on a closed RB, whose cap is 0.
     It scores candidate sets during matching (the true powers are only known
     after SCA) and is where SCA starts."""
-    h = np.zeros(len(rbs))
+    c_n = tab.h_macro.shape[1]
+    h = np.zeros(len(cols))
     for slot in sets:
-        h = h + instance._tables.h_macro.take(slot * instance.n_rb + rbs)
-    load = instance.p_max * h
-    t = instance.i_threshold[rbs]
+        h = h + tab.h_macro.take(slot * c_n + cols)
+    load = tab.p_max * h
+    t = tab.i_threshold[cols]
     over = load > t
-    p = np.full(len(rbs), instance.p_max)
-    p[over] = instance.p_max * (t[over] / load[over]) * (1.0 - 1e-9)
+    p = np.full(len(cols), tab.p_max)
+    p[over] = tab.p_max * (t[over] / load[over]) * (1.0 - 1e-9)
     return p
+
+
+def _set_totals(tab: _Tables, sets, cols, scheme: str) -> np.ndarray:
+    """(n,) totals of the slot-major sets (width, n) on the columns cols at
+    cap-scaled equal power, at most RATE_ROWS sets per kernel call."""
+    out = np.empty(len(cols))
+    for lo in range(0, len(cols), RATE_ROWS):
+        chunk, c = sets[:, lo:lo + RATE_ROWS], cols[lo:lo + RATE_ROWS]
+        p = _capped_power(tab, chunk, c)
+        out[lo:lo + len(c)] = rb_rates(tab, chunk, c, np.broadcast_to(p, chunk.shape),
+                                       scheme)[1]
+    return out
+
+
+def _plus_each(tab: _Tables, sets, cols, scheme: str) -> np.ndarray:
+    """(n, n_bs + 1) table of the totals (_set_totals) of the slot-major sets
+    (width, n) on the columns cols (n,) with each BS added; the last column
+    (the sentinel) is each set's own total. A full set drops its largest
+    member to make room: those entries are never read. A kernel call holds
+    the rows of as many whole sets as RATE_ROWS allows, or a set's rows cut
+    to RATE_ROWS."""
+    width, n = sets.shape
+    b1 = tab.h_macro.shape[0]
+    out = np.empty((n, b1))
+    step = max(1, RATE_ROWS // b1)  # sets per pass of _set_totals
+    for first in range(0, n, step):
+        part = sets[:, first:first + step]
+        rows = np.empty((part.shape[1], b1, width + 1), dtype=np.intp)
+        rows[:, :, :width] = part.T[:, None, :]
+        rows[:, :, width] = np.arange(b1)
+        rows.sort(axis=2)
+        rows = np.ascontiguousarray(rows[:, :, :width].reshape(-1, width).T)
+        out[first:first + step] = _set_totals(
+            tab, rows, np.repeat(cols[first:first + step], b1), scheme
+        ).reshape(-1, b1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,9 +372,9 @@ def _da_seed(score: np.ndarray, tau: int) -> np.ndarray:
 
 def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
     """Co-channel sets of the RBs rbs under the assignment src (one RB index
-    per BS, -1 for unmatched), slot-major: a C-contiguous (width, len(rbs))
-    array of each set's members in increasing order padded with the sentinel
-    index n_bs."""
+    per BS, -1 for unmatched; or one assignment per RB, (len(rbs), n_bs)),
+    slot-major: a C-contiguous (width, len(rbs)) array of each set's members
+    in increasing order padded with the sentinel index n_bs."""
     cols = np.where(src == np.reshape(rbs, (-1, 1)), np.arange(n_bs), n_bs)
     cols.sort(axis=1)
     if n_bs < width:
@@ -286,107 +382,138 @@ def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(cols[:, :width].T)
 
 
-def _greedy_seed(instance: AllocationInstance, solo, plus_each) -> np.ndarray:
-    """Repeatedly place the (BS, RB) pair with the largest marginal gain, the
-    first in row-major (BS, RB) order on ties. The gains start from solo, the
-    plus_each table of the empty sets; only the column of the RB that changed
-    is rescored. Returns the assignment, as _da_seed does."""
-    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
-    src = np.full(b_n, -1)
-    # gain[b, r]: total of r's set with b added minus its total; -inf once b
-    # is placed or r is full
-    gain = (solo[:, :b_n] - solo[:, b_n:]).T.copy()
-    while True:
-        b, r = divmod(int(np.argmax(gain)), r_n)
-        if not gain[b, r] > 0.0:
-            break
-        src[b] = r
-        gain[b] = -np.inf
-        if np.count_nonzero(src == r) < tau:
-            rbs = np.array([r])
-            tot = plus_each(_padded(src, rbs, b_n, tau), rbs)[0]
-            gain[:, r] = np.where(src < 0, tot[:b_n] - tot[b_n], -np.inf)
-        else:
-            gain[:, r] = -np.inf
+def _greedy_seed(tab: _Tables, solo, inst, tau, scheme: str) -> np.ndarray:
+    """Every solve's greedy seed, in lockstep. Solve s, instance inst[s] at
+    quota tau[s], repeatedly places the (BS, RB) pair with the largest
+    marginal gain, the first in row-major (BS, RB) order on ties, until no
+    gain is positive. The gains start from solo (I, R, B + 1), each
+    instance's _plus_each table of the empty sets; each step rescores, in one
+    pass, the column of the RB that each live solve changed. Returns the
+    assignments (S, B), one row per solve, as _da_seed's."""
+    r_n, b_n = tab.n_rb, solo.shape[2] - 1
+    width = int(tau.max())
+    src = np.full((len(inst), b_n), -1)
+    # gain[s, b, r]: total of r's set with b added minus its total; -inf
+    # once b is placed or r is full
+    gain = (solo[:, :, :b_n] - solo[:, :, b_n:]).transpose(0, 2, 1)[inst]
+    live = np.arange(len(inst))
+    while len(live):
+        b, r = np.divmod(gain[live].reshape(len(live), -1).argmax(axis=1), r_n)
+        placed = gain[live, b, r] > 0.0
+        live, b, r = live[placed], b[placed], r[placed]
+        src[live, b] = r
+        gain[live, b] = -np.inf
+        room = np.count_nonzero(src[live] == r[:, None], axis=1) < tau[live]
+        gain[live[~room], :, r[~room]] = -np.inf
+        s, r = live[room], r[room]
+        tot = _plus_each(tab, _padded(src[s], r, b_n, width), inst[s] * r_n + r,
+                         scheme)
+        gain[s, :, r] = np.where(src[s] < 0, tot[:, :b_n] - tot[:, b_n:], -np.inf)
     return src
 
 
-def _swap_phase(instance: AllocationInstance, src, plus_each):
-    """Best-improvement moves into vacancies and pairwise exchanges, one side
-    of an exchange possibly unmatched. Each round scores every move and every
-    exchange from one plus_each table; the best move is the first maximum in
-    row-major (BS, RB) order, and an exchange, the first maximum in row-major
-    (BS, BS) order, wins only if strictly better. Returns (src, total of the
-    final matching)."""
-    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
-    all_rbs = np.arange(r_n)
+def _best_changes(tab: _Tables, src, inst, tau, scheme: str):
+    """One swap round's scores for the assignments src (n, B) of instances
+    inst at quotas tau, from one pass: a full RB's set is scored alone (only
+    its total is read), every other set and every matched BS's set without it
+    with each BS added. Returns (each RB's total (n, R), and per assignment
+    the best move into a vacancy, the first maximum in row-major (BS, RB)
+    order, and the best pairwise exchange, one side possibly unmatched, the
+    first maximum in row-major (BS, BS) order: flat index and gain of each).
+    The score tables die here, before the next round's pass."""
+    n, (r_n, b_n) = len(src), (tab.n_rb, src.shape[1])
+    base = inst * r_n
+    set_cols = (base[:, None] + np.arange(r_n)).ravel()
+    sets = _padded(np.repeat(src, r_n, axis=0), set_cols - np.repeat(base, r_n),
+                   b_n, int(tau.max()))
+    ml, mb = np.nonzero(src >= 0)  # matched (assignment, BS) pairs
+    mr = src[ml, mb]
+    without = sets[:, ml * r_n + mr]  # each matched BS's set without it
+    without[without == mb] = b_n
+    full = np.bincount(ml * r_n + mr, minlength=n * r_n) >= np.repeat(tau, r_n)
+    tot = _plus_each(tab, np.concatenate([sets[:, ~full], without], axis=1),
+                     np.concatenate([set_cols[~full], base[ml] + mr]), scheme)
+    on_rb = np.zeros((n * r_n, b_n + 1))  # a full RB's moves are -inf
+    on_rb[~full] = tot[:len(tot) - len(ml)]
+    on_rb[full, b_n] = _set_totals(tab, sets[:, full], set_cols[full], scheme)
+    on_rb = on_rb.reshape(n, r_n, b_n + 1)
+    cur = on_rb[:, :, b_n]
+    # leave[l, m, b]: change on m's RB when m leaves it and b joins; the
+    # sentinel column b = n_bs is m leaving alone; 0 for unmatched m
+    leave = np.zeros((n, b_n, b_n + 1))
+    leave[ml, mb] = tot[len(tot) - len(ml):] - cur[ml, mr, None]
+    move = (on_rb[:, :, :b_n].transpose(0, 2, 1) - cur[:, None]) + leave[:, :, b_n:]
+    move[ml, mb, mr] = -np.inf
+    full_l, full_r = np.divmod(np.flatnonzero(full), r_n)
+    move[full_l, :, full_r] = -np.inf
+    swap = leave[:, :, :b_n] + leave[:, :, :b_n].transpose(0, 2, 1)
     upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
-    for done in range(_MAX_SWAP_ROUNDS + 1):
-        matched = np.flatnonzero(src >= 0)
-        sets = _padded(src, all_rbs, b_n, tau)
-        without = sets[:, src[matched]]  # each matched BS's set without it
-        without[without == matched] = b_n
-        tot = plus_each(np.concatenate([sets, without], axis=1),
-                        np.concatenate([all_rbs, src[matched]]))
-        cur = tot[:r_n, b_n]
-        # leave[m, b]: change on m's RB when m leaves it and b joins; the
-        # sentinel column b = n_bs is m leaving alone; 0 for unmatched m
-        leave = np.zeros((b_n, b_n + 1))
-        leave[matched] = tot[r_n:] - cur[src[matched], None]
-        move = (tot[:r_n, :b_n].T - cur) + leave[:, b_n:]
-        move[matched, src[matched]] = -np.inf
-        move[:, np.bincount(src[matched], minlength=r_n) >= tau] = -np.inf
-        swap = leave[:, :b_n] + leave[:, :b_n].T
-        swap[~upper | (src[:, None] == src)] = -np.inf
+    swap[~upper | (src[:, :, None] == src[:, None])] = -np.inf
+    move, swap = move.reshape(n, -1), swap.reshape(n, -1)
+    best_move, best_swap = move.argmax(axis=1), swap.argmax(axis=1)
+    return (cur, best_move, move[np.arange(n), best_move],
+            best_swap, swap[np.arange(n), best_swap])
 
-        b, r = divmod(int(np.argmax(move)), r_n)
-        b1, b2 = divmod(int(np.argmax(swap)), b_n)
-        exchange = swap[b1, b2] > max(1e-12, move[b, r])
-        if not (exchange or move[b, r] > 1e-12) or done == _MAX_SWAP_ROUNDS:
-            return src, sum(cur.tolist())
-        if exchange:
-            src[[b1, b2]] = src[[b2, b1]]
-        else:
-            src[b] = r
+
+def _swap_phase(tab: _Tables, src, inst, tau, scheme: str):
+    """Best-improvement moves into vacancies and pairwise exchanges, on every
+    lane in lockstep: lane l refines the assignment src[l] of instance
+    inst[l] at quota tau[l] and stops on its own. A round (_best_changes)
+    applies a lane's best exchange if it is strictly better than its best
+    move and gains more than 1e-12, else its best move if that does. Returns
+    (the final assignments (L, B), each lane's total of its final
+    matching)."""
+    r_n, b_n = tab.n_rb, src.shape[1]
+    src = src.copy()
+    totals = [0.0] * len(src)
+    live = np.arange(len(src))
+    for done in range(_MAX_SWAP_ROUNDS + 1):
+        cur, best_move, gain_move, best_swap, gain_swap = _best_changes(
+            tab, src[live], inst[live], tau[live], scheme)
+        exchange = gain_swap > np.where(gain_move > 1e-12, gain_move, 1e-12)
+        go = (exchange | (gain_move > 1e-12)) & (done < _MAX_SWAP_ROUNDS)
+        for k in np.flatnonzero(~go).tolist():
+            totals[live[k]] = sum(cur[k].tolist())
+        b1, b2 = np.divmod(best_swap[go & exchange], b_n)
+        lanes = live[go & exchange]
+        src[lanes, b1], src[lanes, b2] = src[lanes, b2], src[lanes, b1]
+        b, r = np.divmod(best_move[go & ~exchange], r_n)
+        src[live[go & ~exchange], b] = r
+        live = live[go]
+        if not len(live):
+            break
+    return src, totals
+
+
+def _match(tab: _Tables, inst, tau, scheme: str) -> np.ndarray:
+    """Every solve's matching, in lockstep: solve s matches instance inst[s]
+    at quota tau[s]. Two seeds (deferred acceptance and marginal-gain
+    greedy), each refined by rate-improving swaps until no single move (into
+    a vacancy) or pairwise exchange improves the total; the better of the
+    two local optima is kept. Candidate co-channel sets are scored at
+    cap-scaled equal powers, every phase from _plus_each tables: DA's
+    preferences and greedy's first gains from solo, every BS alone on every
+    RB. Returns the assignments (S, B)."""
+    b_n, r_n = tab.h_macro.shape[0] - 1, tab.n_rb
+    if b_n == 0:
+        return np.full((len(inst), 0), -1)
+    all_cols = np.arange(tab.h_macro.shape[1])
+    empty = np.full((int(tau.max()), len(all_cols)), b_n)
+    solo = _plus_each(tab, empty, all_cols, scheme).reshape(-1, r_n, b_n + 1)
+    seeds = np.concatenate([
+        [_da_seed(solo[i, :, :b_n].T, t) for i, t in zip(inst.tolist(), tau.tolist())],
+        _greedy_seed(tab, solo, inst, tau, scheme)])
+    src, totals = _swap_phase(tab, seeds, np.tile(inst, 2), np.tile(tau, 2), scheme)
+    s_n = len(inst)
+    # the DA seed's optimum unless greedy's is better by more than 1e-12
+    greedy = np.array([g > d + 1e-12 for d, g in zip(totals[:s_n], totals[s_n:])])
+    return np.where(greedy[:, None], src[s_n:], src[:s_n])
 
 
 def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
-    """Two seeds (deferred acceptance and marginal-gain greedy), each refined
-    by rate-improving swaps until no single move (into a vacancy) or pairwise
-    exchange improves the total; the better of the two local optima is kept.
-    Candidate co-channel sets are scored at cap-scaled equal powers, every
-    phase from plus_each tables: DA's preferences and greedy's first gains
-    from solo, every BS alone on every RB."""
-    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
-    if b_n == 0:
-        return Matching((), r_n, tau)
-
-    def plus_each(sets, rbs):
-        """(n, n_bs + 1) table of the totals of the slot-major sets (tau, n)
-        with each BS added; the last column (the sentinel) is each set's own
-        total. A full set drops its largest member to make room: those
-        entries are never read."""
-        n = len(rbs)
-        rows = np.empty((n, b_n + 1, tau + 1), dtype=np.intp)
-        rows[:, :, :tau] = sets.T[:, None, :]
-        rows[:, :, tau] = np.arange(b_n + 1)
-        rows.sort(axis=2)
-        rows = np.ascontiguousarray(rows[:, :, :tau].reshape(-1, tau).T)
-        rbs = np.repeat(rbs, b_n + 1)
-        p = _capped_power(instance, rows, rbs)
-        totals = rb_rates(instance, rows, rbs, np.broadcast_to(p, rows.shape),
-                          scheme)[1]
-        return totals.reshape(n, b_n + 1)
-
-    all_rbs = np.arange(r_n)
-    solo = plus_each(_padded(np.full(b_n, -1), all_rbs, b_n, tau), all_rbs)
-    best_src, best_total = None, -math.inf
-    for seed in (_da_seed(solo[:, :b_n].T, tau),
-                 _greedy_seed(instance, solo, plus_each)):
-        src, total = _swap_phase(instance, seed, plus_each)
-        if total > best_total + 1e-12:
-            best_src, best_total = src, total
-    return Matching(tuple(best_src.tolist()), r_n, tau)
+    """The matching of one instance (_match)."""
+    src = _match(instance._tables, np.array([0]), np.array([instance.tau]), scheme)
+    return Matching(tuple(src[0].tolist()), instance.n_rb, instance.tau)
 
 
 @dataclass(frozen=True)
@@ -399,6 +526,14 @@ class PowerSolution:
     objective_history: tuple  # total sum rate after each outer iteration
 
 
+def _any_by_solve(flags, solve, k: int) -> np.ndarray:
+    """(k,) whether any of a solve's rows is flagged; solve (n,) names each
+    row's solve."""
+    hit = np.zeros(k, dtype=bool)
+    hit[solve[flags]] = True
+    return hit
+
+
 def _clipped_power(a, c, mu, h, lo: float, p_max: float):
     """The fixed-point update clip(a / x, lo, p_max) at x = c + mu h, and x.
     x is floored at _TINY: a / _TINY stays finite (a < 2) and clips to
@@ -407,16 +542,19 @@ def _clipped_power(a, c, mu, h, lo: float, p_max: float):
     return np.minimum(np.maximum(a / x, lo), p_max), x
 
 
-def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float):
+def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float, solve):
     """The multiplier mu (n,) at which h.p(mu) = cap on the rows binds, p(mu)
     = _clipped_power(a, c, mu, ...) being non-increasing in mu; 0 on the
     other rows. Bisection on the bracket [0, sum_j a_j / cap], at whose top
     h.p <= sum_j a_j / mu = cap. Each step evaluates h.p at mu and narrows
     the bracket there; the next mu is the Newton step from mu where that
-    falls strictly inside the bracket, else the bracket's midpoint. Stops
-    when no row's mu moves or every bracket is a few ulps wide."""
+    falls strictly inside the bracket, else the bracket's midpoint. A solve's
+    rows (solve names each row's) stop when none of its rows' mu moves or
+    each of their brackets is a few ulps wide."""
+    k = int(solve.max(initial=-1)) + 1
     mu, mu_lo, mu_hi = np.zeros(len(cap)), np.zeros(len(cap)), np.zeros(len(cap))
     mu_hi[binds] = a[:, binds].sum(axis=0) / cap[binds]
+    going = np.ones(k, dtype=bool)
     for _ in range(_MAX_MULTIPLIER_STEPS):
         p, x = _clipped_power(a, c, mu, h, lo, p_max)
         excess = (h * p).sum(axis=0) - cap
@@ -429,15 +567,18 @@ def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float):
             step = mu + excess / slope
         inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
         step = np.where(inside, step, 0.5 * (mu_lo + mu_hi))
-        if not ((step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi))).any():
+        going &= _any_by_solve(
+            (step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi)), solve, k)
+        if not going.any():
             break
-        mu = step
+        mu = np.where(going[solve], step, mu)
     return mu
 
 
-def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
+def _surrogate_step(tab: _Tables, terms, h, cap, p, solve):
     """One SCA step on every row (RB) at once, from slot-major powers p (k, n),
-    terms being the rows' (far, near) pair from _pair_terms.
+    terms being the rows' (far, near) pair from _pair_terms and solve (n,)
+    naming each row's solve.
 
     Maximizes the tight lower bound log(1 + z) >= alpha log z + beta of the
     rows' rates at p (alpha = weight z0 / (1 + z0) at the current SINR z0),
@@ -450,18 +591,22 @@ def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
     alpha_u D_uj / (D_u.p + sigma2) over the terms u that member j's power
     enters with coefficient D_uj, and mu >= 0 the row's cap multiplier
     (_cap_multiplier) on the rows whose cap binds. A_j = 0 sends p_j to its
-    lower bound and c_j + mu h_j = 0 to p_max. The update stops when no
-    power changes by 1e-15 of itself. The candidate is then scaled down
-    uniformly to 1 - 1e-12 of its cap on a row whose load still exceeds it.
+    lower bound and c_j + mu h_j = 0 to p_max. A solve's rows stop updating
+    after the first update in which none of their powers changes by 1e-15 of
+    itself. The candidate is then scaled down uniformly to 1 - 1e-12 of its
+    cap on a row whose load still exceeds it.
     """
-    p_max, sigma2 = instance.p_max, instance.sigma2
+    p_max, sigma2 = tab.p_max, tab.sigma2
     lo = p_max * math.exp(-60.0)
+    k = int(solve.max(initial=-1)) + 1
     sinrs = [_sinr(term, p, sigma2) for term in terms]
     alphas = [term.weight * z / (1.0 + z) for term, (z, _) in zip(terms, sinrs)]
     dens = [den for _, den in sinrs]
     a = alphas[0] + alphas[1]
 
     q = p
+    going = np.ones(k, dtype=bool)
+    rows_going = going[solve]
     for _ in range(_MAX_FIXED_POINT):
         c = 0.0
         for term, alpha, den in zip(terms, alphas, dens):
@@ -470,13 +615,15 @@ def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
             if term.own is not None:
                 c = c + ratio * term.own * term.gain
         new = _clipped_power(a, c, 0.0, h, lo, p_max)[0]
-        binds = np.flatnonzero((h * new).sum(axis=0) > cap)
-        if len(binds):
-            mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max)
+        binds = ((h * new).sum(axis=0) > cap) & rows_going
+        if binds.any():
+            mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max, solve)
             new = _clipped_power(a, c, mu, h, lo, p_max)[0]
-        done = not (np.abs(new - q) > 1e-15 * q).any()
-        q = new
-        if done:
+        going &= _any_by_solve((np.abs(new - q) > 1e-15 * q).any(axis=0),
+                               solve, k)
+        q = np.where(rows_going, new, q)
+        rows_going = going[solve]
+        if not going.any():
             break
         dens = [_sinr(term, q, sigma2)[1] for term in terms]
     load = (h * q).sum(axis=0)
@@ -485,10 +632,100 @@ def _surrogate_step(instance: AllocationInstance, terms, h, cap, p):
     return q
 
 
+def _sca(tab: _Tables, batch, scheme: str) -> list:
+    """SCA on a batch of solves of one set width, each given as the
+    slot-major sets and the columns of its open matched RBs, in RB order.
+    Every live solve takes one _surrogate_step per outer iteration, all in
+    one pass; a row keeps its candidate only if its sum rate does not fall.
+    A solve's total is summed over its rows in RB order, and it stops on its
+    own when an iteration gains less than _SCA_TOL of it. Returns each
+    solve's PowerSolution."""
+    sets = np.concatenate([plan[0] for plan in batch], axis=1)
+    cols = np.concatenate([plan[1] for plan in batch])
+    ends = np.cumsum([len(plan[1]) for plan in batch]).tolist()
+    spans = list(zip([0] + ends, ends))
+    solve = np.repeat(np.arange(len(batch)), [b - a for a, b in spans])
+    h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
+    cap = tab.i_threshold[cols]
+    p = np.repeat(_capped_power(tab, sets, cols)[None], len(sets), axis=0)
+    terms = _pair_terms(tab, sets, cols, scheme)
+    rates, totals = _rates(terms, p, tab.sigma2)
+
+    prev = [sum(totals[a:b].tolist()) for a, b in spans]
+    history = [[] for _ in spans]
+    iterations = [0] * len(spans)
+    converged = [a == b for a, b in spans]
+    live = list(range(len(spans)))
+    for it in range(_MAX_SCA_ITERS):
+        rows = np.concatenate([np.arange(*spans[j]) for j in live])
+        sub = [t._replace(gain=t.gain[:, rows], cross=t.cross[:, :, rows])
+               for t in terms]
+        cand = _surrogate_step(tab, sub, h[:, rows], cap[rows], p[:, rows],
+                               solve[rows])
+        cand_rates, cand_totals = _rates(sub, cand, tab.sigma2)
+        keep = cand_totals >= totals[rows]
+        p[:, rows] = np.where(keep, cand, p[:, rows])
+        rates[:, rows] = np.where(keep, cand_rates, rates[:, rows])
+        totals[rows] = np.where(keep, cand_totals, totals[rows])
+        for j in live:
+            iterations[j] = it + 1
+            total = sum(totals[slice(*spans[j])].tolist())
+            history[j].append(total)
+            converged[j] = total - prev[j] < _SCA_TOL * max(1.0, abs(total))
+            prev[j] = total
+        live = [j for j in live if not converged[j]]
+        if not live:
+            break
+
+    b_n = tab.h_macro.shape[0] - 1
+    out = []
+    for (a, b), its, conv, hist in zip(spans, iterations, converged, history):
+        # the sentinel's entries, index b_n, are dropped
+        powers, per_bs = np.zeros(b_n + 1), np.zeros(b_n + 1)
+        powers[sets[:, a:b]], per_bs[sets[:, a:b]] = p[:, a:b], rates[:, a:b]
+        powers, per_bs = powers[:b_n], per_bs[:b_n]
+        out.append(PowerSolution(powers, per_bs, float(per_bs.sum()), its, conv,
+                                 tuple(hist)))
+    return out
+
+
+def _power(tab: _Tables, src, inst, scheme: str) -> list:
+    """Every solve's PowerSolution: solve s gives instance inst[s] the
+    assignment src[s]. Its sets are its matched RBs' at the width of its
+    fullest RB; a closed RB (cap 0, a member heard by the macro user) is left
+    out, so its members keep power and rate 0, as _capped_power scores them.
+    _sca takes solves of one width at a time, at most RATE_ROWS rows at a
+    time unless one solve has more."""
+    b_n, r_n = src.shape[1], tab.n_rb
+    plans = []  # (width, solve, sets, columns)
+    for s, (assign, i) in enumerate(zip(src, inst.tolist())):
+        counts = np.bincount(assign[assign >= 0], minlength=r_n)
+        rbs = np.flatnonzero(counts)
+        sets = _padded(assign, rbs, b_n, int(counts.max(initial=1)))
+        cols = i * r_n + rbs
+        h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
+        shut = (tab.i_threshold[cols] == 0) & np.any(h > 0, axis=0)
+        plans.append((len(sets), s, sets[:, ~shut], cols[~shut]))
+    plans.sort(key=lambda plan: plan[:2])
+    solutions = [None] * len(src)
+    first, rows = 0, 0
+    for end, plan in enumerate(plans + [None]):
+        if end > first and (plan is None or plan[0] != plans[first][0]
+                            or rows + len(plan[3]) > RATE_ROWS):
+            batch = plans[first:end]
+            for (_, s, _, _), sol in zip(batch, _sca(tab, [b[2:] for b in batch],
+                                                      scheme)):
+                solutions[s] = sol
+            first, rows = end, 0
+        if plan is not None:
+            rows += len(plan[3])
+    return solutions
+
+
 def sca_power_control(matching: Matching, instance: AllocationInstance,
                       scheme: str = "noma") -> PowerSolution:
-    """Sum-rate power control on every matched RB at once, via the iterated
-    concave lower bound.
+    """Sum-rate power control of one instance's matching on every matched RB
+    at once, via the iterated concave lower bound (_power).
 
     Powers start at _capped_power. Each outer iteration re-linearizes and
     solves the surrogate on every RB (_surrogate_step); an RB's candidate is
@@ -497,53 +734,36 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     closed RB (cap 0, a member heard by the macro user) get power and rate
     0, as _capped_power scores them.
     """
-    b_n, r_n = instance.n_bs, instance.n_rb
-    src = np.asarray(matching.bs_to_rb, dtype=np.intp)
-    counts = np.bincount(src[src >= 0], minlength=r_n)
-    rbs = np.flatnonzero(counts)
-    sets = _padded(src, rbs, b_n, int(counts.max(initial=1)))
-    h = instance._tables.h_macro.take(sets * r_n + rbs)
-    cap = instance.i_threshold[rbs]
-    closed = (cap == 0) & np.any(h > 0, axis=0)
-    if closed.any():  # left out of the solve: their members keep power 0
-        rbs, sets, h, cap = (a[..., ~closed] for a in (rbs, sets, h, cap))
-    p = np.repeat(_capped_power(instance, sets, rbs)[None], len(sets), axis=0)
-    terms = _pair_terms(instance, sets, rbs, scheme)
-    rates, totals = _rates(terms, p, instance.sigma2)
-
-    history = []
-    iterations = 0
-    converged = not len(rbs)
-    prev = sum(totals.tolist())
-    for it in range(_MAX_SCA_ITERS):
-        iterations = it + 1
-        cand = _surrogate_step(instance, terms, h, cap, p)
-        cand_rates, cand_totals = _rates(terms, cand, instance.sigma2)
-        keep = cand_totals >= totals
-        p = np.where(keep, cand, p)
-        rates = np.where(keep, cand_rates, rates)
-        totals = np.where(keep, cand_totals, totals)
-        total = sum(totals.tolist())
-        history.append(total)
-        if total - prev < _SCA_TOL * max(1.0, abs(total)):
-            converged = True
-            break
-        prev = total
-
-    # the sentinel's entries, index b_n, are dropped
-    powers, per_bs = np.zeros(b_n + 1), np.zeros(b_n + 1)
-    powers[sets], per_bs[sets] = p, rates
-    powers, per_bs = powers[:b_n], per_bs[:b_n]
-    return PowerSolution(powers=powers, per_bs_rates=per_bs,
-                         sum_rate=float(per_bs.sum()), iterations=iterations,
-                         converged=converged,
-                         objective_history=tuple(history))
+    src = np.array([matching.bs_to_rb], dtype=np.intp).reshape(1, -1)
+    return _power(instance._tables, src, np.array([0]), scheme)[0]
 
 
-def solve_instance(instance: AllocationInstance, scheme: str = "noma"):
-    """Full pipeline: match RBs, then optimize powers. Returns
-    (matching, PowerSolution)."""
-    matching = match_rbs(instance, scheme)
-    solution = sca_power_control(matching, instance, scheme)
-    return matching, solution
+def solve_instance(instance: AllocationInstance):
+    """The NOMA pipeline on one instance: match RBs, then optimize powers.
+    Returns (matching, PowerSolution)."""
+    matching = match_rbs(instance, "noma")
+    return matching, sca_power_control(matching, instance, "noma")
 
+
+def solve_group(instances, taus, schemes) -> dict:
+    """Match and power-control every (instance, tau, scheme) of a lockstep
+    group: instances sharing n_bs, n_rb, p_max, sigma2 and pair, each at
+    every quota in taus (its own tau is not read), under every scheme in
+    schemes. Each solve gets what match_rbs and sca_power_control give it
+    alone. Returns {(tau, scheme): [(Matching, PowerSolution) per instance,
+    in order]}."""
+    tab, i_n = _stack(instances), len(instances)
+    # the solves read only tab: a list the caller passed without keeping it
+    # is freed here, and with it the group's gain arrays
+    del instances
+    inst = np.repeat(np.arange(i_n), len(taus))
+    tau = np.tile(np.asarray(taus), i_n)
+    out = {}
+    for scheme in schemes:
+        src = _match(tab, inst, tau, scheme)
+        solutions = _power(tab, src, inst, scheme)
+        for j, t in enumerate(taus):
+            out[(t, scheme)] = [
+                (Matching(tuple(src[s].tolist()), tab.n_rb, t), solutions[s])
+                for s in range(j, len(inst), len(taus))]
+    return out

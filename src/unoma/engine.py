@@ -3,10 +3,12 @@
 Every sweep point gets a sub-seed hashed from (master seed, point index), and
 every kind draws the point's trials by one rule, metrics.trial_blocks: blocks
 of TRIAL_BLOCK trials, each from its own generator, in trial order.
-Processing chunks are whole numbers of blocks, so results are byte-identical
-regardless of chunk size, worker count or scheduling. A link-level run builds
-one matrix, from point_rng(master seed), the one validation checks, and one
-codebook, and every point detects with them.
+Processing chunks are whole numbers of blocks, and an allocation point solves
+a block's instances in lockstep groups whose solves do not see each other, so
+results are byte-identical regardless of chunk or group size, worker count or
+scheduling. A link-level run builds one matrix, from point_rng(master seed),
+the one validation checks, and one codebook, and every point detects with
+them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,8 +28,9 @@ from .allocation import (
     _MAX_SCA_ITERS,
     _SCA_TOL,
     AllocationInstance,
+    group_size,
     jain_fairness,
-    solve_instance,
+    solve_group,
 )
 from .association import association_probability
 from .config import ExperimentConfig, association_study
@@ -184,17 +185,20 @@ def _association_point(data: dict, index: int, value: float):
 
 
 def _allocation_point(data: dict, index: int, n_small: int):
+    """A block's instances are drawn and solved in lockstep groups of at
+    most group_size, so the solver's memory does not grow with the block."""
     point_seed = subseed(data["seed"], index)
-    results = {(tau, scheme): ([], [])
-               for tau in data["taus"] for scheme in data["schemes"]}
+    taus, schemes = data["taus"], data["schemes"]
+    results = {(tau, scheme): ([], []) for tau in taus for scheme in schemes}
+    most = group_size(n_small, data["n_rb"])
     for rng, n in trial_blocks(point_seed, data["trials"]):
-        for _ in range(n):
-            base = generate_instance(n_small, data, data["taus"][0], rng)
-            for tau in data["taus"]:
-                inst = replace(base, tau=tau)
-                for scheme in data["schemes"]:
-                    _, sol = solve_instance(inst, scheme)
-                    rates, fairs = results[(tau, scheme)]
+        cuts = -(-n // most)  # as few groups as the cap allows, sizes even
+        for size in (n // cuts + (g < n % cuts) for g in range(cuts)):
+            group = solve_group([generate_instance(n_small, data, taus[0], rng)
+                                 for _ in range(size)], taus, schemes)
+            for key, solved in group.items():
+                rates, fairs = results[key]
+                for _, sol in solved:
                     rates.append(sol.sum_rate)
                     fairs.append(jain_fairness(sol.per_bs_rates))
     return [(n_small, tau, scheme.upper(), *mean_ci(rates), *mean_ci(fairs),
@@ -255,6 +259,8 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
         shared = (matrix, default_codebook(matrix, data["q"]))
     tasks = [(config.kind, data, i, v, *shared) for i, v in enumerate(values)]
     if n_workers > 1 and len(tasks) > 1:
+        # imported here: a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
             per_point = list(pool.map(_run_point, tasks))
     else:

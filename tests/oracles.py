@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite: brute-force enumeration for
 detection, scalar pair rates, exhaustive search and a per-RB SLSQP power
-control for allocation, a per-BS loop for the small-cell drop, and a
-per-drop loop for user association. Deliberately naive."""
+control for allocation, the per-instance matcher and SCA that the lockstep
+group solver must reproduce bit for bit, a per-BS loop for the small-cell
+drop, and a per-drop loop for user association. Deliberately naive."""
 
 import itertools
 import math
@@ -10,7 +11,24 @@ from itertools import combinations, product
 
 import numpy as np
 
-from unoma.allocation import AllocationInstance
+from unoma.allocation import (
+    _MAX_FIXED_POINT,
+    _MAX_MULTIPLIER_STEPS,
+    _MAX_SCA_ITERS,
+    _MAX_SWAP_ROUNDS,
+    _SCA_TOL,
+    AllocationInstance,
+    Matching,
+    PowerSolution,
+    _capped_power,
+    _clipped_power,
+    _da_seed,
+    _padded,
+    _pair_terms,
+    _rates,
+    _sinr,
+    rb_rates,
+)
 from unoma.geometry import db_to_linear, dbm_to_watts
 from unoma.noma_core import NomaPair
 
@@ -377,3 +395,193 @@ def associate_drops(probes, snapshot):
             offsets[k] += n
         winners.append(best)
     return winners
+
+
+# The per-instance matcher and SCA: one instance, one tau and one scheme at a
+# time, every loop stopping on that solve alone. The rate kernel
+# (unoma.allocation's _pair_terms, _rates, _capped_power) is shared, so a
+# comparison with the lockstep solver checks the lockstep bookkeeping: the
+# stacked tables, the padded sets, the per-solve stopping and the order of
+# every sum.
+
+
+def _solo_plus_each(instance, scheme):
+    """plus_each(sets, rbs): the (n, n_bs + 1) totals of the slot-major sets
+    (tau, n) with each BS added, at cap-scaled equal power, in one kernel
+    call; the last column is each set's own total."""
+    b_n, tau, tab = instance.n_bs, instance.tau, instance._tables
+
+    def plus_each(sets, rbs):
+        n = len(rbs)
+        rows = np.empty((n, b_n + 1, tau + 1), dtype=np.intp)
+        rows[:, :, :tau] = sets.T[:, None, :]
+        rows[:, :, tau] = np.arange(b_n + 1)
+        rows.sort(axis=2)
+        rows = np.ascontiguousarray(rows[:, :, :tau].reshape(-1, tau).T)
+        rbs = np.repeat(rbs, b_n + 1)
+        p = _capped_power(tab, rows, rbs)
+        totals = rb_rates(instance, rows, rbs, np.broadcast_to(p, rows.shape),
+                          scheme)[1]
+        return totals.reshape(n, b_n + 1)
+
+    return plus_each
+
+
+def _greedy_seed(instance, solo, plus_each):
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
+    src = np.full(b_n, -1)
+    gain = (solo[:, :b_n] - solo[:, b_n:]).T.copy()
+    while True:
+        b, r = divmod(int(np.argmax(gain)), r_n)
+        if not gain[b, r] > 0.0:
+            break
+        src[b] = r
+        gain[b] = -np.inf
+        if np.count_nonzero(src == r) < tau:
+            rbs = np.array([r])
+            tot = plus_each(_padded(src, rbs, b_n, tau), rbs)[0]
+            gain[:, r] = np.where(src < 0, tot[:b_n] - tot[b_n], -np.inf)
+        else:
+            gain[:, r] = -np.inf
+    return src
+
+
+def _swap_phase(instance, src, plus_each):
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
+    all_rbs = np.arange(r_n)
+    upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
+    for done in range(_MAX_SWAP_ROUNDS + 1):
+        matched = np.flatnonzero(src >= 0)
+        sets = _padded(src, all_rbs, b_n, tau)
+        without = sets[:, src[matched]]
+        without[without == matched] = b_n
+        tot = plus_each(np.concatenate([sets, without], axis=1),
+                        np.concatenate([all_rbs, src[matched]]))
+        cur = tot[:r_n, b_n]
+        leave = np.zeros((b_n, b_n + 1))
+        leave[matched] = tot[r_n:] - cur[src[matched], None]
+        move = (tot[:r_n, :b_n].T - cur) + leave[:, b_n:]
+        move[matched, src[matched]] = -np.inf
+        move[:, np.bincount(src[matched], minlength=r_n) >= tau] = -np.inf
+        swap = leave[:, :b_n] + leave[:, :b_n].T
+        swap[~upper | (src[:, None] == src)] = -np.inf
+        b, r = divmod(int(np.argmax(move)), r_n)
+        b1, b2 = divmod(int(np.argmax(swap)), b_n)
+        exchange = swap[b1, b2] > max(1e-12, move[b, r])
+        if not (exchange or move[b, r] > 1e-12) or done == _MAX_SWAP_ROUNDS:
+            return src, sum(cur.tolist())
+        if exchange:
+            src[[b1, b2]] = src[[b2, b1]]
+        else:
+            src[b] = r
+
+
+def per_instance_match(instance, scheme="noma"):
+    """The matcher on one instance: deferred-acceptance and greedy seeds,
+    each refined by best-improvement swaps, the better kept."""
+    b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
+    if b_n == 0:
+        return Matching((), r_n, tau)
+    plus_each = _solo_plus_each(instance, scheme)
+    all_rbs = np.arange(r_n)
+    solo = plus_each(_padded(np.full(b_n, -1), all_rbs, b_n, tau), all_rbs)
+    best_src, best_total = None, -math.inf
+    for seed in (_da_seed(solo[:, :b_n].T, tau),
+                 _greedy_seed(instance, solo, plus_each)):
+        src, total = _swap_phase(instance, seed, plus_each)
+        if total > best_total + 1e-12:
+            best_src, best_total = src, total
+    return Matching(tuple(best_src.tolist()), r_n, tau)
+
+
+def _cap_multiplier(a, c, h, cap, binds, lo, p_max):
+    mu, mu_lo, mu_hi = np.zeros(len(cap)), np.zeros(len(cap)), np.zeros(len(cap))
+    mu_hi[binds] = a[:, binds].sum(axis=0) / cap[binds]
+    for _ in range(_MAX_MULTIPLIER_STEPS):
+        p, x = _clipped_power(a, c, mu, h, lo, p_max)
+        excess = (h * p).sum(axis=0) - cap
+        over = excess > 0
+        mu_lo = np.where(over, mu, mu_lo)
+        mu_hi = np.where(over, mu_hi, mu)
+        slope = np.where((p > lo) & (p < p_max), h * h * p / x, 0.0).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = mu + excess / slope
+        inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
+        step = np.where(inside, step, 0.5 * (mu_lo + mu_hi))
+        if not ((step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi))).any():
+            break
+        mu = step
+    return mu
+
+
+def _surrogate_step(instance, terms, h, cap, p):
+    p_max, sigma2 = instance.p_max, instance.sigma2
+    lo = p_max * math.exp(-60.0)
+    sinrs = [_sinr(term, p, sigma2) for term in terms]
+    alphas = [term.weight * z / (1.0 + z) for term, (z, _) in zip(terms, sinrs)]
+    dens = [den for _, den in sinrs]
+    a = alphas[0] + alphas[1]
+    q = p
+    for _ in range(_MAX_FIXED_POINT):
+        c = 0.0
+        for term, alpha, den in zip(terms, alphas, dens):
+            ratio = alpha / den
+            c = c + (term.cross * ratio).sum(axis=1)
+            if term.own is not None:
+                c = c + ratio * term.own * term.gain
+        new = _clipped_power(a, c, 0.0, h, lo, p_max)[0]
+        binds = np.flatnonzero((h * new).sum(axis=0) > cap)
+        if len(binds):
+            mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max)
+            new = _clipped_power(a, c, mu, h, lo, p_max)[0]
+        done = not (np.abs(new - q) > 1e-15 * q).any()
+        q = new
+        if done:
+            break
+        dens = [_sinr(term, q, sigma2)[1] for term in terms]
+    load = (h * q).sum(axis=0)
+    over = load > cap
+    q[:, over] *= (cap[over] / load[over]) * (1.0 - 1e-12)
+    return q
+
+
+def per_instance_sca(matching, instance, scheme="noma"):
+    """SCA power control of one instance's matching, every loop stopping on
+    this solve alone."""
+    b_n, r_n, tab = instance.n_bs, instance.n_rb, instance._tables
+    src = np.asarray(matching.bs_to_rb, dtype=np.intp)
+    counts = np.bincount(src[src >= 0], minlength=r_n)
+    rbs = np.flatnonzero(counts)
+    sets = _padded(src, rbs, b_n, int(counts.max(initial=1)))
+    h = tab.h_macro.take(sets * r_n + rbs)
+    cap = instance.i_threshold[rbs]
+    closed = (cap == 0) & np.any(h > 0, axis=0)
+    if closed.any():
+        rbs, sets, h, cap = (a[..., ~closed] for a in (rbs, sets, h, cap))
+    p = np.repeat(_capped_power(tab, sets, rbs)[None], len(sets), axis=0)
+    terms = _pair_terms(tab, sets, rbs, scheme)
+    rates, totals = _rates(terms, p, instance.sigma2)
+    history = []
+    iterations = 0
+    converged = not len(rbs)
+    prev = sum(totals.tolist())
+    for it in range(_MAX_SCA_ITERS):
+        iterations = it + 1
+        cand = _surrogate_step(instance, terms, h, cap, p)
+        cand_rates, cand_totals = _rates(terms, cand, instance.sigma2)
+        keep = cand_totals >= totals
+        p = np.where(keep, cand, p)
+        rates = np.where(keep, cand_rates, rates)
+        totals = np.where(keep, cand_totals, totals)
+        total = sum(totals.tolist())
+        history.append(total)
+        if total - prev < _SCA_TOL * max(1.0, abs(total)):
+            converged = True
+            break
+        prev = total
+    powers, per_bs = np.zeros(b_n + 1), np.zeros(b_n + 1)
+    powers[sets], per_bs[sets] = p, rates
+    powers, per_bs = powers[:b_n], per_bs[:b_n]
+    return PowerSolution(powers=powers, per_bs_rates=per_bs,
+                         sum_rate=float(per_bs.sum()), iterations=iterations,
+                         converged=converged, objective_history=tuple(history))

@@ -10,6 +10,8 @@ from oracles import (
     all_swap_deltas,
     capped_equal_power,
     pair_rates,
+    per_instance_match,
+    per_instance_sca,
     random_instance,
     sequential_deferred_acceptance,
     slsqp_sca,
@@ -23,15 +25,18 @@ from unoma.allocation import (
     _da_seed,
     _padded,
     _pair_terms,
+    _plus_each,
     _surrogate_step,
     jain_fairness,
     match_rbs,
     rb_rates,
     sca_power_control,
+    solve_group,
     solve_instance,
 )
 from unoma.config import preset_config
-from unoma.engine import generate_instance
+from unoma.engine import generate_instance, subseed
+from unoma.metrics import trial_blocks
 from unoma.noma_core import NomaPair
 
 
@@ -109,7 +114,7 @@ def _alone_scores(inst, scheme):
     width-1 kernel set per (BS, RB) pair."""
     bs, rb = np.divmod(np.arange(inst.n_bs * inst.n_rb), inst.n_rb)
     sets = bs[None]
-    p = _capped_power(inst, sets, rb)
+    p = _capped_power(inst._tables, sets, rb)
     totals = rb_rates(inst, sets, rb, p[None], scheme)[1]
     return totals.reshape(inst.n_bs, inst.n_rb)
 
@@ -124,9 +129,9 @@ def test_solo_table_scores_every_bs_alone(monkeypatch):
         seen.append(score.copy())
         return _da_seed(score, tau)
 
-    def greedy_seed(inst, solo, plus_each):
-        seen.append(solo.copy())
-        return greedy(inst, solo, plus_each)
+    def greedy_seed(tab, solo, inst, tau, scheme):
+        seen.append(solo[0].copy())  # one solve: one instance's table
+        return greedy(tab, solo, inst, tau, scheme)
 
     greedy = allocation._greedy_seed
     monkeypatch.setattr(allocation, "_da_seed", da_seed)
@@ -150,6 +155,33 @@ def test_solo_table_scores_every_bs_alone(monkeypatch):
             assert solo[:, :inst.n_bs].T.tobytes() == want.tobytes()
             assert not solo[:, inst.n_bs].any()  # the empty sets' totals
     assert _da_seed(_alone_scores(cases[0], "noma"), 3).tolist() == [0, 0, 0]
+
+
+def test_plus_each_invariant_to_row_budget(monkeypatch):
+    """_plus_each cuts its rows into kernel calls of at most RATE_ROWS rows,
+    splitting a set's rows when n_bs + 1 exceeds the budget; every budget
+    gives the table of one call."""
+    inst = generate_instance(12, preset_config("fig5").data, 3,
+                             np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    cols = np.tile(np.arange(inst.n_rb), 5)
+    src = rng.integers(-1, inst.n_rb, (len(cols), inst.n_bs))
+    sets = _padded(src, cols, inst.n_bs, 3)
+    calls = []
+    kernel = allocation.rb_rates
+
+    def record(tab, chunk, *args):
+        calls.append(chunk.shape[1])
+        return kernel(tab, chunk, *args)
+
+    monkeypatch.setattr(allocation, "rb_rates", record)
+    want = _plus_each(inst._tables, sets, cols, "oma")
+    assert calls == [len(cols) * (inst.n_bs + 1)]
+    for budget in (1, 5, 13, 39):  # 13 rows: one set
+        calls.clear()
+        monkeypatch.setattr(allocation, "RATE_ROWS", budget)
+        assert _plus_each(inst._tables, sets, cols, "oma").tobytes() == want.tobytes()
+        assert max(calls) == budget and sum(calls) == len(cols) * (inst.n_bs + 1)
 
 
 def test_match_single_bs_single_rb():
@@ -208,7 +240,7 @@ def test_set_rate_kernel_matches_scalar_oracle():
     sets, powers = sets.T, powers.T  # slot-major, one set per column
     for scheme in ("noma", "oma"):
         rates, totals = rb_rates(inst, sets, rbs, powers, scheme)
-        p = _capped_power(inst, sets, rbs)
+        p = _capped_power(inst._tables, sets, rbs)
         capped = rb_rates(inst, sets, rbs, np.broadcast_to(p, sets.shape),
                           scheme)[1]
         for row, (padded, r) in enumerate(zip(sets.T.tolist(), rbs.tolist())):
@@ -273,6 +305,51 @@ def test_match_at_fig5_scale():
         assert max(all_swap_deltas(inst, m, scheme)) <= 1e-9
 
 
+def _assert_group_matches_oracle(group, taus) -> int:
+    """solve_group gives each (instance, tau, scheme) of the group what the
+    per-instance matcher and SCA give it alone, bit for bit. Returns the
+    number of solves."""
+    solves = 0
+    for (tau, scheme), pairs in solve_group(group, taus, ["noma", "oma"]).items():
+        for inst, (matching, sol) in zip(group, pairs, strict=True):
+            inst = replace(inst, tau=tau)
+            want = per_instance_match(inst, scheme)
+            ref = per_instance_sca(want, inst, scheme)
+            assert matching.bs_to_rb == want.bs_to_rb
+            assert sol.powers.tobytes() == ref.powers.tobytes()
+            assert sol.per_bs_rates.tobytes() == ref.per_bs_rates.tobytes()
+            assert (sol.iterations, sol.converged, sol.objective_history) \
+                == (ref.iterations, ref.converged, ref.objective_history)
+            solves += 1
+    return solves
+
+
+def test_group_matches_the_per_instance_oracle():
+    """Every instance of a fig5 sweep (seed 7, 16 trials, all six n, tau 2
+    and 3, both schemes), a trial block's instances in one group; and random
+    groups of up to 4 instances with 1-6 BSs and 1-4 RBs at up to three of
+    the quotas 1-4, so a solve's sets take up to 3 padding slots, with
+    binding, absent and zero caps and zero far gains."""
+    data = dict(preset_config("fig5").data, trials=16)
+    solves = 0
+    for index, n in enumerate(data["sweep"]["values"]):
+        for rng, m in trial_blocks(subseed(data["seed"], index), data["trials"]):
+            group = [generate_instance(n, data, 2, rng) for _ in range(m)]
+            solves += _assert_group_matches_oracle(group, [2, 3])
+    assert solves == 6 * 16 * 2 * 2
+    rng = np.random.default_rng(99)
+    for g in range(15):
+        n_bs, n_rb = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        threshold = (2e-10, 0.0, np.inf, 5e-11, 1e-12)[g % 5]
+        group = [random_instance(rng, n_bs, n_rb, tau=1, threshold=threshold)
+                 for _ in range(int(rng.integers(1, 5)))]
+        x_far = group[0].x_far.copy()
+        x_far[0, 0, :] = 0.0  # BS 0's far user hears nothing
+        group[0] = replace(group[0], x_far=x_far)
+        taus = sorted(rng.choice(4, int(rng.integers(1, 4)), replace=False) + 1)
+        _assert_group_matches_oracle(group, [int(t) for t in taus])
+
+
 def test_matching_validator():
     m = Matching((1, -1, 0, 1), n_rb=3, tau=2)
     assert m.rb_to_bs == ((2,), (0, 3), ())
@@ -324,7 +401,8 @@ def test_closed_rb_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scheme in ("noma", "oma"):
-            m, sol = solve_instance(inst, scheme)
+            m = match_rbs(inst, scheme)
+            sol = sca_power_control(m, inst, scheme)
             assert min(m.bs_to_rb) >= 0  # every BS on a closed RB
             assert not sol.powers.any() and not sol.per_bs_rates.any()
             assert sol.sum_rate == 0.0 and sol.converged
@@ -341,7 +419,8 @@ def test_oma_baseline_consistent():
     inst = random_instance(rng, 4, 2, tau=2)
     matching = match_rbs(inst, "oma")
     direct = sca_power_control(matching, inst, "oma").sum_rate
-    assert solve_instance(inst, "oma")[1].sum_rate == pytest.approx(direct)
+    grouped = solve_group([inst], [inst.tau], ["oma"])[(inst.tau, "oma")]
+    assert grouped[0][1].sum_rate == pytest.approx(direct)
     assert direct > 0.0
 
 
@@ -381,8 +460,9 @@ def test_sca_matches_slsqp_oracle():
         cap = inst.i_threshold[rbs]
         p = rng.uniform(0.05, 1.0, sets.shape) * inst.p_max
         p *= np.minimum(1.0, 0.5 * cap / (p * h).sum(axis=0))  # half a cap
-        cand = _surrogate_step(inst, _pair_terms(inst, sets, rbs, scheme),
-                               h, cap, p)
+        cand = _surrogate_step(inst._tables,
+                               _pair_terms(inst._tables, sets, rbs, scheme),
+                               h, cap, p, np.zeros(len(rbs), dtype=np.intp))
         for col, r in enumerate(rbs.tolist()):
             members = list(matching.rb_to_bs[r])
             want = slsqp_surrogate_step(inst, r, members, p[:len(members), col],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 import math
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from unoma import config as config_module
-from unoma import engine as engine_module
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -511,7 +511,7 @@ def test_pool_never_outnumbers_the_points(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = validate_config(_tiny_association_config())
     run_experiment(cfg, tmp_path, workers=100_000)
     assert requested == [len(cfg.sweep_values)] == [2]

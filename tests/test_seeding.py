@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_instance
-from unoma import config, engine
+from unoma import allocation, config, engine
 from unoma.config import preset_config, validate_config
 from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
 from unoma.noma_core import MPA_CHUNK, build_matrix, default_codebook
@@ -69,10 +69,14 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
         drawn.append(generate(*args))
         return drawn[-1]
 
+    def solve(group, taus, schemes):
+        return {(tau, scheme): [(None, solution)] * len(group)
+                for tau in taus for scheme in schemes}
+
     generate = engine.generate_instance
     solution = SimpleNamespace(sum_rate=1.0, per_bs_rates=np.ones(3))
     monkeypatch.setattr(engine, "generate_instance", record)
-    monkeypatch.setattr(engine, "solve_instance", lambda inst, s: (None, solution))
+    monkeypatch.setattr(engine, "solve_group", solve)
     engine._allocation_point(data, 2, 3)
     assert len(drawn) == 130
     block_1 = np.random.default_rng(
@@ -82,6 +86,49 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
         if isinstance(getattr(expected, field.name), np.ndarray):
             assert np.array_equal(getattr(drawn[128], field.name),
                                   getattr(expected, field.name)), field.name
+
+
+_CUT_SWEEP = {"variable": "n_small_cells", "values": [12, 32]}
+
+
+def test_allocation_csv_invariant_to_lockstep_cuts(tmp_path, monkeypatch):
+    """A point solves its instances in lockstep groups of at most
+    allocation.group_size, and the rate kernel takes at most RATE_ROWS rows
+    per call: one instance per group and one set's rows at n = 32 (33; two
+    sets at n = 12) per call, across a second trial block, give the bytes of
+    the default."""
+    data = dict(preset_config("fig5").data, name="cuts",
+                trials=TRIAL_BLOCK + 2, sweep=_CUT_SWEEP)
+    default = _csv(data, tmp_path / "default")
+    monkeypatch.setattr(allocation, "RATE_ROWS", 33)
+    monkeypatch.setattr(allocation, "GROUP_BYTES", 1)
+    assert _csv(data, tmp_path / "cut") == default
+
+
+def test_allocation_kernel_calls_and_groups_are_bounded(monkeypatch):
+    """On the n = 32 fig5 point no rate-kernel pass (matching or SCA) has more
+    than RATE_ROWS rows, and no lockstep group's stacked tables more than
+    GROUP_BYTES, whatever the trial count: the bounds are reached, not just
+    kept."""
+    rows, tables = [], []
+    rates, stack = allocation._rates, allocation._stack
+
+    def record_rates(terms, p, sigma2):
+        rows.append(p.shape[1])
+        return rates(terms, p, sigma2)
+
+    def record_stack(instances):
+        tab = stack(instances)
+        tables.append(sum(a.nbytes for a in tab if isinstance(a, np.ndarray)))
+        return tab
+
+    monkeypatch.setattr(allocation, "_rates", record_rates)
+    monkeypatch.setattr(allocation, "_stack", record_stack)
+    data = preset_config("fig5").data
+    engine._allocation_point(data, 5, 32)
+    assert max(rows) <= allocation.RATE_ROWS < 2 * max(rows)
+    assert max(tables) <= allocation.GROUP_BYTES < 2 * max(tables)
+    assert len(tables) == -(-data["trials"] // allocation.group_size(32, 4))
 
 
 def test_generate_instance_matches_the_per_bs_draw():
