@@ -11,18 +11,15 @@ conditions.
 solve_group solves every (instance, tau, scheme) of a lockstep group of
 instances together. The instances' padded gain tables sit side by side along
 the RB axis (_stack), so a kernel row's column names its instance and its RB,
-and every tau of an instance reads the same tables, its sets padded to the
-group's largest tau with the sentinel BS, whose gains add an exact +0.0. Per
-scheme, each greedy step, each swap round (a solve's DA-seeded and
-greedy-seeded swap phases are two lanes of it) and each SCA step is one pass
-over the rows of the solves still active, and each solve stops on its own:
-the swap rounds, SCA's outer loop, the surrogate's fixed point and the
-cap-multiplier search each test a solve's rows alone and freeze a finished
-solve's rows, so every solve gets the bytes it gets alone. A pass goes to the
-rate kernel at most RATE_ROWS rows per call, and SCA runs its solves in
-batches of at most RATE_ROWS rows, so memory does not grow with the group;
-group_size caps a group's stacked tables at GROUP_BYTES. match_rbs,
-sca_power_control and solve_instance are the one-solve case.
+and each row carries its solve's scheme. A solve's sets are padded to the
+group's largest tau (SCA: its fullest RB) with the sentinel BS, whose gains
+add an exact +0.0. Deferred acceptance, each greedy step, each swap round (a
+solve's DA-seeded and greedy-seeded phases are two lanes of it) and each SCA
+step is one pass over the rows of the live solves, and each solve stops on
+its own, so every solve gets the bytes it gets alone. A pass goes to the rate
+kernel at most RATE_ROWS rows per call, and SCA takes at most RATE_ROWS rows
+per batch; group_size caps a group's stacked tables at GROUP_BYTES.
+match_rbs, sca_power_control and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -52,7 +49,8 @@ _TINY = np.finfo(float).tiny
 RATE_ROWS = 1024
 # Bytes of a lockstep group's stacked gain tables (group_size): 73 kB per
 # instance at 32 BSs and 4 RBs, so 3 instances. A group's swap-round arrays
-# grow with it too. A 512 KiB cap ran about 10 % faster on fig5 but raised
+# grow with it too: two lanes per (instance, tau, scheme), every scheme in
+# one round. A 512 KiB cap ran about 10 % faster on fig5 but raised
 # the summed peak RSS of a 2-worker fig5 run by 0.6 MB more.
 GROUP_BYTES = 1 << 18
 
@@ -198,47 +196,52 @@ class _Term(NamedTuple):
         share p gain / (own p gain + sum_j p[j] cross[j] + sigma2),
 
     own being 0 where it is None, and its rate is weight log2(1 + SINR);
-    cross[j] is the gain from member j to member i's user."""
+    cross[j] is the gain from member j to member i's user. weight, share and
+    own are per row, set by the row's scheme."""
 
-    weight: float
-    share: float  # power share of the user's signal
+    weight: np.ndarray  # (n,)
+    share: np.ndarray  # (n,) power share of the user's signal
     gain: np.ndarray  # (k, n)
     cross: np.ndarray  # (k, k, n) [tx slot, rx slot, row]
-    own: float | None = None  # own power share heard as noise
+    own: np.ndarray | None = None  # (n,) own power share heard as noise
 
 
-def _pair_terms(tab: _Tables, sets, cols, scheme: str):
-    """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
-    indices padded with the sentinel index n_bs, on the table columns cols
-    (n,). A zero gain gives a term of log2(1) = 0, so the sentinel needs no
-    case."""
+def _is_oma(scheme: str) -> bool:
     if scheme not in ("noma", "oma"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    return scheme == "oma"
+
+
+def _pair_terms(tab: _Tables, sets, cols, oma):
+    """The (far, near) rate terms of slot-major co-channel sets (k, n), BS
+    indices padded with the sentinel index n_bs, on the table columns cols
+    (n,), oma (n,) flagging the OMA rows. A zero gain gives a term of
+    log2(1) = 0, so the sentinel needs no case."""
     b1, c_n = tab.h_macro.shape
     own = sets * c_n + cols  # flat index into the (B + 1, C) gains
     cross = (sets[:, None] * b1 + sets[None]) * c_n + cols  # [tx, rx, row]
-    x_far, x_near = tab.x_far.take(cross), tab.x_near.take(cross)
-    g_far, g_near = tab.g_far.take(own), tab.g_near.take(own)
-    if scheme == "noma":
-        # the far user decodes its share treating the near user's as noise;
-        # the near user cancels the far share first (SIC)
-        a_m, a_n = tab.pair.a_m, tab.pair.a_n
-        return (_Term(1.0, a_m, g_far, x_far, own=a_n),
-                _Term(1.0, a_n, g_near, x_near))
-    # equal time sharing: each user gets half the slot at full power
-    return (_Term(0.5, 1.0, g_far, x_far), _Term(0.5, 1.0, g_near, x_near))
+    # NOMA: the far user decodes its share treating the near user's as
+    # noise; the near user cancels the far share first (SIC). OMA: equal
+    # time sharing, each user gets half the slot at full power and hears no
+    # own share (an exact 0.0 p gain).
+    a_m, a_n = tab.pair.a_m, tab.pair.a_n
+    weight, far_share, near_share, heard = np.array(
+        [[1.0, 0.5], [a_m, 1.0], [a_n, 1.0], [a_n, 0.0]])[:, oma.astype(np.intp)]
+    return (_Term(weight, far_share, tab.g_far.take(own), tab.x_far.take(cross),
+                  own=heard),
+            _Term(weight, near_share, tab.g_near.take(own), tab.x_near.take(cross)))
 
 
 def _sinr(term: _Term, p: np.ndarray, sigma2: float):
     """(SINR, its denominator) of a term at slot-major powers p (k, n).
     Interference is summed one member slot at a time, in the rows' member
     order."""
-    interference = np.zeros(term.gain.shape)
+    den = np.zeros(term.gain.shape)
     for j in range(len(p)):
-        interference = interference + p[j] * term.cross[j]
+        den += p[j] * term.cross[j]
     if term.own is not None:
-        interference = term.own * p * term.gain + interference
-    den = interference + sigma2
+        den += term.own * p * term.gain
+    den += sigma2
     return term.share * p * term.gain / den, den
 
 
@@ -255,17 +258,20 @@ def _rates(terms, p: np.ndarray, sigma2: float):
     return rates, totals
 
 
-def rb_rates(instance, sets, rbs, powers, scheme: str):
+def rb_rates(instance, sets, rbs, powers, scheme):
     """Pair sum rate of every member of every co-channel set.
 
     instance: an AllocationInstance, or the _Tables of a group, whose columns
     rbs then names. sets: (k, n) BS indices, slot-major, one RB's co-channel
     set per column, padded with the sentinel index n_bs; rbs: (n,) the RB of
-    each column; powers: (k, n) the transmit power of each member.
+    each column; powers: (k, n) the transmit power of each member; scheme:
+    "noma" or "oma", or per column (n,) whether it is OMA.
     Slot-major arrays keep numpy's inner loops n long. Returns (rates (k, n),
     totals (n,)).
     """
     tab = instance if isinstance(instance, _Tables) else instance._tables
+    if isinstance(scheme, str):
+        scheme = np.full(len(rbs), _is_oma(scheme))
     return _rates(_pair_terms(tab, sets, rbs, scheme), powers, tab.sigma2)
 
 
@@ -287,25 +293,26 @@ def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
     return p
 
 
-def _set_totals(tab: _Tables, sets, cols, scheme: str) -> np.ndarray:
-    """(n,) totals of the slot-major sets (width, n) on the columns cols at
-    cap-scaled equal power, at most RATE_ROWS sets per kernel call."""
+def _set_totals(tab: _Tables, sets, cols, oma) -> np.ndarray:
+    """(n,) totals of the slot-major sets (width, n) on the columns cols
+    under the schemes oma (n,) at cap-scaled equal power, at most RATE_ROWS
+    sets per kernel call."""
     out = np.empty(len(cols))
     for lo in range(0, len(cols), RATE_ROWS):
         chunk, c = sets[:, lo:lo + RATE_ROWS], cols[lo:lo + RATE_ROWS]
         p = _capped_power(tab, chunk, c)
         out[lo:lo + len(c)] = rb_rates(tab, chunk, c, np.broadcast_to(p, chunk.shape),
-                                       scheme)[1]
+                                       oma[lo:lo + RATE_ROWS])[1]
     return out
 
 
-def _plus_each(tab: _Tables, sets, cols, scheme: str) -> np.ndarray:
+def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
     """(n, n_bs + 1) table of the totals (_set_totals) of the slot-major sets
-    (width, n) on the columns cols (n,) with each BS added; the last column
-    (the sentinel) is each set's own total. A full set drops its largest
-    member to make room: those entries are never read. A kernel call holds
-    the rows of as many whole sets as RATE_ROWS allows, or a set's rows cut
-    to RATE_ROWS."""
+    (width, n) on the columns cols (n,) under the schemes oma (n,) with each
+    BS added; the last column (the sentinel) is each set's own total. A full
+    set drops its largest member to make room: those entries are never read.
+    A kernel call holds the rows of as many whole sets as RATE_ROWS allows,
+    or a set's rows cut to RATE_ROWS."""
     width, n = sets.shape
     b1 = tab.h_macro.shape[0]
     out = np.empty((n, b1))
@@ -318,8 +325,8 @@ def _plus_each(tab: _Tables, sets, cols, scheme: str) -> np.ndarray:
         rows.sort(axis=2)
         rows = np.ascontiguousarray(rows[:, :, :width].reshape(-1, width).T)
         out[first:first + step] = _set_totals(
-            tab, rows, np.repeat(cols[first:first + step], b1), scheme
-        ).reshape(-1, b1)
+            tab, rows, np.repeat(cols[first:first + step], b1),
+            np.repeat(oma[first:first + step], b1)).reshape(-1, b1)
     return out
 
 
@@ -345,29 +352,32 @@ class Matching:
                      for r in range(self.n_rb))
 
 
-def _da_seed(score: np.ndarray, tau: int) -> np.ndarray:
-    """Deferred acceptance: BSs propose, RBs keep their top-tau proposers.
-    Both sides rank by score (B, R), best first, ties to the lower index.
-    Every free BS proposes at once each round; preferences being strict on
-    both sides, that gives the BS-optimal stable matching, as proposing one
-    at a time does. Returns the assignment: one RB index per BS, -1 for
-    unmatched."""
-    b_n, r_n = score.shape
-    bs_prefs = np.argsort(-score, axis=1, kind="stable")
-    rb_prefs = np.argsort(-score.T, axis=1, kind="stable")
-    rb_rank = np.argsort(rb_prefs, axis=1)  # rb_rank[r, b]: b's place on r's list
-    src = np.full(b_n, -1)
-    pointer = np.zeros(b_n, dtype=np.intp)
+def _da_seed(score: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Deferred acceptance on every solve at once: solve s's BSs propose and
+    its RBs keep their top-tau[s] proposers, both sides ranking by score[s]
+    (B, R), best first, ties to the lower index. Solve s's RB r is the global
+    RB s R + r. Every free BS proposes at once each round; preferences being
+    strict on both sides, that gives each solve the BS-optimal stable
+    matching, as proposing one at a time does. Returns the assignments
+    (S, B): one RB index per BS, -1 for unmatched."""
+    s_n, b_n, r_n = score.shape
+    bs_prefs = np.argsort(-score, axis=2, kind="stable").reshape(-1, r_n)
+    rb_prefs = np.argsort(-score.transpose(0, 2, 1), axis=2, kind="stable")
+    # rb_rank[s R + r, b]: b's place on solve s's RB r's list
+    rb_rank = np.argsort(rb_prefs, axis=2).reshape(-1, b_n)
+    src = np.full(s_n * b_n, -1)  # flat BS s B + b's RB
+    pointer = np.zeros(s_n * b_n, dtype=np.intp)
     while len(free := np.flatnonzero((src < 0) & (pointer < r_n))):
         src[free] = bs_prefs[free, pointer[free]]
         pointer[free] += 1
         held = np.flatnonzero(src >= 0)
-        held = held[np.lexsort((rb_rank[src[held], held], src[held]))]
-        rbs = src[held]
+        rbs = held // b_n * r_n + src[held]  # global RBs
+        order = np.lexsort((rb_rank[rbs, held % b_n], rbs))
+        held, rbs = held[order], rbs[order]
         # each holder's place among its RB's holders, best first
         place = np.arange(len(held)) - np.searchsorted(rbs, rbs)
-        src[held[place >= tau]] = -1
-    return src
+        src[held[place >= tau[held // b_n]]] = -1
+    return src.reshape(s_n, b_n)
 
 
 def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
@@ -382,20 +392,20 @@ def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(cols[:, :width].T)
 
 
-def _greedy_seed(tab: _Tables, solo, inst, tau, scheme: str) -> np.ndarray:
+def _greedy_seed(tab: _Tables, solo, inst, tau, oma) -> np.ndarray:
     """Every solve's greedy seed, in lockstep. Solve s, instance inst[s] at
-    quota tau[s], repeatedly places the (BS, RB) pair with the largest
-    marginal gain, the first in row-major (BS, RB) order on ties, until no
-    gain is positive. The gains start from solo (I, R, B + 1), each
-    instance's _plus_each table of the empty sets; each step rescores, in one
-    pass, the column of the RB that each live solve changed. Returns the
-    assignments (S, B), one row per solve, as _da_seed's."""
+    quota tau[s] under scheme oma[s], repeatedly places the (BS, RB) pair
+    with the largest marginal gain, the first in row-major (BS, RB) order on
+    ties, until no gain is positive. The gains start from solo (S, R, B + 1),
+    each solve's _plus_each table of the empty sets; each step rescores, in
+    one pass, the column of the RB that each live solve changed. Returns the
+    assignments (S, B), as _da_seed's."""
     r_n, b_n = tab.n_rb, solo.shape[2] - 1
     width = int(tau.max())
     src = np.full((len(inst), b_n), -1)
     # gain[s, b, r]: total of r's set with b added minus its total; -inf
     # once b is placed or r is full
-    gain = (solo[:, :, :b_n] - solo[:, :, b_n:]).transpose(0, 2, 1)[inst]
+    gain = (solo[:, :, :b_n] - solo[:, :, b_n:]).transpose(0, 2, 1)
     live = np.arange(len(inst))
     while len(live):
         b, r = np.divmod(gain[live].reshape(len(live), -1).argmax(axis=1), r_n)
@@ -407,20 +417,21 @@ def _greedy_seed(tab: _Tables, solo, inst, tau, scheme: str) -> np.ndarray:
         gain[live[~room], :, r[~room]] = -np.inf
         s, r = live[room], r[room]
         tot = _plus_each(tab, _padded(src[s], r, b_n, width), inst[s] * r_n + r,
-                         scheme)
+                         oma[s])
         gain[s, :, r] = np.where(src[s] < 0, tot[:, :b_n] - tot[:, b_n:], -np.inf)
     return src
 
 
-def _best_changes(tab: _Tables, src, inst, tau, scheme: str):
+def _best_changes(tab: _Tables, src, inst, tau, oma):
     """One swap round's scores for the assignments src (n, B) of instances
-    inst at quotas tau, from one pass: a full RB's set is scored alone (only
-    its total is read), every other set and every matched BS's set without it
-    with each BS added. Returns (each RB's total (n, R), and per assignment
-    the best move into a vacancy, the first maximum in row-major (BS, RB)
-    order, and the best pairwise exchange, one side possibly unmatched, the
-    first maximum in row-major (BS, BS) order: flat index and gain of each).
-    The score tables die here, before the next round's pass."""
+    inst at quotas tau under schemes oma, from one pass: a full RB's set is
+    scored alone (only its total is read), every other set and every matched
+    BS's set without it with each BS added. Returns (each RB's total (n, R),
+    and per assignment the best move into a vacancy, the first maximum in
+    row-major (BS, RB) order, and the best pairwise exchange, one side
+    possibly unmatched, the first maximum in row-major (BS, BS) order: flat
+    index and gain of each). The score tables die here, before the next
+    round's pass."""
     n, (r_n, b_n) = len(src), (tab.n_rb, src.shape[1])
     base = inst * r_n
     set_cols = (base[:, None] + np.arange(r_n)).ravel()
@@ -431,22 +442,29 @@ def _best_changes(tab: _Tables, src, inst, tau, scheme: str):
     without = sets[:, ml * r_n + mr]  # each matched BS's set without it
     without[without == mb] = b_n
     full = np.bincount(ml * r_n + mr, minlength=n * r_n) >= np.repeat(tau, r_n)
+    set_oma = np.repeat(oma, r_n)
     tot = _plus_each(tab, np.concatenate([sets[:, ~full], without], axis=1),
-                     np.concatenate([set_cols[~full], base[ml] + mr]), scheme)
+                     np.concatenate([set_cols[~full], base[ml] + mr]),
+                     np.concatenate([set_oma[~full], oma[ml]]))
     on_rb = np.zeros((n * r_n, b_n + 1))  # a full RB's moves are -inf
     on_rb[~full] = tot[:len(tot) - len(ml)]
-    on_rb[full, b_n] = _set_totals(tab, sets[:, full], set_cols[full], scheme)
+    on_rb[full, b_n] = _set_totals(tab, sets[:, full], set_cols[full],
+                                   set_oma[full])
     on_rb = on_rb.reshape(n, r_n, b_n + 1)
     cur = on_rb[:, :, b_n]
-    # leave[l, m, b]: change on m's RB when m leaves it and b joins; the
-    # sentinel column b = n_bs is m leaving alone; 0 for unmatched m
-    leave = np.zeros((n, b_n, b_n + 1))
-    leave[ml, mb] = tot[len(tot) - len(ml):] - cur[ml, mr, None]
-    move = (on_rb[:, :, :b_n].transpose(0, 2, 1) - cur[:, None]) + leave[:, :, b_n:]
+    # leave[i, b]: change on matched pair i's RB when its BS leaves and b
+    # joins (b = n_bs: leaves alone); 0 for an unmatched BS, so not stored
+    leave = tot[len(tot) - len(ml):] - cur[ml, mr, None]
+    del tot
+    move = on_rb[:, :, :b_n].transpose(0, 2, 1) - cur[:, None]
+    move[ml, mb] += leave[:, b_n:]
     move[ml, mb, mr] = -np.inf
     full_l, full_r = np.divmod(np.flatnonzero(full), r_n)
     move[full_l, :, full_r] = -np.inf
-    swap = leave[:, :, :b_n] + leave[:, :, :b_n].transpose(0, 2, 1)
+    # swap[l, b1, b2]: b1's leave with b2 joining plus b2's with b1 joining
+    swap = np.zeros((n, b_n, b_n))
+    swap[ml, mb] = leave[:, :b_n]
+    swap[ml, :, mb] += leave[:, :b_n]
     upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
     swap[~upper | (src[:, :, None] == src[:, None])] = -np.inf
     move, swap = move.reshape(n, -1), swap.reshape(n, -1)
@@ -455,21 +473,20 @@ def _best_changes(tab: _Tables, src, inst, tau, scheme: str):
             best_swap, swap[np.arange(n), best_swap])
 
 
-def _swap_phase(tab: _Tables, src, inst, tau, scheme: str):
+def _swap_phase(tab: _Tables, src, inst, tau, oma):
     """Best-improvement moves into vacancies and pairwise exchanges, on every
     lane in lockstep: lane l refines the assignment src[l] of instance
-    inst[l] at quota tau[l] and stops on its own. A round (_best_changes)
-    applies a lane's best exchange if it is strictly better than its best
-    move and gains more than 1e-12, else its best move if that does. Returns
-    (the final assignments (L, B), each lane's total of its final
-    matching)."""
+    inst[l] at quota tau[l] under scheme oma[l] and stops on its own. A round
+    (_best_changes) applies a lane's best exchange if it is strictly better
+    than its best move and gains more than 1e-12, else its best move if that
+    does. Returns (the final assignments (L, B), each lane's final total)."""
     r_n, b_n = tab.n_rb, src.shape[1]
     src = src.copy()
     totals = [0.0] * len(src)
     live = np.arange(len(src))
     for done in range(_MAX_SWAP_ROUNDS + 1):
         cur, best_move, gain_move, best_swap, gain_swap = _best_changes(
-            tab, src[live], inst[live], tau[live], scheme)
+            tab, src[live], inst[live], tau[live], oma[live])
         exchange = gain_swap > np.where(gain_move > 1e-12, gain_move, 1e-12)
         go = (exchange | (gain_move > 1e-12)) & (done < _MAX_SWAP_ROUNDS)
         for k in np.flatnonzero(~go).tolist():
@@ -485,25 +502,25 @@ def _swap_phase(tab: _Tables, src, inst, tau, scheme: str):
     return src, totals
 
 
-def _match(tab: _Tables, inst, tau, scheme: str) -> np.ndarray:
+def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
     """Every solve's matching, in lockstep: solve s matches instance inst[s]
-    at quota tau[s]. Two seeds (deferred acceptance and marginal-gain
-    greedy), each refined by rate-improving swaps until no single move (into
-    a vacancy) or pairwise exchange improves the total; the better of the
-    two local optima is kept. Candidate co-channel sets are scored at
-    cap-scaled equal powers, every phase from _plus_each tables: DA's
-    preferences and greedy's first gains from solo, every BS alone on every
-    RB. Returns the assignments (S, B)."""
+    at quota tau[s] under scheme oma[s]. Two seeds (deferred acceptance and
+    marginal-gain greedy), each refined by rate-improving swaps until no
+    single move (into a vacancy) or pairwise exchange improves the total; the
+    better of the two local optima is kept. Candidate co-channel sets are
+    scored at cap-scaled equal powers, every phase from _plus_each tables:
+    DA's preferences and greedy's first gains from solo, every BS alone on
+    every RB of each solve. Returns the assignments (S, B)."""
     b_n, r_n = tab.h_macro.shape[0] - 1, tab.n_rb
     if b_n == 0:
         return np.full((len(inst), 0), -1)
-    all_cols = np.arange(tab.h_macro.shape[1])
-    empty = np.full((int(tau.max()), len(all_cols)), b_n)
-    solo = _plus_each(tab, empty, all_cols, scheme).reshape(-1, r_n, b_n + 1)
-    seeds = np.concatenate([
-        [_da_seed(solo[i, :, :b_n].T, t) for i, t in zip(inst.tolist(), tau.tolist())],
-        _greedy_seed(tab, solo, inst, tau, scheme)])
-    src, totals = _swap_phase(tab, seeds, np.tile(inst, 2), np.tile(tau, 2), scheme)
+    cols = (inst[:, None] * r_n + np.arange(r_n)).ravel()
+    empty = np.full((int(tau.max()), len(cols)), b_n)
+    solo = _plus_each(tab, empty, cols, np.repeat(oma, r_n)).reshape(-1, r_n, b_n + 1)
+    seeds = np.concatenate([_da_seed(solo[:, :, :b_n].transpose(0, 2, 1), tau),
+                            _greedy_seed(tab, solo, inst, tau, oma)])
+    src, totals = _swap_phase(tab, seeds, np.tile(inst, 2), np.tile(tau, 2),
+                              np.tile(oma, 2))
     s_n = len(inst)
     # the DA seed's optimum unless greedy's is better by more than 1e-12
     greedy = np.array([g > d + 1e-12 for d, g in zip(totals[:s_n], totals[s_n:])])
@@ -512,7 +529,8 @@ def _match(tab: _Tables, inst, tau, scheme: str) -> np.ndarray:
 
 def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     """The matching of one instance (_match)."""
-    src = _match(instance._tables, np.array([0]), np.array([instance.tau]), scheme)
+    src = _match(instance._tables, np.array([0]), np.array([instance.tau]),
+                 np.array([_is_oma(scheme)]))
     return Matching(tuple(src[0].tolist()), instance.n_rb, instance.tau)
 
 
@@ -524,14 +542,6 @@ class PowerSolution:
     iterations: int
     converged: bool
     objective_history: tuple  # total sum rate after each outer iteration
-
-
-def _any_by_solve(flags, solve, k: int) -> np.ndarray:
-    """(k,) whether any of a solve's rows is flagged; solve (n,) names each
-    row's solve."""
-    hit = np.zeros(k, dtype=bool)
-    hit[solve[flags]] = True
-    return hit
 
 
 def _clipped_power(a, c, mu, h, lo: float, p_max: float):
@@ -567,18 +577,19 @@ def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float, solve):
             step = mu + excess / slope
         inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
         step = np.where(inside, step, 0.5 * (mu_lo + mu_hi))
-        going &= _any_by_solve(
-            (step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi)), solve, k)
+        moving = (step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi))
+        going &= np.bincount(solve[moving], minlength=k) > 0
         if not going.any():
             break
         mu = np.where(going[solve], step, mu)
     return mu
 
 
-def _surrogate_step(tab: _Tables, terms, h, cap, p, solve):
+def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted):
     """One SCA step on every row (RB) at once, from slot-major powers p (k, n),
-    terms being the rows' (far, near) pair from _pair_terms and solve (n,)
-    naming each row's solve.
+    terms being the rows' (far, near) pair from _pair_terms, solve (n,)
+    naming each row's solve and counted (k, n) the slots its stop test
+    reads.
 
     Maximizes the tight lower bound log(1 + z) >= alpha log z + beta of the
     rows' rates at p (alpha = weight z0 / (1 + z0) at the current SINR z0),
@@ -592,9 +603,10 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve):
     enters with coefficient D_uj, and mu >= 0 the row's cap multiplier
     (_cap_multiplier) on the rows whose cap binds. A_j = 0 sends p_j to its
     lower bound and c_j + mu h_j = 0 to p_max. A solve's rows stop updating
-    after the first update in which none of their powers changes by 1e-15 of
-    itself. The candidate is then scaled down uniformly to 1 - 1e-12 of its
-    cap on a row whose load still exceeds it.
+    after the first update in which none of their counted powers changes by
+    1e-15 of itself (a sentinel slot's power reaches no rate or load, but
+    moves to its lower bound). The candidate is then scaled down uniformly to
+    1 - 1e-12 of its cap on a row whose load still exceeds it.
     """
     p_max, sigma2 = tab.p_max, tab.sigma2
     lo = p_max * math.exp(-60.0)
@@ -619,8 +631,8 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve):
         if binds.any():
             mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max, solve)
             new = _clipped_power(a, c, mu, h, lo, p_max)[0]
-        going &= _any_by_solve((np.abs(new - q) > 1e-15 * q).any(axis=0),
-                               solve, k)
+        moved = ((np.abs(new - q) > 1e-15 * q) & counted).any(axis=0)
+        going &= np.bincount(solve[moved], minlength=k) > 0
         q = np.where(rows_going, new, q)
         rows_going = going[solve]
         if not going.any():
@@ -632,43 +644,40 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve):
     return q
 
 
-def _sca(tab: _Tables, batch, scheme: str) -> list:
-    """SCA on a batch of solves of one set width, each given as the
-    slot-major sets and the columns of its open matched RBs, in RB order.
-    Every live solve takes one _surrogate_step per outer iteration, all in
-    one pass; a row keeps its candidate only if its sum rate does not fall.
-    A solve's total is summed over its rows in RB order, and it stops on its
-    own when an iteration gains less than _SCA_TOL of it. Returns each
-    solve's PowerSolution."""
-    sets = np.concatenate([plan[0] for plan in batch], axis=1)
-    cols = np.concatenate([plan[1] for plan in batch])
-    ends = np.cumsum([len(plan[1]) for plan in batch]).tolist()
+def _sca(tab: _Tables, sets, cols, oma, counted, sizes) -> list:
+    """SCA on a batch of solves, given as their rows in solve order (sizes
+    lists each solve's count): the slot-major sets (width, n) and columns of
+    each solve's open matched RBs in RB order, each row's scheme flag and the
+    slots _surrogate_step's stop test counts. Every live solve takes one
+    _surrogate_step per outer iteration, all in one pass; a row keeps its
+    candidate only if its sum rate does not fall. A solve's total is summed
+    over its rows in RB order, and it stops on its own when an iteration
+    gains less than _SCA_TOL of it. Returns each solve's PowerSolution."""
+    ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends, ends))
-    solve = np.repeat(np.arange(len(batch)), [b - a for a, b in spans])
+    solve = np.repeat(np.arange(len(spans)), sizes)
     h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
     cap = tab.i_threshold[cols]
     p = np.repeat(_capped_power(tab, sets, cols)[None], len(sets), axis=0)
-    terms = _pair_terms(tab, sets, cols, scheme)
+    terms = _pair_terms(tab, sets, cols, oma)
     rates, totals = _rates(terms, p, tab.sigma2)
 
     prev = [sum(totals[a:b].tolist()) for a, b in spans]
-    history = [[] for _ in spans]
-    iterations = [0] * len(spans)
+    history = [[] for _ in spans]  # one entry per outer iteration
     converged = [a == b for a, b in spans]
     live = list(range(len(spans)))
-    for it in range(_MAX_SCA_ITERS):
+    for _ in range(_MAX_SCA_ITERS):
         rows = np.concatenate([np.arange(*spans[j]) for j in live])
-        sub = [t._replace(gain=t.gain[:, rows], cross=t.cross[:, :, rows])
+        sub = [_Term(*(None if v is None else v[..., rows] for v in t))
                for t in terms]
         cand = _surrogate_step(tab, sub, h[:, rows], cap[rows], p[:, rows],
-                               solve[rows])
+                               solve[rows], counted[:, rows])
         cand_rates, cand_totals = _rates(sub, cand, tab.sigma2)
         keep = cand_totals >= totals[rows]
         p[:, rows] = np.where(keep, cand, p[:, rows])
         rates[:, rows] = np.where(keep, cand_rates, rates[:, rows])
         totals[rows] = np.where(keep, cand_totals, totals[rows])
         for j in live:
-            iterations[j] = it + 1
             total = sum(totals[slice(*spans[j])].tolist())
             history[j].append(total)
             converged[j] = total - prev[j] < _SCA_TOL * max(1.0, abs(total))
@@ -677,48 +686,41 @@ def _sca(tab: _Tables, batch, scheme: str) -> list:
         if not live:
             break
 
-    b_n = tab.h_macro.shape[0] - 1
-    out = []
-    for (a, b), its, conv, hist in zip(spans, iterations, converged, history):
-        # the sentinel's entries, index b_n, are dropped
-        powers, per_bs = np.zeros(b_n + 1), np.zeros(b_n + 1)
-        powers[sets[:, a:b]], per_bs[sets[:, a:b]] = p[:, a:b], rates[:, a:b]
-        powers, per_bs = powers[:b_n], per_bs[:b_n]
-        out.append(PowerSolution(powers, per_bs, float(per_bs.sum()), its, conv,
-                                 tuple(hist)))
-    return out
+    b_n = tab.h_macro.shape[0] - 1  # the sentinel's column, dropped below
+    powers, per_bs = np.zeros((2, len(spans), b_n + 1))
+    powers[solve, sets], per_bs[solve, sets] = p, rates
+    return [PowerSolution(pw[:b_n], r[:b_n], float(r[:b_n].sum()), len(hist), conv,
+                          tuple(hist))
+            for pw, r, conv, hist in zip(powers, per_bs, converged, history)]
 
 
-def _power(tab: _Tables, src, inst, scheme: str) -> list:
+def _power(tab: _Tables, src, inst, oma) -> list:
     """Every solve's PowerSolution: solve s gives instance inst[s] the
-    assignment src[s]. Its sets are its matched RBs' at the width of its
-    fullest RB; a closed RB (cap 0, a member heard by the macro user) is left
-    out, so its members keep power and rate 0, as _capped_power scores them.
-    _sca takes solves of one width at a time, at most RATE_ROWS rows at a
-    time unless one solve has more."""
-    b_n, r_n = src.shape[1], tab.n_rb
-    plans = []  # (width, solve, sets, columns)
-    for s, (assign, i) in enumerate(zip(src, inst.tolist())):
-        counts = np.bincount(assign[assign >= 0], minlength=r_n)
-        rbs = np.flatnonzero(counts)
-        sets = _padded(assign, rbs, b_n, int(counts.max(initial=1)))
-        cols = i * r_n + rbs
-        h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
-        shut = (tab.i_threshold[cols] == 0) & np.any(h > 0, axis=0)
-        plans.append((len(sets), s, sets[:, ~shut], cols[~shut]))
-    plans.sort(key=lambda plan: plan[:2])
-    solutions = [None] * len(src)
-    first, rows = 0, 0
-    for end, plan in enumerate(plans + [None]):
-        if end > first and (plan is None or plan[0] != plans[first][0]
-                            or rows + len(plan[3]) > RATE_ROWS):
-            batch = plans[first:end]
-            for (_, s, _, _), sol in zip(batch, _sca(tab, [b[2:] for b in batch],
-                                                      scheme)):
-                solutions[s] = sol
-            first, rows = end, 0
-        if plan is not None:
-            rows += len(plan[3])
+    assignment src[s] under scheme oma[s]. Its sets are its matched RBs',
+    padded to the fullest RB of any solve, but its stop test counts the slots
+    of its own fullest RB, as alone; a closed RB (cap 0, a member heard by
+    the macro user) is left out, so its members keep power and rate 0, as
+    _capped_power scores them. _sca takes the solves in order, at most
+    RATE_ROWS rows at a time unless one solve has more."""
+    (s_n, b_n), r_n = src.shape, tab.n_rb
+    counts = np.bincount((np.arange(s_n)[:, None] * r_n + src)[src >= 0],
+                         minlength=s_n * r_n).reshape(s_n, r_n)
+    solve, rbs = np.nonzero(counts)
+    sets = _padded(src[solve], rbs, b_n, int(counts.max(initial=1)))
+    cols = inst[solve] * r_n + rbs
+    h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
+    shut = (tab.i_threshold[cols] == 0) & np.any(h > 0, axis=0)
+    solve, sets, cols = solve[~shut], sets[:, ~shut], cols[~shut]
+    counted = np.arange(len(sets))[:, None] < counts.max(axis=1, initial=1)[solve]
+    sizes = np.bincount(solve, minlength=s_n).tolist()
+    ends = np.cumsum([0] + sizes).tolist()
+    solutions, first = [], 0
+    for s in range(1, s_n + 1):  # a batch ends where the next solve overflows
+        if s == s_n or ends[s + 1] - ends[first] > RATE_ROWS:
+            part = slice(ends[first], ends[s])
+            solutions += _sca(tab, sets[:, part], cols[part], oma[solve[part]],
+                              counted[:, part], sizes[first:s])
+            first = s
     return solutions
 
 
@@ -735,7 +737,8 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     0, as _capped_power scores them.
     """
     src = np.array([matching.bs_to_rb], dtype=np.intp).reshape(1, -1)
-    return _power(instance._tables, src, np.array([0]), scheme)[0]
+    return _power(instance._tables, src, np.array([0]),
+                  np.array([_is_oma(scheme)]))[0]
 
 
 def solve_instance(instance: AllocationInstance):
@@ -747,23 +750,20 @@ def solve_instance(instance: AllocationInstance):
 
 def solve_group(instances, taus, schemes) -> dict:
     """Match and power-control every (instance, tau, scheme) of a lockstep
-    group: instances sharing n_bs, n_rb, p_max, sigma2 and pair, each at
-    every quota in taus (its own tau is not read), under every scheme in
-    schemes. Each solve gets what match_rbs and sca_power_control give it
-    alone. Returns {(tau, scheme): [(Matching, PowerSolution) per instance,
-    in order]}."""
+    group, all in one _match and one _power: instances sharing n_bs, n_rb,
+    p_max, sigma2 and pair, each at every quota in taus (its own tau is not
+    read), under every scheme in schemes. Each solve gets what match_rbs and
+    sca_power_control give it alone. Returns {(tau, scheme): [(Matching,
+    PowerSolution) per instance, in order]}."""
     tab, i_n = _stack(instances), len(instances)
     # the solves read only tab: a list the caller passed without keeping it
     # is freed here, and with it the group's gain arrays
     del instances
-    inst = np.repeat(np.arange(i_n), len(taus))
-    tau = np.tile(np.asarray(taus), i_n)
-    out = {}
-    for scheme in schemes:
-        src = _match(tab, inst, tau, scheme)
-        solutions = _power(tab, src, inst, scheme)
-        for j, t in enumerate(taus):
-            out[(t, scheme)] = [
-                (Matching(tuple(src[s].tolist()), tab.n_rb, t), solutions[s])
-                for s in range(j, len(inst), len(taus))]
-    return out
+    keys = [(t, scheme) for scheme in schemes for t in taus]
+    inst = np.repeat(np.arange(i_n), len(keys))
+    tau, oma = np.tile([[t, _is_oma(scheme)] for t, scheme in keys], (i_n, 1)).T
+    src = _match(tab, inst, tau, oma)
+    solutions = _power(tab, src, inst, oma)
+    return {key: [(Matching(tuple(src[s].tolist()), tab.n_rb, key[0]),
+                   solutions[s]) for s in range(j, len(inst), len(keys))]
+            for j, key in enumerate(keys)}

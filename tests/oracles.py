@@ -22,7 +22,6 @@ from unoma.allocation import (
     PowerSolution,
     _capped_power,
     _clipped_power,
-    _da_seed,
     _padded,
     _pair_terms,
     _rates,
@@ -477,8 +476,9 @@ def _swap_phase(instance, src, plus_each):
 
 
 def per_instance_match(instance, scheme="noma"):
-    """The matcher on one instance: deferred-acceptance and greedy seeds,
-    each refined by best-improvement swaps, the better kept."""
+    """The matcher on one instance: deferred-acceptance (one proposal at a
+    time) and greedy seeds, each refined by best-improvement swaps, the
+    better kept."""
     b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
     if b_n == 0:
         return Matching((), r_n, tau)
@@ -486,7 +486,7 @@ def per_instance_match(instance, scheme="noma"):
     all_rbs = np.arange(r_n)
     solo = plus_each(_padded(np.full(b_n, -1), all_rbs, b_n, tau), all_rbs)
     best_src, best_total = None, -math.inf
-    for seed in (_da_seed(solo[:, :b_n].T, tau),
+    for seed in (np.array(sequential_deferred_acceptance(solo[:, :b_n].T, tau)),
                  _greedy_seed(instance, solo, plus_each)):
         src, total = _swap_phase(instance, seed, plus_each)
         if total > best_total + 1e-12:
@@ -559,7 +559,7 @@ def per_instance_sca(matching, instance, scheme="noma"):
     if closed.any():
         rbs, sets, h, cap = (a[..., ~closed] for a in (rbs, sets, h, cap))
     p = np.repeat(_capped_power(tab, sets, rbs)[None], len(sets), axis=0)
-    terms = _pair_terms(tab, sets, rbs, scheme)
+    terms = _pair_terms(tab, sets, rbs, np.full(len(rbs), scheme == "oma"))
     rates, totals = _rates(terms, p, instance.sigma2)
     history = []
     iterations = 0

@@ -26,6 +26,7 @@ from unoma.allocation import (
     _padded,
     _pair_terms,
     _plus_each,
+    _sca,
     _surrogate_step,
     jain_fairness,
     match_rbs,
@@ -126,12 +127,12 @@ def test_solo_table_scores_every_bs_alone(monkeypatch):
     seen = []
 
     def da_seed(score, tau):
-        seen.append(score.copy())
+        seen.append(score[0].copy())  # one solve
         return _da_seed(score, tau)
 
-    def greedy_seed(tab, solo, inst, tau, scheme):
+    def greedy_seed(tab, solo, inst, tau, oma):
         seen.append(solo[0].copy())  # one solve: one instance's table
-        return greedy(tab, solo, inst, tau, scheme)
+        return greedy(tab, solo, inst, tau, oma)
 
     greedy = allocation._greedy_seed
     monkeypatch.setattr(allocation, "_da_seed", da_seed)
@@ -154,7 +155,8 @@ def test_solo_table_scores_every_bs_alone(monkeypatch):
             assert score.tobytes() == want.tobytes()
             assert solo[:, :inst.n_bs].T.tobytes() == want.tobytes()
             assert not solo[:, inst.n_bs].any()  # the empty sets' totals
-    assert _da_seed(_alone_scores(cases[0], "noma"), 3).tolist() == [0, 0, 0]
+    assert _da_seed(_alone_scores(cases[0], "noma")[None],
+                    np.array([3]))[0].tolist() == [0, 0, 0]
 
 
 def test_plus_each_invariant_to_row_budget(monkeypatch):
@@ -175,12 +177,13 @@ def test_plus_each_invariant_to_row_budget(monkeypatch):
         return kernel(tab, chunk, *args)
 
     monkeypatch.setattr(allocation, "rb_rates", record)
-    want = _plus_each(inst._tables, sets, cols, "oma")
+    oma = np.ones(len(cols), dtype=bool)
+    want = _plus_each(inst._tables, sets, cols, oma)
     assert calls == [len(cols) * (inst.n_bs + 1)]
     for budget in (1, 5, 13, 39):  # 13 rows: one set
         calls.clear()
         monkeypatch.setattr(allocation, "RATE_ROWS", budget)
-        assert _plus_each(inst._tables, sets, cols, "oma").tobytes() == want.tobytes()
+        assert _plus_each(inst._tables, sets, cols, oma).tobytes() == want.tobytes()
         assert max(calls) == budget and sum(calls) == len(cols) * (inst.n_bs + 1)
 
 
@@ -192,8 +195,9 @@ def test_match_single_bs_single_rb():
 
 
 def test_da_seed_matches_one_proposal_at_a_time():
-    """All free BSs propose at once in each round of _da_seed; with strict
-    preferences that gives what one proposal at a time gives."""
+    """All free BSs of every stacked solve propose at once in each round of
+    _da_seed; with strict preferences that gives each solve, whatever the
+    quotas of the others, what one proposal at a time gives."""
     rng = np.random.default_rng(31)
     cases = [random_instance(rng, int(rng.integers(1, 12)),
                              int(rng.integers(1, 6)), tau=int(rng.integers(1, 5)))
@@ -201,14 +205,21 @@ def test_da_seed_matches_one_proposal_at_a_time():
     data = preset_config("fig5").data
     cases += [generate_instance(n, data, tau, np.random.default_rng(n))
               for n in (12, 32) for tau in (2, 3)]
-    unmatched = 0
+    stacks = {}  # (B, R) -> the (score, tau) of every solve of that shape
     for inst in cases:
         for scheme in ("noma", "oma"):
             score = _alone_scores(inst, scheme)
-            src = _da_seed(score, inst.tau).tolist()
-            assert src == sequential_deferred_acceptance(score, inst.tau)
-            unmatched += src.count(-1)
-    assert unmatched  # the case the test is meant to reach
+            for tau in {inst.tau, 1 + inst.tau % 4}:
+                stacks.setdefault(score.shape, []).append((score, tau))
+    unmatched = mixed = 0
+    for solves in stacks.values():
+        taus = np.array([tau for _, tau in solves])
+        src = _da_seed(np.stack([score for score, _ in solves]), taus).tolist()
+        for row, (score, tau) in zip(src, solves, strict=True):
+            assert row == sequential_deferred_acceptance(score, tau)
+            unmatched += row.count(-1)
+        mixed += len(set(taus.tolist())) > 1
+    assert unmatched and mixed  # the cases the test is meant to reach
 
 
 def test_match_respects_quota():
@@ -424,6 +435,75 @@ def test_oma_baseline_consistent():
     assert direct > 0.0
 
 
+def _sca_rows(inst, scheme, extra):
+    """One solve's SCA rows as _power builds them: the sets of its open
+    matched RBs under match_rbs, with extra sentinel slots beyond its fullest
+    RB, which its stop test does not count."""
+    src = np.array(match_rbs(inst, scheme).bs_to_rb)
+    counts = np.bincount(src[src >= 0], minlength=inst.n_rb)
+    rbs = np.flatnonzero(counts * (inst.i_threshold > 0))
+    width = int(counts.max(initial=1))
+    sets = _padded(src, rbs, inst.n_bs, width + extra)
+    return sets, rbs, np.arange(width + extra)[:, None] < np.full(len(rbs), width)
+
+
+def test_sca_padding_slots_change_no_bytes(monkeypatch):
+    """_sca and _surrogate_step give a solve's rows padded with one more
+    sentinel slot the bytes of its rows alone, with binding and absent caps,
+    zero far gains, both schemes and at fig5 scale. From the capped start of
+    a fig5 instance, already converged, the first fixed-point update moves
+    no power by 1e-15, so the surrogate stops after it; the padding slot's
+    power still moves, to its lower bound, which is why the stop test does
+    not count it."""
+    sinr_calls = []
+    sinr = allocation._sinr
+
+    def count(*args):
+        sinr_calls.append(1)
+        return sinr(*args)
+
+    monkeypatch.setattr(allocation, "_sinr", count)
+
+    def surrogate(inst, scheme, extra, counted_all=False):
+        """The surrogate step from the capped start, and its fixed-point
+        updates (two _sinr calls at the start, two more per extra one)."""
+        tab = inst._tables
+        sets, rbs, counted = _sca_rows(inst, scheme, extra)
+        h = tab.h_macro.take(sets * tab.h_macro.shape[1] + rbs)
+        p = np.repeat(_capped_power(tab, sets, rbs)[None], len(sets), axis=0)
+        terms = _pair_terms(tab, sets, rbs, np.full(len(rbs), scheme == "oma"))
+        sinr_calls.clear()
+        q = _surrogate_step(tab, terms, h, tab.i_threshold[rbs], p,
+                            np.zeros(len(rbs), dtype=np.intp),
+                            counted | counted_all)
+        return q[:len(sets) - extra], len(sinr_calls) // 2
+
+    data = preset_config("fig5").data
+    fig5 = generate_instance(32, data, 3, np.random.default_rng(32))
+    cases = [(inst, scheme) for inst, _ in _sca_cases()[::2]
+             for scheme in ("noma", "oma")] + [(fig5, "noma"), (fig5, "oma")]
+    for inst, scheme in cases:
+        tab = inst._tables
+        solved = []
+        for extra in (0, 1):
+            sets, rbs, counted = _sca_rows(inst, scheme, extra)
+            solved.append(_sca(tab, sets, rbs, np.full(len(rbs), scheme == "oma"),
+                               counted, [len(rbs)])[0])
+        alone, padded = solved
+        assert padded.powers.tobytes() == alone.powers.tobytes()
+        assert padded.per_bs_rates.tobytes() == alone.per_bs_rates.tobytes()
+        assert (padded.iterations, padded.converged) == (alone.iterations,
+                                                         alone.converged)
+        assert np.array(padded.objective_history).tobytes() \
+            == np.array(alone.objective_history).tobytes()
+        (q_alone, _), (q_padded, _) = (surrogate(inst, scheme, extra)
+                                       for extra in (0, 1))
+        assert q_padded.tobytes() == q_alone.tobytes()
+    for scheme in ("noma", "oma"):  # the converged start
+        assert surrogate(fig5, scheme, 0)[1] == surrogate(fig5, scheme, 1)[1] == 1
+        assert surrogate(fig5, scheme, 1, counted_all=True)[1] == 2
+
+
 def _sca_cases():
     """(instance, scheme) pairs for the SLSQP comparison: random instances
     with tau 1 to 3, caps that bind and caps that do not, BSs with a zero
@@ -460,9 +540,10 @@ def test_sca_matches_slsqp_oracle():
         cap = inst.i_threshold[rbs]
         p = rng.uniform(0.05, 1.0, sets.shape) * inst.p_max
         p *= np.minimum(1.0, 0.5 * cap / (p * h).sum(axis=0))  # half a cap
-        cand = _surrogate_step(inst._tables,
-                               _pair_terms(inst._tables, sets, rbs, scheme),
-                               h, cap, p, np.zeros(len(rbs), dtype=np.intp))
+        oma = np.full(len(rbs), scheme == "oma")
+        cand = _surrogate_step(inst._tables, _pair_terms(inst._tables, sets, rbs, oma),
+                               h, cap, p, np.zeros(len(rbs), dtype=np.intp),
+                               np.ones(sets.shape, dtype=bool))
         for col, r in enumerate(rbs.tolist()):
             members = list(matching.rb_to_bs[r])
             want = slsqp_surrogate_step(inst, r, members, p[:len(members), col],

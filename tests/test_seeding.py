@@ -131,6 +131,51 @@ def test_allocation_kernel_calls_and_groups_are_bounded(monkeypatch):
     assert len(tables) == -(-data["trials"] // allocation.group_size(32, 4))
 
 
+@pytest.mark.parametrize("schemes", [["noma"], ["oma"], ["noma", "oma"],
+                                     ["oma", "noma"]])
+def test_one_matcher_and_one_power_pass_per_group(monkeypatch, schemes):
+    """On the n = 32 fig5 point each lockstep group solves all its (instance,
+    tau, scheme) solves in one _match and one _power call, and _power cuts
+    its solves into _sca batches only where the next solve would take a
+    batch past RATE_ROWS rows (one solve with more runs alone)."""
+    calls, batches = [], []
+
+    def record(name):
+        real = getattr(allocation, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            if name == "_power":
+                batches.append([])
+            return real(*args)
+        return wrapper
+
+    def sca(*args):
+        batches[-1].append(list(args[-1]))  # each solve's rows
+        return real_sca(*args)
+
+    real_sca = allocation._sca
+    for name in ("_stack", "_match", "_power"):
+        monkeypatch.setattr(allocation, name, record(name))
+    monkeypatch.setattr(allocation, "_sca", sca)
+    data = dict(preset_config("fig5").data, trials=7, schemes=schemes)
+    groups = -(-data["trials"] // allocation.group_size(32, 4))
+    solves = len(data["taus"]) * len(schemes)
+    default = allocation.RATE_ROWS
+    for rows in (default, 3, 9):
+        monkeypatch.setattr(allocation, "RATE_ROWS", rows)
+        calls.clear()
+        batches.clear()
+        engine._allocation_point(data, 5, 32)
+        assert calls == ["_stack", "_match", "_power"] * groups
+        assert sum(len(b) for p in batches for b in p) == data["trials"] * solves
+        for per_call in batches:
+            for batch, after in zip(per_call, per_call[1:] + [None]):
+                assert sum(batch) <= rows or len(batch) == 1
+                assert after is None or sum(batch) + after[0] > rows
+        assert (max(len(p) for p in batches) == 1) == (rows == default)
+
+
 def test_generate_instance_matches_the_per_bs_draw():
     """The array draw of a small-cell drop gives every array of the per-BS
     reference bit for bit, and leaves the generator where the reference does,
