@@ -11,15 +11,16 @@ conditions.
 solve_group solves every (instance, tau, scheme) of a lockstep group of
 instances together. The instances' padded gain tables sit side by side along
 the RB axis (_stack), so a kernel row's column names its instance and its RB,
-and each row carries its solve's scheme. A solve's sets are padded to the
-group's largest tau (SCA: its fullest RB) with the sentinel BS, whose gains
-add an exact +0.0. Deferred acceptance, each greedy step, each swap round (a
-solve's DA-seeded and greedy-seeded phases are two lanes of it) and each SCA
-step is one pass over the rows of the live solves, and each solve stops on
-its own, so every solve gets the bytes it gets alone. A pass goes to the rate
-kernel at most RATE_ROWS rows per call, and SCA takes at most RATE_ROWS rows
-per batch; group_size caps a group's stacked tables at GROUP_BYTES.
-match_rbs, sca_power_control and solve_instance are the one-solve case.
+and each row carries its solve's scheme. A solve's sets are padded with the
+sentinel BS, whose gains add an exact +0.0, to the group's largest tau (at
+most n_bs; SCA: its fullest RB). Deferred acceptance, each greedy step, each
+swap round (a solve's DA-seeded and greedy-seeded phases are two lanes of
+it) and each SCA step is one pass over the rows of the group, and each solve
+stops on its own, so every solve gets the bytes it gets alone. group_size
+sizes a group, so that its stacked tables fit in GROUP_BYTES and a swap
+round's sets and an SCA pass in RATE_ROWS rows; only _plus_each, which adds
+every BS to each set, cuts its rows into kernel calls. match_rbs,
+sca_power_control and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ _MAX_MULTIPLIER_STEPS = 200
 _TINY = np.finfo(float).tiny
 # Rows per rate-kernel call, whose fixed cost is that of about 300 rows. At
 # 1 024 rows a call's arrays take 0.34 MB. 2 048 rows ran no faster on fig5
-# and raised its peak RSS above the per-instance solver's.
+# and raised its peak RSS above the per-instance solver's. group_size keeps
+# a swap round's sets and an SCA pass within it.
 RATE_ROWS = 1024
 # Bytes of a lockstep group's stacked gain tables (group_size): 73 kB per
-# instance at 32 BSs and 4 RBs, so 3 instances. A group's swap-round arrays
-# grow with it too: two lanes per (instance, tau, scheme), every scheme in
-# one round. A 512 KiB cap ran about 10 % faster on fig5 but raised
-# the summed peak RSS of a 2-worker fig5 run by 0.6 MB more.
+# instance at 32 BSs and 4 RBs, so 3 instances. A 512 KiB cap ran about
+# 10 % faster on fig5 but raised the summed peak RSS of a 2-worker fig5 run
+# by 0.6 MB more.
 GROUP_BYTES = 1 << 18
 
 
@@ -182,11 +183,13 @@ def _stack(instances) -> _Tables:
                    r_n, first.p_max, first.sigma2, first.pair)
 
 
-def group_size(n_bs: int, n_rb: int) -> int:
-    """Instances per lockstep group: as many as keep their stacked tables
-    (_stack) within GROUP_BYTES, and at least one."""
+def group_size(n_bs: int, n_rb: int, solves: int) -> int:
+    """Instances per lockstep group, each solved solves times: as many as
+    keep their stacked tables (_stack) within GROUP_BYTES and one swap
+    round's sets (two lanes per solve, one set per RB) within RATE_ROWS, so
+    also an SCA pass (at most one row per RB of each solve); at least one."""
     table_bytes = 8 * n_rb * ((n_bs + 1) * (2 * n_bs + 5) + 1)
-    return max(1, GROUP_BYTES // table_bytes)
+    return max(1, min(GROUP_BYTES // table_bytes, RATE_ROWS // (2 * solves * n_rb)))
 
 
 class _Term(NamedTuple):
@@ -232,6 +235,16 @@ def _pair_terms(tab: _Tables, sets, cols, oma):
             _Term(weight, near_share, tab.g_near.take(own), tab.x_near.take(cross)))
 
 
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """x summed over its first axis (set slots, or a lane's RBs) one entry at
+    a time, in order. numpy's .sum(axis=0) sums a single column of 8 or more
+    entries pairwise, so a row's bits would depend on the rows beside it."""
+    total = np.zeros(x.shape[1:])
+    for row in x:
+        total += row
+    return total
+
+
 def _sinr(term: _Term, p: np.ndarray, sigma2: float):
     """(SINR, its denominator) of a term at slot-major powers p (k, n).
     Interference is summed one member slot at a time, in the rows' member
@@ -247,15 +260,11 @@ def _sinr(term: _Term, p: np.ndarray, sigma2: float):
 
 def _rates(terms, p: np.ndarray, sigma2: float):
     """(pair sum rates (k, n), set totals (n,)) of the (far, near) terms at
-    slot-major powers p; a silent member's rate is 0. Totals are summed one
-    member slot at a time."""
+    slot-major powers p; a silent member's rate is 0."""
     far, near = (term.weight * np.log2(1.0 + _sinr(term, p, sigma2)[0])
                  for term in terms)
     rates = np.where(p > 0, far + near, 0.0)
-    totals = np.zeros(p.shape[1])
-    for row in rates:
-        totals = totals + row
-    return rates, totals
+    return rates, _sum_in_order(rates)
 
 
 def rb_rates(instance, sets, rbs, powers, scheme):
@@ -282,10 +291,7 @@ def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
     It scores candidate sets during matching (the true powers are only known
     after SCA) and is where SCA starts."""
     c_n = tab.h_macro.shape[1]
-    h = np.zeros(len(cols))
-    for slot in sets:
-        h = h + tab.h_macro.take(slot * c_n + cols)
-    load = tab.p_max * h
+    load = tab.p_max * _sum_in_order(tab.h_macro.take(sets * c_n + cols))
     t = tab.i_threshold[cols]
     over = load > t
     p = np.full(len(cols), tab.p_max)
@@ -295,15 +301,10 @@ def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
 
 def _set_totals(tab: _Tables, sets, cols, oma) -> np.ndarray:
     """(n,) totals of the slot-major sets (width, n) on the columns cols
-    under the schemes oma (n,) at cap-scaled equal power, at most RATE_ROWS
-    sets per kernel call."""
-    out = np.empty(len(cols))
-    for lo in range(0, len(cols), RATE_ROWS):
-        chunk, c = sets[:, lo:lo + RATE_ROWS], cols[lo:lo + RATE_ROWS]
-        p = _capped_power(tab, chunk, c)
-        out[lo:lo + len(c)] = rb_rates(tab, chunk, c, np.broadcast_to(p, chunk.shape),
-                                       oma[lo:lo + RATE_ROWS])[1]
-    return out
+    under the schemes oma (n,) at cap-scaled equal power, in one kernel
+    call."""
+    p = _capped_power(tab, sets, cols)
+    return rb_rates(tab, sets, cols, np.broadcast_to(p, sets.shape), oma)[1]
 
 
 def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
@@ -312,7 +313,7 @@ def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
     BS added; the last column (the sentinel) is each set's own total. A full
     set drops its largest member to make room: those entries are never read.
     A kernel call holds the rows of as many whole sets as RATE_ROWS allows,
-    or a set's rows cut to RATE_ROWS."""
+    at least one."""
     width, n = sets.shape
     b1 = tab.h_macro.shape[0]
     out = np.empty((n, b1))
@@ -401,7 +402,7 @@ def _greedy_seed(tab: _Tables, solo, inst, tau, oma) -> np.ndarray:
     one pass, the column of the RB that each live solve changed. Returns the
     assignments (S, B), as _da_seed's."""
     r_n, b_n = tab.n_rb, solo.shape[2] - 1
-    width = int(tau.max())
+    width = min(int(tau.max()), b_n)
     src = np.full((len(inst), b_n), -1)
     # gain[s, b, r]: total of r's set with b added minus its total; -inf
     # once b is placed or r is full
@@ -436,7 +437,7 @@ def _best_changes(tab: _Tables, src, inst, tau, oma):
     base = inst * r_n
     set_cols = (base[:, None] + np.arange(r_n)).ravel()
     sets = _padded(np.repeat(src, r_n, axis=0), set_cols - np.repeat(base, r_n),
-                   b_n, int(tau.max()))
+                   b_n, min(int(tau.max()), b_n))
     ml, mb = np.nonzero(src >= 0)  # matched (assignment, BS) pairs
     mr = src[ml, mb]
     without = sets[:, ml * r_n + mr]  # each matched BS's set without it
@@ -482,15 +483,14 @@ def _swap_phase(tab: _Tables, src, inst, tau, oma):
     does. Returns (the final assignments (L, B), each lane's final total)."""
     r_n, b_n = tab.n_rb, src.shape[1]
     src = src.copy()
-    totals = [0.0] * len(src)
+    totals = np.zeros(len(src))
     live = np.arange(len(src))
     for done in range(_MAX_SWAP_ROUNDS + 1):
         cur, best_move, gain_move, best_swap, gain_swap = _best_changes(
             tab, src[live], inst[live], tau[live], oma[live])
         exchange = gain_swap > np.where(gain_move > 1e-12, gain_move, 1e-12)
         go = (exchange | (gain_move > 1e-12)) & (done < _MAX_SWAP_ROUNDS)
-        for k in np.flatnonzero(~go).tolist():
-            totals[live[k]] = sum(cur[k].tolist())
+        totals[live[~go]] = _sum_in_order(cur[~go].T)
         b1, b2 = np.divmod(best_swap[go & exchange], b_n)
         lanes = live[go & exchange]
         src[lanes, b1], src[lanes, b2] = src[lanes, b2], src[lanes, b1]
@@ -515,7 +515,7 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
     if b_n == 0:
         return np.full((len(inst), 0), -1)
     cols = (inst[:, None] * r_n + np.arange(r_n)).ravel()
-    empty = np.full((int(tau.max()), len(cols)), b_n)
+    empty = np.full((min(int(tau.max()), b_n), len(cols)), b_n)
     solo = _plus_each(tab, empty, cols, np.repeat(oma, r_n)).reshape(-1, r_n, b_n + 1)
     seeds = np.concatenate([_da_seed(solo[:, :, :b_n].transpose(0, 2, 1), tau),
                             _greedy_seed(tab, solo, inst, tau, oma)])
@@ -523,7 +523,7 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
                               np.tile(oma, 2))
     s_n = len(inst)
     # the DA seed's optimum unless greedy's is better by more than 1e-12
-    greedy = np.array([g > d + 1e-12 for d, g in zip(totals[:s_n], totals[s_n:])])
+    greedy = totals[s_n:] > totals[:s_n] + 1e-12
     return np.where(greedy[:, None], src[s_n:], src[:s_n])
 
 
@@ -552,44 +552,43 @@ def _clipped_power(a, c, mu, h, lo: float, p_max: float):
     return np.minimum(np.maximum(a / x, lo), p_max), x
 
 
-def _cap_multiplier(a, c, h, cap, binds, lo: float, p_max: float, solve):
-    """The multiplier mu (n,) at which h.p(mu) = cap on the rows binds, p(mu)
-    = _clipped_power(a, c, mu, ...) being non-increasing in mu; 0 on the
-    other rows. Bisection on the bracket [0, sum_j a_j / cap], at whose top
-    h.p <= sum_j a_j / mu = cap. Each step evaluates h.p at mu and narrows
-    the bracket there; the next mu is the Newton step from mu where that
-    falls strictly inside the bracket, else the bracket's midpoint. A solve's
-    rows (solve names each row's) stop when none of its rows' mu moves or
-    each of their brackets is a few ulps wide."""
-    k = int(solve.max(initial=-1)) + 1
-    mu, mu_lo, mu_hi = np.zeros(len(cap)), np.zeros(len(cap)), np.zeros(len(cap))
-    mu_hi[binds] = a[:, binds].sum(axis=0) / cap[binds]
-    going = np.ones(k, dtype=bool)
+def _cap_multiplier(a, c, h, cap, lo: float, p_max: float, solve):
+    """The multiplier mu (n,) at which h.p(mu) = cap on rows whose cap binds,
+    p(mu) = _clipped_power(a, c, mu, ...) being non-increasing in mu.
+    Bisection on the bracket [0, sum_j a_j / cap], at whose top h.p <= sum_j
+    a_j / mu = cap. Each step evaluates h.p at mu and narrows the bracket
+    there; the next mu is the Newton step from mu where that falls strictly
+    inside the bracket, else the bracket's midpoint. A solve's rows (solve
+    names each row's) stop when none of its rows' mu moves or each of their
+    brackets is a few ulps wide."""
+    mu, mu_lo = np.zeros(len(cap)), np.zeros(len(cap))
+    mu_hi = _sum_in_order(a) / cap
+    going = np.ones(int(solve.max()) + 1, dtype=bool)
     for _ in range(_MAX_MULTIPLIER_STEPS):
         p, x = _clipped_power(a, c, mu, h, lo, p_max)
-        excess = (h * p).sum(axis=0) - cap
+        excess = _sum_in_order(h * p) - cap
         over = excess > 0
         mu_lo = np.where(over, mu, mu_lo)
         mu_hi = np.where(over, mu_hi, mu)
         # -d(h.p)/dmu: only the powers strictly between their bounds move
-        slope = np.where((p > lo) & (p < p_max), h * h * p / x, 0.0).sum(axis=0)
+        slope = _sum_in_order(np.where((p > lo) & (p < p_max), h * h * p / x, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = mu + excess / slope
         inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
         step = np.where(inside, step, 0.5 * (mu_lo + mu_hi))
         moving = (step != mu) & (mu_hi - mu_lo > 4 * np.spacing(mu_hi))
-        going &= np.bincount(solve[moving], minlength=k) > 0
+        going &= np.bincount(solve[moving], minlength=len(going)) > 0
         if not going.any():
             break
         mu = np.where(going[solve], step, mu)
     return mu
 
 
-def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted):
-    """One SCA step on every row (RB) at once, from slot-major powers p (k, n),
-    terms being the rows' (far, near) pair from _pair_terms, solve (n,)
-    naming each row's solve and counted (k, n) the slots its stop test
-    reads.
+def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted, going):
+    """One SCA step on every row (RB) of the solves that going (S,) flags,
+    all at once, from slot-major powers p (k, n); every other row keeps p.
+    terms are the rows' (far, near) pair from _pair_terms, solve (n,) names
+    each row's solve and counted (k, n) the slots its stop test reads.
 
     Maximizes the tight lower bound log(1 + z) >= alpha log z + beta of the
     rows' rates at p (alpha = weight z0 / (1 + z0) at the current SINR z0),
@@ -610,98 +609,89 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted):
     """
     p_max, sigma2 = tab.p_max, tab.sigma2
     lo = p_max * math.exp(-60.0)
-    k = int(solve.max(initial=-1)) + 1
     sinrs = [_sinr(term, p, sigma2) for term in terms]
     alphas = [term.weight * z / (1.0 + z) for term, (z, _) in zip(terms, sinrs)]
     dens = [den for _, den in sinrs]
     a = alphas[0] + alphas[1]
 
     q = p
-    going = np.ones(k, dtype=bool)
     rows_going = going[solve]
     for _ in range(_MAX_FIXED_POINT):
         c = 0.0
         for term, alpha, den in zip(terms, alphas, dens):
             ratio = alpha / den
-            c = c + (term.cross * ratio).sum(axis=1)
+            c = c + _sum_in_order((term.cross * ratio).swapaxes(0, 1))  # rx slots
             if term.own is not None:
                 c = c + ratio * term.own * term.gain
         new = _clipped_power(a, c, 0.0, h, lo, p_max)[0]
-        binds = ((h * new).sum(axis=0) > cap) & rows_going
-        if binds.any():
-            mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max, solve)
-            new = _clipped_power(a, c, mu, h, lo, p_max)[0]
+        binds = np.flatnonzero((_sum_in_order(h * new) > cap) & rows_going)
+        if len(binds):
+            a_b, c_b, h_b = a[:, binds], c[:, binds], h[:, binds]
+            mu = _cap_multiplier(a_b, c_b, h_b, cap[binds], lo, p_max, solve[binds])
+            new[:, binds] = _clipped_power(a_b, c_b, mu, h_b, lo, p_max)[0]
         moved = ((np.abs(new - q) > 1e-15 * q) & counted).any(axis=0)
-        going &= np.bincount(solve[moved], minlength=k) > 0
+        going = going & (np.bincount(solve[moved], minlength=len(going)) > 0)
         q = np.where(rows_going, new, q)
         rows_going = going[solve]
         if not going.any():
             break
         dens = [_sinr(term, q, sigma2)[1] for term in terms]
-    load = (h * q).sum(axis=0)
+    load = _sum_in_order(h * q)
     over = load > cap
     q[:, over] *= (cap[over] / load[over]) * (1.0 - 1e-12)
     return q
 
 
-def _sca(tab: _Tables, sets, cols, oma, counted, sizes) -> list:
-    """SCA on a batch of solves, given as their rows in solve order (sizes
-    lists each solve's count): the slot-major sets (width, n) and columns of
-    each solve's open matched RBs in RB order, each row's scheme flag and the
-    slots _surrogate_step's stop test counts. Every live solve takes one
-    _surrogate_step per outer iteration, all in one pass; a row keeps its
-    candidate only if its sum rate does not fall. A solve's total is summed
-    over its rows in RB order, and it stops on its own when an iteration
-    gains less than _SCA_TOL of it. Returns each solve's PowerSolution."""
-    ends = np.cumsum(sizes).tolist()
-    spans = list(zip([0] + ends, ends))
-    solve = np.repeat(np.arange(len(spans)), sizes)
+def _sca(tab: _Tables, sets, cols, oma, counted, solve, s_n: int) -> list:
+    """SCA on s_n solves in one pass over their rows: the slot-major sets
+    (width, n) and columns of each solve's open matched RBs, solve (n,)
+    naming each row's solve (a solve's rows in RB order), each row's scheme
+    flag and the slots _surrogate_step's stop test counts. Every live solve
+    takes one _surrogate_step per outer iteration; a finished solve's rows
+    are frozen. A row keeps its candidate only if its sum rate does not
+    fall. A solve's total is summed over its rows in RB order (np.bincount
+    adds them in row order), and it stops on its own when an iteration gains
+    less than _SCA_TOL of it. Returns each solve's PowerSolution."""
     h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
     cap = tab.i_threshold[cols]
     p = np.repeat(_capped_power(tab, sets, cols)[None], len(sets), axis=0)
     terms = _pair_terms(tab, sets, cols, oma)
     rates, totals = _rates(terms, p, tab.sigma2)
 
-    prev = [sum(totals[a:b].tolist()) for a, b in spans]
-    history = [[] for _ in spans]  # one entry per outer iteration
-    converged = [a == b for a, b in spans]
-    live = list(range(len(spans)))
-    for _ in range(_MAX_SCA_ITERS):
-        rows = np.concatenate([np.arange(*spans[j]) for j in live])
-        sub = [_Term(*(None if v is None else v[..., rows] for v in t))
-               for t in terms]
-        cand = _surrogate_step(tab, sub, h[:, rows], cap[rows], p[:, rows],
-                               solve[rows], counted[:, rows])
-        cand_rates, cand_totals = _rates(sub, cand, tab.sigma2)
-        keep = cand_totals >= totals[rows]
-        p[:, rows] = np.where(keep, cand, p[:, rows])
-        rates[:, rows] = np.where(keep, cand_rates, rates[:, rows])
-        totals[rows] = np.where(keep, cand_totals, totals[rows])
-        for j in live:
-            total = sum(totals[slice(*spans[j])].tolist())
-            history[j].append(total)
-            converged[j] = total - prev[j] < _SCA_TOL * max(1.0, abs(total))
-            prev[j] = total
-        live = [j for j in live if not converged[j]]
-        if not live:
-            break
+    prev = np.bincount(solve, totals, minlength=s_n)
+    live = np.ones(s_n, dtype=bool)  # a solve with no row stops after one
+    iterations = np.zeros(s_n, dtype=int)
+    history = []  # every solve's total after each outer iteration
+    while live.any() and len(history) < _MAX_SCA_ITERS:
+        cand = _surrogate_step(tab, terms, h, cap, p, solve, counted, live)
+        cand_rates, cand_totals = _rates(terms, cand, tab.sigma2)
+        keep = (cand_totals >= totals) & live[solve]
+        p = np.where(keep, cand, p)
+        rates = np.where(keep, cand_rates, rates)
+        totals = np.where(keep, cand_totals, totals)
+        total = np.bincount(solve, totals, minlength=s_n)
+        history.append(total)
+        iterations += live
+        live &= ~(total - prev < _SCA_TOL * np.maximum(1.0, np.abs(total)))
+        prev = total
 
     b_n = tab.h_macro.shape[0] - 1  # the sentinel's column, dropped below
-    powers, per_bs = np.zeros((2, len(spans), b_n + 1))
+    powers, per_bs = np.zeros((2, s_n, b_n + 1))
     powers[solve, sets], per_bs[solve, sets] = p, rates
-    return [PowerSolution(pw[:b_n], r[:b_n], float(r[:b_n].sum()), len(hist), conv,
-                          tuple(hist))
-            for pw, r, conv, hist in zip(powers, per_bs, converged, history)]
+    history = np.reshape(history, (-1, s_n)).T
+    return [PowerSolution(pw[:b_n], r[:b_n], float(r[:b_n].sum()), n, not alive,
+                          tuple(hist[:n].tolist()))
+            for pw, r, n, alive, hist in zip(powers, per_bs, iterations.tolist(),
+                                             live.tolist(), history)]
 
 
 def _power(tab: _Tables, src, inst, oma) -> list:
-    """Every solve's PowerSolution: solve s gives instance inst[s] the
-    assignment src[s] under scheme oma[s]. Its sets are its matched RBs',
-    padded to the fullest RB of any solve, but its stop test counts the slots
-    of its own fullest RB, as alone; a closed RB (cap 0, a member heard by
-    the macro user) is left out, so its members keep power and rate 0, as
-    _capped_power scores them. _sca takes the solves in order, at most
-    RATE_ROWS rows at a time unless one solve has more."""
+    """Every solve's PowerSolution, from one _sca pass: solve s gives
+    instance inst[s] the assignment src[s] under scheme oma[s]. Its sets are
+    its matched RBs', padded to the fullest RB of any solve, but its stop
+    test counts the slots of its own fullest RB, as alone; a closed RB (cap
+    0, a member heard by the macro user) is left out, so its members keep
+    power and rate 0, as _capped_power scores them."""
     (s_n, b_n), r_n = src.shape, tab.n_rb
     counts = np.bincount((np.arange(s_n)[:, None] * r_n + src)[src >= 0],
                          minlength=s_n * r_n).reshape(s_n, r_n)
@@ -712,16 +702,7 @@ def _power(tab: _Tables, src, inst, oma) -> list:
     shut = (tab.i_threshold[cols] == 0) & np.any(h > 0, axis=0)
     solve, sets, cols = solve[~shut], sets[:, ~shut], cols[~shut]
     counted = np.arange(len(sets))[:, None] < counts.max(axis=1, initial=1)[solve]
-    sizes = np.bincount(solve, minlength=s_n).tolist()
-    ends = np.cumsum([0] + sizes).tolist()
-    solutions, first = [], 0
-    for s in range(1, s_n + 1):  # a batch ends where the next solve overflows
-        if s == s_n or ends[s + 1] - ends[first] > RATE_ROWS:
-            part = slice(ends[first], ends[s])
-            solutions += _sca(tab, sets[:, part], cols[part], oma[solve[part]],
-                              counted[:, part], sizes[first:s])
-            first = s
-    return solutions
+    return _sca(tab, sets, cols, oma[solve], counted, solve, s_n)
 
 
 def sca_power_control(matching: Matching, instance: AllocationInstance,

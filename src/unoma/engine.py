@@ -190,7 +190,7 @@ def _allocation_point(data: dict, index: int, n_small: int):
     point_seed = subseed(data["seed"], index)
     taus, schemes = data["taus"], data["schemes"]
     results = {(tau, scheme): ([], []) for tau in taus for scheme in schemes}
-    most = group_size(n_small, data["n_rb"])
+    most = group_size(n_small, data["n_rb"], len(taus) * len(schemes))
     for rng, n in trial_blocks(point_seed, data["trials"]):
         cuts = -(-n // most)  # as few groups as the cap allows, sizes even
         for size in (n // cuts + (g < n % cuts) for g in range(cuts)):

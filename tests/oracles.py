@@ -494,16 +494,19 @@ def per_instance_match(instance, scheme="noma"):
     return Matching(tuple(best_src.tolist()), r_n, tau)
 
 
+# The SCA oracle sums over set slots with Python's sum, one slot at a time
+# in slot order: numpy's .sum(axis=0) would sum a one-RB solve's 8 or more
+# slots pairwise, and its bits would then depend on the solve's RB count.
 def _cap_multiplier(a, c, h, cap, binds, lo, p_max):
     mu, mu_lo, mu_hi = np.zeros(len(cap)), np.zeros(len(cap)), np.zeros(len(cap))
-    mu_hi[binds] = a[:, binds].sum(axis=0) / cap[binds]
+    mu_hi[binds] = sum(a[:, binds]) / cap[binds]
     for _ in range(_MAX_MULTIPLIER_STEPS):
         p, x = _clipped_power(a, c, mu, h, lo, p_max)
-        excess = (h * p).sum(axis=0) - cap
+        excess = sum(h * p) - cap
         over = excess > 0
         mu_lo = np.where(over, mu, mu_lo)
         mu_hi = np.where(over, mu_hi, mu)
-        slope = np.where((p > lo) & (p < p_max), h * h * p / x, 0.0).sum(axis=0)
+        slope = sum(np.where((p > lo) & (p < p_max), h * h * p / x, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = mu + excess / slope
         inside = ((step > mu_lo) & (step < mu_hi)) | (step == mu)
@@ -526,11 +529,11 @@ def _surrogate_step(instance, terms, h, cap, p):
         c = 0.0
         for term, alpha, den in zip(terms, alphas, dens):
             ratio = alpha / den
-            c = c + (term.cross * ratio).sum(axis=1)
+            c = c + sum(term.cross[:, i] * ratio[i] for i in range(len(ratio)))
             if term.own is not None:
                 c = c + ratio * term.own * term.gain
         new = _clipped_power(a, c, 0.0, h, lo, p_max)[0]
-        binds = np.flatnonzero((h * new).sum(axis=0) > cap)
+        binds = np.flatnonzero(sum(h * new) > cap)
         if len(binds):
             mu = _cap_multiplier(a, c, h, cap, binds, lo, p_max)
             new = _clipped_power(a, c, mu, h, lo, p_max)[0]
@@ -539,7 +542,7 @@ def _surrogate_step(instance, terms, h, cap, p):
         if done:
             break
         dens = [_sinr(term, q, sigma2)[1] for term in terms]
-    load = (h * q).sum(axis=0)
+    load = sum(h * q)
     over = load > cap
     q[:, over] *= (cap[over] / load[over]) * (1.0 - 1e-12)
     return q

@@ -160,9 +160,9 @@ def test_solo_table_scores_every_bs_alone(monkeypatch):
 
 
 def test_plus_each_invariant_to_row_budget(monkeypatch):
-    """_plus_each cuts its rows into kernel calls of at most RATE_ROWS rows,
-    splitting a set's rows when n_bs + 1 exceeds the budget; every budget
-    gives the table of one call."""
+    """_plus_each cuts its rows into kernel calls of as many whole sets
+    (n_bs + 1 rows each) as RATE_ROWS allows, one set when n_bs + 1 exceeds
+    the budget; every budget gives the table of one call."""
     inst = generate_instance(12, preset_config("fig5").data, 3,
                              np.random.default_rng(3))
     rng = np.random.default_rng(4)
@@ -184,7 +184,8 @@ def test_plus_each_invariant_to_row_budget(monkeypatch):
         calls.clear()
         monkeypatch.setattr(allocation, "RATE_ROWS", budget)
         assert _plus_each(inst._tables, sets, cols, oma).tobytes() == want.tobytes()
-        assert max(calls) == budget and sum(calls) == len(cols) * (inst.n_bs + 1)
+        per_call = max(1, budget // (inst.n_bs + 1)) * (inst.n_bs + 1)
+        assert max(calls) == per_call and sum(calls) == len(cols) * (inst.n_bs + 1)
 
 
 def test_match_single_bs_single_rb():
@@ -318,8 +319,8 @@ def test_match_at_fig5_scale():
 
 def _assert_group_matches_oracle(group, taus) -> int:
     """solve_group gives each (instance, tau, scheme) of the group what the
-    per-instance matcher and SCA give it alone, bit for bit. Returns the
-    number of solves."""
+    per-instance matcher and SCA give it alone, bit for bit, and so does
+    sca_power_control alone. Returns the number of solves."""
     solves = 0
     for (tau, scheme), pairs in solve_group(group, taus, ["noma", "oma"]).items():
         for inst, (matching, sol) in zip(group, pairs, strict=True):
@@ -329,6 +330,8 @@ def _assert_group_matches_oracle(group, taus) -> int:
             assert matching.bs_to_rb == want.bs_to_rb
             assert sol.powers.tobytes() == ref.powers.tobytes()
             assert sol.per_bs_rates.tobytes() == ref.per_bs_rates.tobytes()
+            alone = sca_power_control(want, inst, scheme)
+            assert sol.powers.tobytes() == alone.powers.tobytes()
             assert (sol.iterations, sol.converged, sol.objective_history) \
                 == (ref.iterations, ref.converged, ref.objective_history)
             solves += 1
@@ -340,7 +343,9 @@ def test_group_matches_the_per_instance_oracle():
     and 3, both schemes), a trial block's instances in one group; and random
     groups of up to 4 instances with 1-6 BSs and 1-4 RBs at up to three of
     the quotas 1-4, so a solve's sets take up to 3 padding slots, with
-    binding, absent and zero caps and zero far gains."""
+    binding, absent and zero caps and zero far gains; and groups of 2
+    instances with 12 BSs on 1 RB at tau 12, whose sets of 8 or more members
+    are summed slot by slot however many rows share a pass."""
     data = dict(preset_config("fig5").data, trials=16)
     solves = 0
     for index, n in enumerate(data["sweep"]["values"]):
@@ -359,6 +364,30 @@ def test_group_matches_the_per_instance_oracle():
         group[0] = replace(group[0], x_far=x_far)
         taus = sorted(rng.choice(4, int(rng.integers(1, 4)), replace=False) + 1)
         _assert_group_matches_oracle(group, [int(t) for t in taus])
+    rng = np.random.default_rng(5)
+    for threshold in (np.inf, 5e-11):
+        group = [random_instance(rng, 12, 1, tau=12, threshold=threshold)
+                 for _ in range(2)]
+        _assert_group_matches_oracle(group, [12])
+
+
+def test_sets_never_wider_than_n_bs(monkeypatch):
+    """A quota above n_bs pads no set past n_bs members: no rate-kernel call
+    of a group solved at tau 5 with 3 BSs gets more than 3 slots, and every
+    solve still gets its bytes alone."""
+    widths = []
+    rates = allocation._rates
+
+    def record(terms, p, sigma2):
+        widths.append(len(p))
+        return rates(terms, p, sigma2)
+
+    rng = np.random.default_rng(6)
+    group = [random_instance(rng, 3, 2, tau=1) for _ in range(2)]
+    assert _assert_group_matches_oracle(group, [1, 5]) == 8
+    monkeypatch.setattr(allocation, "_rates", record)
+    solve_group(group, [1, 5], ["noma", "oma"])
+    assert max(widths) == 3
 
 
 def test_matching_validator():
@@ -475,7 +504,7 @@ def test_sca_padding_slots_change_no_bytes(monkeypatch):
         sinr_calls.clear()
         q = _surrogate_step(tab, terms, h, tab.i_threshold[rbs], p,
                             np.zeros(len(rbs), dtype=np.intp),
-                            counted | counted_all)
+                            counted | counted_all, np.ones(1, dtype=bool))
         return q[:len(sets) - extra], len(sinr_calls) // 2
 
     data = preset_config("fig5").data
@@ -488,7 +517,7 @@ def test_sca_padding_slots_change_no_bytes(monkeypatch):
         for extra in (0, 1):
             sets, rbs, counted = _sca_rows(inst, scheme, extra)
             solved.append(_sca(tab, sets, rbs, np.full(len(rbs), scheme == "oma"),
-                               counted, [len(rbs)])[0])
+                               counted, np.zeros(len(rbs), dtype=np.intp), 1)[0])
         alone, padded = solved
         assert padded.powers.tobytes() == alone.powers.tobytes()
         assert padded.per_bs_rates.tobytes() == alone.per_bs_rates.tobytes()
@@ -543,7 +572,7 @@ def test_sca_matches_slsqp_oracle():
         oma = np.full(len(rbs), scheme == "oma")
         cand = _surrogate_step(inst._tables, _pair_terms(inst._tables, sets, rbs, oma),
                                h, cap, p, np.zeros(len(rbs), dtype=np.intp),
-                               np.ones(sets.shape, dtype=bool))
+                               np.ones(sets.shape, dtype=bool), np.ones(1, dtype=bool))
         for col, r in enumerate(rbs.tolist()):
             members = list(matching.rb_to_bs[r])
             want = slsqp_surrogate_step(inst, r, members, p[:len(members), col],

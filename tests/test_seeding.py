@@ -128,52 +128,79 @@ def test_allocation_kernel_calls_and_groups_are_bounded(monkeypatch):
     engine._allocation_point(data, 5, 32)
     assert max(rows) <= allocation.RATE_ROWS < 2 * max(rows)
     assert max(tables) <= allocation.GROUP_BYTES < 2 * max(tables)
-    assert len(tables) == -(-data["trials"] // allocation.group_size(32, 4))
+    solves = len(data["taus"]) * len(data["schemes"])
+    assert len(tables) == -(-data["trials"] // allocation.group_size(32, 4, solves))
 
 
 @pytest.mark.parametrize("schemes", [["noma"], ["oma"], ["noma", "oma"],
                                      ["oma", "noma"]])
 def test_one_matcher_and_one_power_pass_per_group(monkeypatch, schemes):
     """On the n = 32 fig5 point each lockstep group solves all its (instance,
-    tau, scheme) solves in one _match and one _power call, and _power cuts
-    its solves into _sca batches only where the next solve would take a
-    batch past RATE_ROWS rows (one solve with more runs alone)."""
-    calls, batches = [], []
+    tau, scheme) solves in one _match and one _power call, and _power in one
+    _sca call, whatever RATE_ROWS is."""
+    calls = []
 
     def record(name):
         real = getattr(allocation, name)
 
         def wrapper(*args):
             calls.append(name)
-            if name == "_power":
-                batches.append([])
             return real(*args)
         return wrapper
 
-    def sca(*args):
-        batches[-1].append(list(args[-1]))  # each solve's rows
-        return real_sca(*args)
-
-    real_sca = allocation._sca
-    for name in ("_stack", "_match", "_power"):
+    for name in ("_stack", "_match", "_power", "_sca"):
         monkeypatch.setattr(allocation, name, record(name))
-    monkeypatch.setattr(allocation, "_sca", sca)
     data = dict(preset_config("fig5").data, trials=7, schemes=schemes)
-    groups = -(-data["trials"] // allocation.group_size(32, 4))
     solves = len(data["taus"]) * len(schemes)
-    default = allocation.RATE_ROWS
-    for rows in (default, 3, 9):
+    for rows in (allocation.RATE_ROWS, 3, 9):
         monkeypatch.setattr(allocation, "RATE_ROWS", rows)
         calls.clear()
-        batches.clear()
         engine._allocation_point(data, 5, 32)
-        assert calls == ["_stack", "_match", "_power"] * groups
-        assert sum(len(b) for p in batches for b in p) == data["trials"] * solves
-        for per_call in batches:
-            for batch, after in zip(per_call, per_call[1:] + [None]):
-                assert sum(batch) <= rows or len(batch) == 1
-                assert after is None or sum(batch) + after[0] > rows
-        assert (max(len(p) for p in batches) == 1) == (rows == default)
+        groups = -(-data["trials"] // allocation.group_size(32, 4, solves))
+        assert calls == ["_stack", "_match", "_power", "_sca"] * groups
+
+
+def test_group_size_bounds_a_swap_round_and_an_sca_pass(tmp_path, monkeypatch):
+    """group_size shrinks a group as its solves grow, so that on a small-n,
+    many-tau point (n = 4, tau 1-8, both schemes) no swap round's sets and
+    no SCA pass take more than RATE_ROWS rows unless the group is one
+    instance; and groups cut small give the bytes of the default."""
+    sizes = [allocation.group_size(4, 4, solves) for solves in (1, 4, 16, 256)]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] == 1
+    data = dict(preset_config("fig5").data, name="taus", trials=5,
+                taus=list(range(1, 9)),
+                sweep={"variable": "n_small_cells", "values": [4]})
+    passes = []  # (instances in the group, rows) per swap round and SCA pass
+    size = [0]
+
+    def record(name, rows):
+        real = getattr(allocation, name)
+
+        def wrapper(*args):
+            passes.append((size[0], rows(*args)))
+            return real(*args)
+        return wrapper
+
+    def group(instances, taus, schemes):
+        size[0] = len(instances)
+        return solve_group(instances, taus, schemes)
+
+    solve_group = allocation.solve_group
+    monkeypatch.setattr(engine, "solve_group", group)
+    monkeypatch.setattr(allocation, "_best_changes", record(
+        "_best_changes", lambda tab, src, *_: len(src) * tab.n_rb))
+    monkeypatch.setattr(allocation, "_sca", record(
+        "_sca", lambda tab, sets, *_: sets.shape[1]))
+    default = _csv(data, tmp_path / "default")
+    for rows in (300, 100):  # groups of 2 instances, then of 1
+        monkeypatch.setattr(allocation, "RATE_ROWS", rows)
+        passes.clear()
+        assert _csv(data, tmp_path / str(rows)) == default
+        assert max(n for n, _ in passes) == (2 if rows == 300 else 1)
+        assert all(r <= rows or n == 1 for n, r in passes)
+        assert max(r for _, r in passes) > rows // 2
+    monkeypatch.setattr(allocation, "GROUP_BYTES", 1)
+    assert _csv(data, tmp_path / "cut") == default
 
 
 def test_generate_instance_matches_the_per_bs_draw():
