@@ -11,6 +11,7 @@ import numpy as np
 from .geometry import (
     NetworkSnapshot,
     Region,
+    TierConfig,
     avg_received_power,
     link_distances,
     sample_network,
@@ -48,30 +49,10 @@ def associate_user(user_pos, snapshot: NetworkSnapshot):
 
 
 @dataclass(frozen=True)
-class AssociationStudy:
-    """Configuration of one association-probability estimate."""
-
-    region: Region
-    tiers: tuple
-    probe: str = "origin"  # "origin" or "uniform"
-    guaranteed_bs: str | None = None  # None, "center", "uniform" (first tier)
-
-    def __post_init__(self):
-        if self.probe not in ("origin", "uniform"):
-            raise ValueError(f"unknown probe mode {self.probe!r}")
-        if self.guaranteed_bs not in (None, "center", "uniform"):
-            raise ValueError(f"unknown guaranteed_bs mode {self.guaranteed_bs!r}")
-        if self.guaranteed_bs is None and all(t.density == 0 for t in self.tiers):
-            raise ValueError("every tier density is 0 and no BS is guaranteed, "
-                             "so no drop has a BS")
-
-
-@dataclass(frozen=True)
 class AssociationStats:
     tier_ids: tuple
     probabilities: tuple
     ci_half_widths: tuple  # Wilson 95% intervals
-    trials: int
 
 
 def _wilson_half_width(p_hat: float, n: int) -> float:
@@ -80,34 +61,27 @@ def _wilson_half_width(p_hat: float, n: int) -> float:
             / (1 + z2 / n))
 
 
-def association_probability(study: AssociationStudy, trials: int,
-                            seed: int) -> AssociationStats:
+def association_probability(region: Region, tiers: tuple[TierConfig, ...],
+                            trials: int, seed: int) -> AssociationStats:
     """Monte-Carlo per-tier association probability with Wilson 95% CIs.
 
-    Each trial ("drop") draws a fresh network and one probe user (at the
-    origin or uniformly in the region). Drops are drawn and associated a
-    block at a time, as metrics.trial_blocks(seed, trials) yields them, so the
-    estimate is independent of execution order. Drops without a BS are not
-    counted.
+    Each trial ("drop") draws a fresh network in the region, adds one BS of
+    the first tier at its centre, and draws one probe user uniformly in it.
+    Drops are drawn and associated a block at a time, as
+    metrics.trial_blocks(seed, trials) yields them, so the estimate is
+    independent of execution order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tiers = list(study.tiers)
     counts = np.zeros(len(tiers), dtype=np.int64)
     for rng, drops in trial_blocks(seed, trials):
-        snap = sample_network(study.region, tiers, rng, drops,
-                              guaranteed_bs=study.guaranteed_bs)
-        if snap.n_bs == 0:
-            continue
-        if study.probe == "origin":
-            probes = np.zeros((drops, 2))
-        else:
-            probes = sample_uniform(drops, study.region, rng)
-        winner = associate_user(probes, snap)
-        counts += np.bincount(winner[winner >= 0], minlength=len(tiers))
-    total = int(counts.sum())
-    if total == 0:
-        raise ValueError("no trial produced a network with coverage")
-    probs = tuple(int(c) / total for c in counts)
-    cis = tuple(_wilson_half_width(p, total) for p in probs)
-    return AssociationStats(tuple(t.tier_id for t in tiers), probs, cis, total)
+        snap = sample_network(region, tiers, rng, drops)
+        first, n = snap.bs_positions[0], snap.bs_counts[0]
+        centred = np.insert(first, np.cumsum(n) - n, 0.0, axis=0)  # first in its drop
+        snap = NetworkSnapshot(snap.tiers, (centred, *snap.bs_positions[1:]),
+                               (n + 1, *snap.bs_counts[1:]))
+        probes = sample_uniform(drops, region, rng)
+        counts += np.bincount(associate_user(probes, snap), minlength=len(tiers))
+    probs = tuple(int(c) / trials for c in counts)
+    cis = tuple(_wilson_half_width(p, trials) for p in probs)
+    return AssociationStats(tuple(t.tier_id for t in tiers), probs, cis)

@@ -10,7 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .association import AssociationStudy
 from .geometry import (
     Region,
     TierConfig,
@@ -34,8 +33,7 @@ _SWEEP_KEYS = {"variable", "values"}
 _TIER_KEYS = {"tier_id", "tx_power_dbm", "density_per_m2",
               "density_factor_of_sweep", "array_gain", "antennas", "streams",
               "path_loss_exponent"}
-_ASSOC_KEYS = _COMMON_KEYS | {"region_radius_m", "probe", "guaranteed_bs",
-                              "tiers"}
+_ASSOC_KEYS = _COMMON_KEYS | {"region_radius_m", "tiers"}
 _ALLOC_KEYS = _COMMON_KEYS | {"n_rb", "taus", "schemes", "macro_power_dbm",
                               "small_power_dbm", "sigma2_w",
                               "protection_ratio_db", "region_radius_m",
@@ -161,11 +159,8 @@ def _validate_tier(tier: dict, idx: int) -> dict:
 
 def _validate_association(data: dict):
     _reject_unknown(data, _ASSOC_KEYS)
-    data.setdefault("probe", "uniform")
-    data.setdefault("guaranteed_bs", None)
-    _require(data, "region_radius_m", (int, float))
-    _require(data, "probe", str)
-    _require(data, "guaranteed_bs", (str, type(None)))
+    _built("key 'region_radius_m'", Region,
+           _require(data, "region_radius_m", (int, float)))
     tiers = _require(data, "tiers", list, lambda t: len(t) >= 1,
                      "need at least one tier")
     for i, tier in enumerate(tiers):
@@ -175,19 +170,16 @@ def _validate_association(data: dict):
         raise ConfigError("key 'tiers' contains duplicate tier_id values")
     for v in _validate_sweep(data, "small_cell_density_per_m2", lambda v: v >= 0,
                              "must be >= 0"):
-        _built(f"association study at sweep value {v!r}", association_study,
-               data, v)
+        _built(f"tiers at sweep value {v!r}", association_tiers, data, v)
 
 
-def association_study(data: dict, value: float) -> AssociationStudy:
-    """The study an association_sweep config runs at one small-cell density
+def association_tiers(data: dict, value: float) -> tuple[TierConfig, ...]:
+    """The tiers an association_sweep config runs at one small-cell density
     sweep value: tier density density_per_m2 + density_factor_of_sweep * value."""
-    tiers = tuple(TierConfig(t["tier_id"], t["tx_power_dbm"],
-                             t["density_per_m2"] + t["density_factor_of_sweep"] * value,
-                             t["array_gain"], t["path_loss_exponent"])
-                  for t in data["tiers"])
-    return AssociationStudy(Region(data["region_radius_m"]), tiers, data["probe"],
-                            data["guaranteed_bs"])
+    return tuple(TierConfig(t["tier_id"], t["tx_power_dbm"],
+                            t["density_per_m2"] + t["density_factor_of_sweep"] * value,
+                            t["array_gain"], t["path_loss_exponent"])
+                 for t in data["tiers"])
 
 
 def _validate_allocation(data: dict):
@@ -288,8 +280,6 @@ PRESETS = {
         "trials": 20000,
         "workers": 1,
         "region_radius_m": 500.0,
-        "probe": "uniform",
-        "guaranteed_bs": "center",
         "tiers": [
             {"tier_id": "macro", "tx_power_dbm": 40.0,
              "density_per_m2": _MACRO_DENSITY,

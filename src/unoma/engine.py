@@ -33,7 +33,7 @@ from .allocation import (
     solve_group,
 )
 from .association import association_probability
-from .config import ExperimentConfig, association_study
+from .config import ExperimentConfig, association_tiers
 from .geometry import (
     DISTANCE_FLOOR_M,
     Region,
@@ -77,11 +77,13 @@ def subseed(master_seed: int, index: int) -> int:
 
 _CONVENTIONS = {
     "association_sweep": {
-        "association": "each drop's probe user joins the tier whose nearest "
-                       "BS gives the largest average received power "
+        "association": "each drop is a PPP of every tier in a disc of "
+                       "radius region_radius_m, plus one BS of the first tier "
+                       "at the disc's centre, and one probe user drawn "
+                       "uniformly in the disc; the probe joins the tier whose "
+                       "nearest BS gives the largest average received power "
                        "P*G*max(d, 1 m)^-alpha; ties go to the earlier tier in "
-                       "config order; drops without a BS are not counted in "
-                       "trials",
+                       "config order",
     },
     "allocation_sweep": {
         "fairness": "Jain index over per-small-cell pair rates; "
@@ -177,9 +179,10 @@ def generate_instance(n_small: int, data: dict, tau: int,
 
 def _association_point(data: dict, index: int, value: float):
     seed = subseed(data["seed"], index)
-    stats = association_probability(association_study(data, value),
+    stats = association_probability(Region(data["region_radius_m"]),
+                                    association_tiers(data, value),
                                     data["trials"], seed)
-    return [(value, tid, p, ci, stats.trials)
+    return [(value, tid, p, ci, data["trials"])
             for tid, p, ci in zip(stats.tier_ids, stats.probabilities,
                                   stats.ci_half_widths)]
 

@@ -134,35 +134,16 @@ class NetworkSnapshot:
         return len(self.bs_counts[0])
 
 
-def sample_network(
-    region: Region,
-    tiers: list[TierConfig],
-    rng: np.random.Generator,
-    drops: int,
-    guaranteed_bs: str | None = None,
-) -> NetworkSnapshot:
+def sample_network(region: Region, tiers: list[TierConfig],
+                   rng: np.random.Generator, drops: int) -> NetworkSnapshot:
     """Draw `drops` independent networks, one PPP per tier each, from rng.
 
     Each tier's drops come from one _sample_ppp_drops call, the draw
     sample_ppp makes for a single drop.
-    guaranteed_bs: None, "center" or "uniform" -- adds to every drop one extra
-    BS of the first tier, listed first in its drop, so every drop has coverage.
     """
-    if guaranteed_bs not in (None, "center", "uniform"):
-        raise ValueError(f"unknown guaranteed_bs mode {guaranteed_bs!r}")
-    positions, counts = [], []
-    for i, tier in enumerate(tiers):
-        pts, n = _sample_ppp_drops(tier.density, region, rng, drops)
-        if i == 0 and guaranteed_bs is not None:
-            if guaranteed_bs == "center":
-                extra = np.zeros((drops, 2))
-            else:
-                extra = sample_uniform(drops, region, rng)
-            pts = np.insert(pts, np.cumsum(n) - n, extra, axis=0)
-            n = n + 1
-        positions.append(pts)
-        counts.append(n)
-    return NetworkSnapshot(tuple(tiers), tuple(positions), tuple(counts))
+    positions, counts = zip(*(_sample_ppp_drops(tier.density, region, rng, drops)
+                              for tier in tiers))
+    return NetworkSnapshot(tuple(tiers), positions, counts)
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -7,12 +7,12 @@ import pytest
 from oracles import associate_drops
 from unoma import association
 from unoma.association import (
-    AssociationStudy,
+    _wilson_half_width,
     associate_user,
     association_probability,
 )
 from unoma.geometry import NetworkSnapshot, Region, TierConfig, sample_network
-from unoma.metrics import TRIAL_BLOCK
+from unoma.metrics import TRIAL_BLOCK, trial_blocks
 
 _MACRO_DENSITY = 1.0 / (2.0 * math.pi * 500.0**2)  # the fig4 preset's
 
@@ -62,14 +62,13 @@ def test_associate_matches_per_drop_oracle():
              TierConfig("pico", 30.0, _MACRO_DENSITY),
              TierConfig("femto", 20.0, 3 * _MACRO_DENSITY)]
     empty_drops = 0
-    for seed, guaranteed in ((1, None), (2, None), (3, "center"), (4, "uniform")):
-        snap = sample_network(region, tiers, np.random.default_rng(seed), 300,
-                              guaranteed_bs=guaranteed)
+    for seed in (1, 2, 3, 4):
+        snap = sample_network(region, tiers, np.random.default_rng(seed), 300)
         probes = region.radius * rng.uniform(-0.7, 0.7, (300, 2))
         tier = associate_user(probes, snap)
         assert tier.tolist() == associate_drops(probes, snap)
         empty_drops += int(np.sum(tier == -1))
-    assert empty_drops > 0  # the unguaranteed draws left some drops empty
+    assert empty_drops > 0  # the PPP draws left some drops empty
 
     # Two tiers of equal power and gain: every BS within 1 m of the user
     # receives the same power at the floor, so ties decide.
@@ -91,58 +90,74 @@ def test_associate_matches_per_drop_oracle():
 
 
 def test_single_tier_probability_one():
-    study = AssociationStudy(Region(500.0),
-                             (TierConfig("pico", 30.0, 2e-5),),
-                             probe="uniform")
-    stats = association_probability(study, 50, seed=3)
+    stats = association_probability(Region(500.0),
+                                    (TierConfig("pico", 30.0, 2e-5),), 50, seed=3)
     assert stats.probabilities == (1.0,)
-    assert stats.trials == 50
     assert 0.0 < stats.ci_half_widths[0] < 0.1
 
 
 def test_zero_density_tier_never_wins():
-    study = AssociationStudy(
+    stats = association_probability(
         Region(500.0),
-        (TierConfig("macro", 40.0, 0.0), TierConfig("pico", 30.0, 2e-5)),
-        probe="origin")
-    stats = association_probability(study, 40, seed=5)
-    assert stats.probabilities == (0.0, 1.0)
-
-
-def test_all_empty_network_raises():
-    with pytest.raises(ValueError):
-        AssociationStudy(Region(500.0), (TierConfig("macro", 40.0, 0.0),))
-    with pytest.raises(ValueError):
-        AssociationStudy(Region(500.0), (), probe="midpoint")
+        (TierConfig("pico", 30.0, 2e-5), TierConfig("macro", 40.0, 0.0)),
+        40, seed=5)
+    assert stats.probabilities == (1.0, 0.0)
 
 
 def test_association_probability_reproducible():
-    study = AssociationStudy(
-        Region(500.0),
-        (TierConfig("macro", 40.0, 1e-6, array_gain=12.4),
-         TierConfig("pico", 30.0, 5e-6)),
-        probe="uniform", guaranteed_bs="center")
-    a = association_probability(study, 200, seed=11)
-    b = association_probability(study, 200, seed=11)
+    region = Region(500.0)
+    tiers = (TierConfig("macro", 40.0, 1e-6, array_gain=12.4),
+             TierConfig("pico", 30.0, 5e-6))
+    a = association_probability(region, tiers, 200, seed=11)
+    b = association_probability(region, tiers, 200, seed=11)
     assert a == b
     assert sum(a.probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guaranteed_bs_gives_coverage():
-    study = AssociationStudy(Region(500.0),
-                             (TierConfig("macro", 40.0, 0.0),),
-                             guaranteed_bs="center")
-    stats = association_probability(study, 20, seed=1)
+    """Every tier density 0: the first tier's BS at the centre serves every
+    drop."""
+    stats = association_probability(Region(500.0),
+                                    (TierConfig("macro", 40.0, 0.0),), 20, seed=1)
     assert stats.probabilities == (1.0,)
 
 
+def test_guaranteed_bs_center(monkeypatch):
+    """Each drop gets one more first-tier BS, at the centre and first in its
+    drop; the PPP tiers are the ones sample_network draws, unchanged."""
+    seen = []
+
+    def spy(probes, snap):
+        seen.append(snap)
+        return associate_user(probes, snap)
+
+    monkeypatch.setattr(association, "associate_user", spy)
+    region = Region(500.0)
+    tiers = (TierConfig("macro", 40.0, 2e-6), TierConfig("pico", 30.0, 5e-6))
+    association_probability(region, tiers, 50, seed=2)
+    (snap,) = seen
+    ppp = sample_network(region, tiers, next(trial_blocks(2, 50))[0], 50)
+    counts = snap.bs_counts[0]
+    assert counts.tolist() == (ppp.bs_counts[0] + 1).tolist()
+    assert np.any(counts > 1)
+    first = np.cumsum(counts) - counts
+    assert np.all(snap.bs_positions[0][first] == 0.0)
+    assert np.delete(snap.bs_positions[0], first, axis=0).tobytes() \
+        == ppp.bs_positions[0].tobytes()
+    assert snap.bs_counts[1].tobytes() == ppp.bs_counts[1].tobytes()
+    assert snap.bs_positions[1].tobytes() == ppp.bs_positions[1].tobytes()
+
+
 def test_association_matches_closed_form():
-    """Probe at the origin, no guaranteed BS, equal alpha: tier k wins with
+    """PPPs alone, probe at the origin, equal alpha: tier k wins with
     probability lambda_k (P_k G_k)^(2/alpha) / sum_j lambda_j (P_j G_j)^(2/alpha)
     (Jo, Sang, Xia & Andrews, IEEE TWC 2012). The fig4 tiers at its 5x point,
     every density scaled by 20 (macro at 20x the fig4 macro density), so the
     500 m disc holds the strongest BS of almost every drop, as the formula's
-    infinite plane does."""
+    infinite plane does. The drops are drawn and associated as
+    association_probability draws them, without its centre BS and uniform
+    probe."""
+    region = Region(500.0)
     lam = 20 * _MACRO_DENSITY
     tiers = (TierConfig("macro", 40.0, lam, array_gain=12.4),
              TierConfig("pico", 30.0, 5 * lam),
@@ -151,25 +166,29 @@ def test_association_matches_closed_form():
     weights = [t.density * (t.tx_power_w * t.array_gain) ** (2 / alpha)
                for t in tiers]
     closed = [w / sum(weights) for w in weights]
-    stats = association_probability(
-        AssociationStudy(Region(500.0), tiers, probe="origin"), 20000, seed=2012)
-    assert stats.trials == 20000
-    for p, half, exact in zip(stats.probabilities, stats.ci_half_widths, closed):
-        assert abs(p - exact) <= 2 * half, (stats.probabilities, closed)
+    wins = np.zeros(len(tiers), dtype=np.int64)
+    for rng, drops in trial_blocks(2012, 20000):
+        winner = associate_user(np.zeros((drops, 2)),
+                                sample_network(region, tiers, rng, drops))
+        wins += np.bincount(winner[winner >= 0], minlength=len(tiers))
+    covered = int(wins.sum())
+    assert covered == 20000
+    probabilities = [int(w) / covered for w in wins]
+    for p, exact in zip(probabilities, closed):
+        half = _wilson_half_width(p, covered)
+        assert abs(p - exact) <= 2 * half, (probabilities, closed)
 
 
 def test_association_memory_bounded_by_chunk():
-    study = AssociationStudy(
-        Region(500.0),
-        (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
-         TierConfig("pico", 30.0, 10 * _MACRO_DENSITY),
-         TierConfig("femto", 20.0, 50 * _MACRO_DENSITY)),
-        probe="uniform", guaranteed_bs="center")
+    region = Region(500.0)
+    tiers = (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
+             TierConfig("pico", 30.0, 10 * _MACRO_DENSITY),
+             TierConfig("femto", 20.0, 50 * _MACRO_DENSITY))
 
     def peak(trials):
         tracemalloc.start()
         try:
-            stats = association_probability(study, trials, seed=5)
+            stats = association_probability(region, tiers, trials, seed=5)
             return tracemalloc.get_traced_memory()[1], stats
         finally:
             tracemalloc.stop()
@@ -177,26 +196,30 @@ def test_association_memory_bounded_by_chunk():
     one, _ = peak(TRIAL_BLOCK)
     eight, _ = peak(8 * TRIAL_BLOCK)
     assert eight <= 1.5 * one, (one, eight)
-    _, stats = peak(2 * TRIAL_BLOCK + 1)  # a partial last block
-    assert stats.trials == 2 * TRIAL_BLOCK + 1
+    trials = 2 * TRIAL_BLOCK + 1  # a partial last block
+    _, stats = peak(trials)
+    assert sum(round(p * trials) for p in stats.probabilities) == trials
 
 
 def test_chunks_draw_from_their_own_seed():
     """Drops are drawn and associated a block at a time, block b from
     SeedSequence([seed, b]): a run is its blocks' counts added up, whatever
     came before them."""
-    study = AssociationStudy(
-        Region(500.0),
-        (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
-         TierConfig("pico", 30.0, 5 * _MACRO_DENSITY)),
-        probe="uniform", guaranteed_bs="uniform")
+    region = Region(500.0)
+    tiers = (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
+             TierConfig("pico", 30.0, 5 * _MACRO_DENSITY))
     trials = 2 * TRIAL_BLOCK + 10  # a partial last block
-    whole = association_probability(study, trials, seed=8)
+    whole = association_probability(region, tiers, trials, seed=8)
     wins = np.zeros(2)
     for block, drops in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 10)):
         rng = np.random.default_rng(np.random.SeedSequence([8, block]))
-        snap = sample_network(study.region, list(study.tiers), rng, drops,
-                              guaranteed_bs="uniform")
-        probes = association.sample_uniform(drops, study.region, rng)
+        snap = sample_network(region, tiers, rng, drops)
+        n = snap.bs_counts[0]
+        snap = NetworkSnapshot(
+            snap.tiers,
+            (np.insert(snap.bs_positions[0], np.cumsum(n) - n, 0.0, axis=0),
+             snap.bs_positions[1]),
+            (n + 1, snap.bs_counts[1]))
+        probes = association.sample_uniform(drops, region, rng)
         wins += np.bincount(associate_user(probes, snap), minlength=2)
     assert whole.probabilities == tuple(wins / trials)

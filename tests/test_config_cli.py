@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unoma import config as config_module
+from unoma import noma_core
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -46,8 +47,6 @@ def _tiny_association_config():
         "trials": 60,
         "workers": 1,
         "region_radius_m": 500.0,
-        "probe": "uniform",
-        "guaranteed_bs": "center",
         "tiers": [
             {"tier_id": "macro", "tx_power_dbm": 40.0,
              "density_per_m2": 6.4e-7, "antennas": 200, "streams": 15},
@@ -231,6 +230,36 @@ def test_validate_and_run_refuse_the_musa_matrix_over_budget(
     assert main(["validate", "--config", str(good)]) == 0
 
 
+def test_validate_and_run_refuse_a_musa_pool_over_budget(
+        tmp_path, monkeypatch, capsys):
+    """MUSA compares its N sequences in an N x N complex Gram matrix and its
+    modulus, 24 B per entry. A pool whose matrix would exceed the budget is
+    refused before any draw, by validate and by run; the budget is lowered
+    here so that no test allocates a large matrix."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the rng ({name})")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    monkeypatch.setattr(noma_core, "MPA_MEMORY_BUDGET", 24 * 6 * 6 - 1)
+    with pytest.raises(ValueError, match="Gram matrix"):
+        noma_core.musa_pool(6, 4, [1.0, -1.0], NoDraws())
+    path = tmp_path / "musa.json"
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=4,
+                                    n=6, matrix_params={"column_weight": 2})))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path),
+                  "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert "6 sequences need a 864 B Gram matrix" in capsys.readouterr().err
+    monkeypatch.setattr(noma_core, "MPA_MEMORY_BUDGET", 24 * 6 * 6)
+    assert main(["validate", "--config", str(path)]) == 0
+
+
 def test_power_split_must_be_a_valid_pair(tmp_path, monkeypatch, capsys):
     """a_m/a_n must be numbers that make the NomaPair the run builds."""
 
@@ -259,6 +288,22 @@ def test_association_rejects_power_split_keys(tmp_path):
         assert main(["validate", "--config", str(path)]) == 1
         assert main(["run", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 1
+
+
+def test_association_rejects_model_choice_keys(tmp_path, capsys):
+    """An association sweep has one model, so 'probe' and 'guaranteed_bs' are
+    unknown keys, refused before anything is written."""
+    for key, value in (("probe", "origin"), ("probe", "uniform"),
+                       ("guaranteed_bs", None), ("guaranteed_bs", "center")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(_tiny_association_config(),
+                                        **{key: value})))
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path),
+                      "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_musa_alphabet_pairs(tmp_path):
@@ -644,29 +689,37 @@ def test_cli_run_association(tmp_path):
     assert len(csv) == 1 + 2 * 2  # two points, two tiers
     conventions = json.loads((out / "assoc_manifest.json").read_text())["conventions"]
     assert set(conventions) == {"association", "seeding"}
-    for fact in ("largest average received power", "max(d, 1 m)",
+    for fact in ("disc of radius region_radius_m",
+                 "one BS of the first tier at the disc's centre",
+                 "probe user drawn uniformly in the disc",
+                 "largest average received power", "max(d, 1 m)",
                  "earlier tier", "nearest BS"):
         assert fact in conventions["association"]
+    assert "not counted" not in conventions["association"]
     _assert_seeding(conventions)
 
 
-def test_validate_rejects_sweep_value_without_bs(tmp_path):
-    """A sweep value at which every tier density is 0, with no guaranteed
-    BS, fails validate as it fails run."""
+def test_sweep_value_without_ppp_bs_runs(tmp_path):
+    """One tier whose density is (almost) 0 at some sweep values: the first
+    tier's BS at the centre serves every drop, so validate and run succeed
+    and every point's probabilities sum to 1 over all its trials."""
     data = _tiny_association_config()
-    data.update(guaranteed_bs=None,
+    data.update(trials=5,
                 tiers=[{"tier_id": "pico", "tx_power_dbm": 30.0,
                         "density_factor_of_sweep": 1.0}],
                 sweep={"variable": "small_cell_density_per_m2",
-                       "values": [0.0, 1e-5]})
+                       "values": [0.0, 1e-12, 1e-5]})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    assert main(["validate", "--config", str(path)]) == 1
-    assert main(["run", "--config", str(path), "--output",
-                 str(tmp_path / "out")]) == 1
-    data["guaranteed_bs"] = "center"
-    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
     assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    header, *rows = (out / "assoc.csv").read_text().splitlines()
+    assert header == "sweep_value,tier_id,probability,ci_half_width,trials"
+    assert len(rows) == 3
+    for row in rows:
+        _, tier, probability, _, trials = row.split(",")
+        assert (tier, float(probability), trials) == ("pico", 1.0, "5")
 
 
 def test_cli_overrides(tmp_path):

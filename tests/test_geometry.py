@@ -134,26 +134,10 @@ def test_snapshot_reproducible_bit_for_bit():
     region = Region(500.0)
     tiers = [TierConfig("macro", 40.0, 2e-6, array_gain=12.4),
              TierConfig("pico", 30.0, 5e-6)]
-    a = sample_network(region, tiers, np.random.default_rng(123), 5,
-                       guaranteed_bs="center")
-    b = sample_network(region, tiers, np.random.default_rng(123), 5,
-                       guaranteed_bs="center")
+    a = sample_network(region, tiers, np.random.default_rng(123), 5)
+    b = sample_network(region, tiers, np.random.default_rng(123), 5)
     for pa, pb in zip(a.bs_positions + a.bs_counts, b.bs_positions + b.bs_counts):
         assert pa.tobytes() == pb.tobytes()
-
-
-def test_guaranteed_bs_center():
-    snap = sample_network(Region(500.0), [TierConfig("macro", 40.0, 0.0)],
-                          np.random.default_rng(1), 1, guaranteed_bs="center")
-    assert len(snap.bs_positions[0]) == 1
-    assert np.allclose(snap.bs_positions[0][0], (0.0, 0.0))
-    # several drops: each drop's own guaranteed BS comes first in its group
-    snap = sample_network(Region(500.0), [TierConfig("macro", 40.0, 2e-6)],
-                          np.random.default_rng(2), 50, guaranteed_bs="center")
-    counts = snap.bs_counts[0]
-    assert len(counts) == 50 and np.all(counts >= 1) and np.any(counts > 1)
-    first = np.cumsum(counts) - counts
-    assert np.all(snap.bs_positions[0][first] == (0.0, 0.0))
 
 
 def test_sample_network_poisson_counts_per_drop():
