@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noma_core import NomaPair
+from .noma_core import MEMORY_BUDGET, NomaPair
 
 # Bound on the improving-swap rounds of each matching seed.
 _MAX_SWAP_ROUNDS = 10_000
@@ -187,8 +187,12 @@ def group_size(n_bs: int, n_rb: int, solves: int) -> int:
     """Instances per lockstep group, each solved solves times: as many as
     keep their stacked tables (_stack) within GROUP_BYTES and one swap
     round's sets (two lanes per solve, one set per RB) within RATE_ROWS, so
-    also an SCA pass (at most one row per RB of each solve); at least one."""
+    also an SCA pass (at most one row per RB of each solve); at least one.
+    ValueError if one instance's tables exceed MEMORY_BUDGET."""
     table_bytes = 8 * n_rb * ((n_bs + 1) * (2 * n_bs + 5) + 1)
+    if table_bytes > MEMORY_BUDGET:
+        raise ValueError(f"one instance's gain tables need {table_bytes} B, "
+                         f"over the {MEMORY_BUDGET} B budget")
     return max(1, min(GROUP_BYTES // table_bytes, RATE_ROWS // (2 * solves * n_rb)))
 
 

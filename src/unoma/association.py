@@ -4,12 +4,10 @@ association-probability Monte-Carlo study."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    NetworkSnapshot,
     Region,
     TierConfig,
     avg_received_power,
@@ -20,21 +18,19 @@ from .geometry import (
 from .metrics import Z_95, trial_blocks
 
 
-def associate_user(user_pos, snapshot: NetworkSnapshot):
-    """Associate one user per drop of the snapshot; user_pos is (drops, 2).
+def associate_user(probes, tiers, network):
+    """Associate one probe user per drop; probes is (drops, 2), and network
+    holds per tier the (positions, per-drop counts) pair of sample_network.
 
-    Returns an integer array of length drops: the index into snapshot.tiers
-    whose nearest BS gives the largest average received power at the drop's
-    user (a tier's strongest BS is its nearest), ties going to the earlier
-    tier; -1 for a drop without a BS.
+    Returns an integer array of length drops: the index into tiers whose
+    nearest BS gives the largest average received power at the drop's probe
+    (a tier's strongest BS is its nearest), ties going to the earlier tier;
+    -1 for a drop without a BS.
     """
-    if snapshot.n_bs == 0:
-        raise ValueError("cannot associate in an empty network")
-    probes = np.reshape(np.asarray(user_pos, dtype=float), (snapshot.n_drops, 2))
-    best_p = np.full(snapshot.n_drops, -math.inf)
-    best_tier = np.full(snapshot.n_drops, -1)
-    for k, (tier, positions, counts) in enumerate(
-            zip(snapshot.tiers, snapshot.bs_positions, snapshot.bs_counts)):
+    probes = np.asarray(probes, dtype=float)
+    best_p = np.full(len(probes), -math.inf)
+    best_tier = np.full(len(probes), -1)
+    for k, (tier, (positions, counts)) in enumerate(zip(tiers, network)):
         if len(positions) == 0:
             continue
         d = link_distances(np.repeat(probes, counts, axis=0), positions)
@@ -48,13 +44,6 @@ def associate_user(user_pos, snapshot: NetworkSnapshot):
     return best_tier
 
 
-@dataclass(frozen=True)
-class AssociationStats:
-    tier_ids: tuple
-    probabilities: tuple
-    ci_half_widths: tuple  # Wilson 95% intervals
-
-
 def _wilson_half_width(p_hat: float, n: int) -> float:
     z2 = Z_95**2
     return (Z_95 * math.sqrt(p_hat * (1 - p_hat) / n + z2 / (4 * n * n))
@@ -62,8 +51,9 @@ def _wilson_half_width(p_hat: float, n: int) -> float:
 
 
 def association_probability(region: Region, tiers: tuple[TierConfig, ...],
-                            trials: int, seed: int) -> AssociationStats:
-    """Monte-Carlo per-tier association probability with Wilson 95% CIs.
+                            trials: int, seed: int) -> tuple[tuple, tuple]:
+    """Monte-Carlo per-tier association probability with Wilson 95% CIs:
+    returns (probabilities, ci_half_widths), one entry per tier.
 
     Each trial ("drop") draws a fresh network in the region, adds one BS of
     the first tier at its centre, and draws one probe user uniformly in it.
@@ -75,13 +65,10 @@ def association_probability(region: Region, tiers: tuple[TierConfig, ...],
         raise ValueError("trials must be >= 1")
     counts = np.zeros(len(tiers), dtype=np.int64)
     for rng, drops in trial_blocks(seed, trials):
-        snap = sample_network(region, tiers, rng, drops)
-        first, n = snap.bs_positions[0], snap.bs_counts[0]
+        (first, n), *rest = sample_network(region, tiers, rng, drops)
         centred = np.insert(first, np.cumsum(n) - n, 0.0, axis=0)  # first in its drop
-        snap = NetworkSnapshot(snap.tiers, (centred, *snap.bs_positions[1:]),
-                               (n + 1, *snap.bs_counts[1:]))
         probes = sample_uniform(drops, region, rng)
-        counts += np.bincount(associate_user(probes, snap), minlength=len(tiers))
+        counts += np.bincount(associate_user(probes, tiers, [(centred, n + 1), *rest]),
+                              minlength=len(tiers))
     probs = tuple(int(c) / trials for c in counts)
-    cis = tuple(_wilson_half_width(p, trials) for p in probs)
-    return AssociationStats(tuple(t.tier_id for t in tiers), probs, cis)
+    return probs, tuple(_wilson_half_width(p, trials) for p in probs)

@@ -13,16 +13,9 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="unoma",
-                     description="Unified-NOMA HUDN Monte-Carlo experiments")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="unoma", description="Unified-NOMA HUDN Monte-Carlo experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # run's and preset's
@@ -48,7 +41,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2 on a usage error; ours is 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers")

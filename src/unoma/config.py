@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .allocation import group_size
 from .geometry import (
     Region,
     TierConfig,
@@ -19,7 +20,7 @@ from .geometry import (
 )
 from .metrics import point_rng
 from .noma_core import (
-    MPA_MEMORY_BUDGET,
+    MEMORY_BUDGET,
     SCHEMES,
     NomaPair,
     build_matrix,
@@ -213,9 +214,12 @@ def _validate_allocation(data: dict):
     # the pair every small cell of the run is built with
     _built("keys 'a_m'/'a_n'", NomaPair, _require(data, "a_m", (int, float)),
            _require(data, "a_n", (int, float)))
-    _validate_sweep(data, "n_small_cells",
-                    lambda v: isinstance(v, int) and v >= 1,
-                    "must be integers >= 1")
+    values = _validate_sweep(data, "n_small_cells",
+                             lambda v: isinstance(v, int) and v >= 1,
+                             "must be integers >= 1")
+    # the run's group sizing, at its largest instance
+    _built(f"n_small_cells {values[-1]} with n_rb {data['n_rb']}", group_size,
+           values[-1], data["n_rb"], len(taus) * len(schemes))
 
 
 def _validate_link(data: dict):
@@ -236,10 +240,10 @@ def _validate_link(data: dict):
                     build_matrix, data["scheme"], data["k"], data["n"],
                     data["matrix_params"], point_rng(data["seed"]))
     need = mpa_chunk_bytes(matrix, data["q"])
-    if need > MPA_MEMORY_BUDGET:
+    if need > MEMORY_BUDGET:
         raise ConfigError(f"{data['scheme']} with k={data['k']}, n={data['n']}, "
                           f"q={data['q']}: MPA detection would need {need} B "
-                          f"on its densest RB, over the {MPA_MEMORY_BUDGET} B "
+                          f"on its densest RB, over the {MEMORY_BUDGET} B "
                           "budget")
 
 

@@ -178,13 +178,11 @@ def generate_instance(n_small: int, data: dict, tau: int,
 
 
 def _association_point(data: dict, index: int, value: float):
-    seed = subseed(data["seed"], index)
-    stats = association_probability(Region(data["region_radius_m"]),
-                                    association_tiers(data, value),
-                                    data["trials"], seed)
-    return [(value, tid, p, ci, data["trials"])
-            for tid, p, ci in zip(stats.tier_ids, stats.probabilities,
-                                  stats.ci_half_widths)]
+    tiers = association_tiers(data, value)
+    probs, cis = association_probability(Region(data["region_radius_m"]), tiers,
+                                         data["trials"], subseed(data["seed"], index))
+    return [(value, tier.tier_id, p, ci, data["trials"])
+            for tier, p, ci in zip(tiers, probs, cis)]
 
 
 def _allocation_point(data: dict, index: int, n_small: int):

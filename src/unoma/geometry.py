@@ -107,43 +107,16 @@ def sample_uniform(shape, region: Region, rng: np.random.Generator) -> np.ndarra
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    """Independent random draws ("drops") of BS positions per tier."""
-
-    tiers: tuple[TierConfig, ...]
-    bs_positions: tuple[np.ndarray, ...]  # one (n_i, 2) array per tier
-    # one (drops,) array per tier: how many of the tier's positions, taken
-    # in order, belong to each drop
-    bs_counts: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not len(self.tiers) == len(self.bs_positions) == len(self.bs_counts):
-            raise ValueError("one position array and one count array per tier required")
-        if len({len(c) for c in self.bs_counts}) > 1 or any(
-                c.sum() != len(p) for c, p in zip(self.bs_counts, self.bs_positions)):
-            raise ValueError("each tier needs one count per drop, summing to "
-                             "its number of positions")
-
-    @property
-    def n_bs(self) -> int:
-        return sum(len(p) for p in self.bs_positions)
-
-    @property
-    def n_drops(self) -> int:
-        return len(self.bs_counts[0])
-
-
 def sample_network(region: Region, tiers: list[TierConfig],
-                   rng: np.random.Generator, drops: int) -> NetworkSnapshot:
+                   rng: np.random.Generator, drops: int
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Draw `drops` independent networks, one PPP per tier each, from rng.
 
-    Each tier's drops come from one _sample_ppp_drops call, the draw
-    sample_ppp makes for a single drop.
+    Returns per tier the (positions, per-drop counts) pair of its one
+    _sample_ppp_drops call, the draw sample_ppp makes for a single drop: a
+    drop's BSs are the next `count` positions, in order.
     """
-    positions, counts = zip(*(_sample_ppp_drops(tier.density, region, rng, drops)
-                              for tier in tiers))
-    return NetworkSnapshot(tuple(tiers), positions, counts)
+    return [_sample_ppp_drops(tier.density, region, rng, drops) for tier in tiers]
 
 
 def link_distances(point: np.ndarray, positions: np.ndarray) -> np.ndarray:

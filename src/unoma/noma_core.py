@@ -190,9 +190,9 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     gram = 24 * pool_size * pool_size  # complex Gram matrix and its modulus
-    if gram > MPA_MEMORY_BUDGET:
+    if gram > MEMORY_BUDGET:
         raise ValueError(f"{pool_size} sequences need a {gram} B Gram matrix, "
-                         f"over the {MPA_MEMORY_BUDGET} B budget")
+                         f"over the {MEMORY_BUDGET} B budget")
     w = k if weight is None else int(weight)
     if not 1 <= w <= k:
         raise ValueError(f"weight must be in [1, K], got {w}")
@@ -354,10 +354,11 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
 # size, and since each vector stops on its own, results do not depend on where
 # the chunk boundaries fall.
 MPA_CHUNK = 4096
-# Bound, in bytes, on the largest per-RB likelihood tensor of one chunk and
-# on a MUSA pool's Gram matrix; a link-level config that would exceed it is
-# rejected by validation.
-MPA_MEMORY_BUDGET = 2**30
+# Bound, in bytes, on the largest per-RB likelihood tensor of one chunk, on a
+# MUSA pool's Gram matrix and on one allocation instance's stacked gain
+# tables (allocation.group_size); a config that would exceed it is rejected
+# by validation.
+MEMORY_BUDGET = 2**30
 
 _TINY = np.finfo(float).tiny
 

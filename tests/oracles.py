@@ -373,20 +373,21 @@ def all_swap_deltas(instance, matching, scheme="noma"):
     return deltas
 
 
-def associate_drops(probes, snapshot):
-    """Per drop of a NetworkSnapshot, the tier index of the BS with the
-    largest average received power P G max(d, 1 m)^-alpha at that drop's
-    probe, every BS's power computed, one drop, tier and BS at a time; ties
-    go to the earlier tier; -1 for a drop without a BS."""
+def associate_drops(probes, tiers, network):
+    """Per drop of a network (per tier, the (positions, per-drop counts) pair
+    of sample_network), the tier index of the BS with the largest average
+    received power P G max(d, 1 m)^-alpha at that drop's probe, every BS's
+    power computed, one drop, tier and BS at a time; ties go to the earlier
+    tier; -1 for a drop without a BS."""
     winners = []
-    offsets = [0] * len(snapshot.tiers)
+    offsets = [0] * len(tiers)
     for drop, (px, py) in enumerate(probes):
         best, best_p = -1, -math.inf
-        for k, tier in enumerate(snapshot.tiers):
+        for k, (tier, (positions, counts)) in enumerate(zip(tiers, network)):
             watts = 10.0 ** ((tier.tx_power_dbm - 30.0) / 10.0)
-            n = int(snapshot.bs_counts[k][drop])
+            n = int(counts[drop])
             for j in range(n):
-                x, y = snapshot.bs_positions[k][offsets[k] + j]
+                x, y = positions[offsets[k] + j]
                 d = max(math.hypot(x - px, y - py), 1.0)
                 p = watts * tier.array_gain * d ** -tier.path_loss_exponent
                 if p > best_p:

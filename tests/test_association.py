@@ -11,27 +11,26 @@ from unoma.association import (
     associate_user,
     association_probability,
 )
-from unoma.geometry import NetworkSnapshot, Region, TierConfig, sample_network
+from unoma.geometry import Region, TierConfig, sample_network
 from unoma.metrics import TRIAL_BLOCK, trial_blocks
 
 _MACRO_DENSITY = 1.0 / (2.0 * math.pi * 500.0**2)  # the fig4 preset's
 
 
-def _snapshot(tiers, drops):
-    """drops: per drop, one list of (x, y) positions per tier."""
-    positions = [np.asarray([xy for drop in drops for xy in drop[k]],
-                            dtype=float).reshape(-1, 2)
-                 for k in range(len(tiers))]
-    counts = [np.array([len(drop[k]) for drop in drops])
-              for k in range(len(tiers))]
-    return NetworkSnapshot(tuple(tiers), tuple(positions), tuple(counts))
+def _network(tiers, drops):
+    """drops: per drop, one list of (x, y) positions per tier; returns per
+    tier the (positions, per-drop counts) pair sample_network returns."""
+    return [(np.asarray([xy for drop in drops for xy in drop[k]],
+                        dtype=float).reshape(-1, 2),
+             np.array([len(drop[k]) for drop in drops], dtype=np.int64))
+            for k in range(len(tiers))]
 
 
 def _winner(tiers, positions):
-    """tier_id of the winning tier of the one-drop snapshot with these
+    """tier_id of the winning tier of the one-drop network with these
     positions, the user at the origin."""
-    snap = _snapshot(tiers, [positions])
-    return tiers[associate_user(np.zeros(2), snap)[0]].tier_id
+    network = _network(tiers, [positions])
+    return tiers[associate_user(np.zeros((1, 2)), tiers, network)[0]].tier_id
 
 
 def test_associate_single_bs():
@@ -47,10 +46,12 @@ def test_associate_femto_beats_distant_macro():
     assert _winner(tiers, [[(200.0, 0.0)], [(10.0, 0.0)]]) == "femto"
 
 
-def test_associate_empty_network_raises():
-    snap = _snapshot([TierConfig("macro", 40.0, 0.0)], [[[]], [[]]])
-    with pytest.raises(ValueError):
-        associate_user(np.zeros((2, 2)), snap)
+def test_associate_empty_network_gives_minus_one():
+    """A network without a BS in any drop leaves every drop unassociated,
+    as an empty drop of a non-empty network is."""
+    tiers = [TierConfig("macro", 40.0, 0.0), TierConfig("pico", 30.0, 0.0)]
+    network = _network(tiers, [[[], []], [[], []]])
+    assert associate_user(np.zeros((2, 2)), tiers, network).tolist() == [-1, -1]
 
 
 def test_associate_matches_per_drop_oracle():
@@ -63,10 +64,10 @@ def test_associate_matches_per_drop_oracle():
              TierConfig("femto", 20.0, 3 * _MACRO_DENSITY)]
     empty_drops = 0
     for seed in (1, 2, 3, 4):
-        snap = sample_network(region, tiers, np.random.default_rng(seed), 300)
+        network = sample_network(region, tiers, np.random.default_rng(seed), 300)
         probes = region.radius * rng.uniform(-0.7, 0.7, (300, 2))
-        tier = associate_user(probes, snap)
-        assert tier.tolist() == associate_drops(probes, snap)
+        tier = associate_user(probes, tiers, network)
+        assert tier.tolist() == associate_drops(probes, tiers, network)
         empty_drops += int(np.sum(tier == -1))
     assert empty_drops > 0  # the PPP draws left some drops empty
 
@@ -82,26 +83,26 @@ def test_associate_matches_per_drop_oracle():
         [[(0.0, -1.0), (0.1, 0.0)], [(0.5, 0.5)], [(0.0, 0.0)]],  # -> a
         [[], [], [(3.0, 4.0), (-3.0, 4.0)]],                 # tie at 5 m -> c
     ]
-    snap = _snapshot(equal, drops)
+    network = _network(equal, drops)
     probes = np.zeros((len(drops), 2))
     expected = [1, 0, 1, -1, 0, 2]
-    assert associate_user(probes, snap).tolist() == expected
-    assert associate_drops(probes, snap) == expected
+    assert associate_user(probes, equal, network).tolist() == expected
+    assert associate_drops(probes, equal, network) == expected
 
 
 def test_single_tier_probability_one():
-    stats = association_probability(Region(500.0),
-                                    (TierConfig("pico", 30.0, 2e-5),), 50, seed=3)
-    assert stats.probabilities == (1.0,)
-    assert 0.0 < stats.ci_half_widths[0] < 0.1
+    probs, cis = association_probability(Region(500.0),
+                                         (TierConfig("pico", 30.0, 2e-5),), 50, seed=3)
+    assert probs == (1.0,)
+    assert 0.0 < cis[0] < 0.1
 
 
 def test_zero_density_tier_never_wins():
-    stats = association_probability(
+    probs, _ = association_probability(
         Region(500.0),
         (TierConfig("pico", 30.0, 2e-5), TierConfig("macro", 40.0, 0.0)),
         40, seed=5)
-    assert stats.probabilities == (1.0, 0.0)
+    assert probs == (1.0, 0.0)
 
 
 def test_association_probability_reproducible():
@@ -111,15 +112,15 @@ def test_association_probability_reproducible():
     a = association_probability(region, tiers, 200, seed=11)
     b = association_probability(region, tiers, 200, seed=11)
     assert a == b
-    assert sum(a.probabilities) == pytest.approx(1.0, abs=1e-12)
+    assert sum(a[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guaranteed_bs_gives_coverage():
     """Every tier density 0: the first tier's BS at the centre serves every
     drop."""
-    stats = association_probability(Region(500.0),
-                                    (TierConfig("macro", 40.0, 0.0),), 20, seed=1)
-    assert stats.probabilities == (1.0,)
+    probs, _ = association_probability(Region(500.0),
+                                       (TierConfig("macro", 40.0, 0.0),), 20, seed=1)
+    assert probs == (1.0,)
 
 
 def test_guaranteed_bs_center(monkeypatch):
@@ -127,25 +128,25 @@ def test_guaranteed_bs_center(monkeypatch):
     drop; the PPP tiers are the ones sample_network draws, unchanged."""
     seen = []
 
-    def spy(probes, snap):
-        seen.append(snap)
-        return associate_user(probes, snap)
+    def spy(probes, tiers, network):
+        seen.append(network)
+        return associate_user(probes, tiers, network)
 
     monkeypatch.setattr(association, "associate_user", spy)
     region = Region(500.0)
     tiers = (TierConfig("macro", 40.0, 2e-6), TierConfig("pico", 30.0, 5e-6))
     association_probability(region, tiers, 50, seed=2)
-    (snap,) = seen
-    ppp = sample_network(region, tiers, next(trial_blocks(2, 50))[0], 50)
-    counts = snap.bs_counts[0]
-    assert counts.tolist() == (ppp.bs_counts[0] + 1).tolist()
+    (network,) = seen
+    (centred, counts), (pico, pico_counts) = network
+    (ppp, ppp_counts), (ppp_pico, ppp_pico_counts) = sample_network(
+        region, tiers, next(trial_blocks(2, 50))[0], 50)
+    assert counts.tolist() == (ppp_counts + 1).tolist()
     assert np.any(counts > 1)
     first = np.cumsum(counts) - counts
-    assert np.all(snap.bs_positions[0][first] == 0.0)
-    assert np.delete(snap.bs_positions[0], first, axis=0).tobytes() \
-        == ppp.bs_positions[0].tobytes()
-    assert snap.bs_counts[1].tobytes() == ppp.bs_counts[1].tobytes()
-    assert snap.bs_positions[1].tobytes() == ppp.bs_positions[1].tobytes()
+    assert np.all(centred[first] == 0.0)
+    assert np.delete(centred, first, axis=0).tobytes() == ppp.tobytes()
+    assert pico_counts.tobytes() == ppp_pico_counts.tobytes()
+    assert pico.tobytes() == ppp_pico.tobytes()
 
 
 def test_association_matches_closed_form():
@@ -168,7 +169,7 @@ def test_association_matches_closed_form():
     closed = [w / sum(weights) for w in weights]
     wins = np.zeros(len(tiers), dtype=np.int64)
     for rng, drops in trial_blocks(2012, 20000):
-        winner = associate_user(np.zeros((drops, 2)),
+        winner = associate_user(np.zeros((drops, 2)), tiers,
                                 sample_network(region, tiers, rng, drops))
         wins += np.bincount(winner[winner >= 0], minlength=len(tiers))
     covered = int(wins.sum())
@@ -188,8 +189,8 @@ def test_association_memory_bounded_by_chunk():
     def peak(trials):
         tracemalloc.start()
         try:
-            stats = association_probability(region, tiers, trials, seed=5)
-            return tracemalloc.get_traced_memory()[1], stats
+            probs, _ = association_probability(region, tiers, trials, seed=5)
+            return tracemalloc.get_traced_memory()[1], probs
         finally:
             tracemalloc.stop()
 
@@ -197,8 +198,8 @@ def test_association_memory_bounded_by_chunk():
     eight, _ = peak(8 * TRIAL_BLOCK)
     assert eight <= 1.5 * one, (one, eight)
     trials = 2 * TRIAL_BLOCK + 1  # a partial last block
-    _, stats = peak(trials)
-    assert sum(round(p * trials) for p in stats.probabilities) == trials
+    _, probs = peak(trials)
+    assert sum(round(p * trials) for p in probs) == trials
 
 
 def test_chunks_draw_from_their_own_seed():
@@ -209,17 +210,12 @@ def test_chunks_draw_from_their_own_seed():
     tiers = (TierConfig("macro", 40.0, _MACRO_DENSITY, array_gain=12.4),
              TierConfig("pico", 30.0, 5 * _MACRO_DENSITY))
     trials = 2 * TRIAL_BLOCK + 10  # a partial last block
-    whole = association_probability(region, tiers, trials, seed=8)
+    whole, _ = association_probability(region, tiers, trials, seed=8)
     wins = np.zeros(2)
     for block, drops in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 10)):
         rng = np.random.default_rng(np.random.SeedSequence([8, block]))
-        snap = sample_network(region, tiers, rng, drops)
-        n = snap.bs_counts[0]
-        snap = NetworkSnapshot(
-            snap.tiers,
-            (np.insert(snap.bs_positions[0], np.cumsum(n) - n, 0.0, axis=0),
-             snap.bs_positions[1]),
-            (n + 1, snap.bs_counts[1]))
+        (macro, n), pico = sample_network(region, tiers, rng, drops)
+        network = [(np.insert(macro, np.cumsum(n) - n, 0.0, axis=0), n + 1), pico]
         probes = association.sample_uniform(drops, region, rng)
-        wins += np.bincount(associate_user(probes, snap), minlength=2)
-    assert whole.probabilities == tuple(wins / trials)
+        wins += np.bincount(associate_user(probes, tiers, network), minlength=2)
+    assert whole == tuple(wins / trials)

@@ -1,0 +1,47 @@
+"""The CSV bytes of small runs of every experiment kind, pinned by SHA-256.
+
+A change that only restructures the code must leave these hashes as they
+are. They were taken under Python 3.11.7 and numpy 2.4.6; another numpy may
+round a last place differently, and then every hash here needs retaking.
+"""
+
+import hashlib
+
+import pytest
+
+from unoma.config import preset_config, validate_config
+from unoma.engine import run_experiment
+
+_LINK = {"kind": "link_level", "seed": 5, "trials": 200, "k": 4, "n": 6,
+         "q": 4, "sweep": {"variable": "snr_db", "values": [4.0, 10.0]}}
+
+_RUNS = {
+    "fig4": (lambda: preset_config("fig4", {"trials": 300}),
+             "ca7540f6dc5b8f64f8cb9f0334a9b80f527029b7733a287d5caa5af38a31096d"),
+    "fig5": (lambda: preset_config("fig5", {"trials": 8}),
+             "c9a12670c580e023a0825f50352966d6ed0c81f5ca99dfe8a97c09fa43dbdb76"),
+    "scma": (lambda: validate_config(dict(
+                 _LINK, name="scma", scheme="scma",
+                 matrix_params={"column_weight": 2})),
+             "b58ad66363ddc0507eb0374ba82603f2cffcd6609ddc4eb5899152c2871c8c9f"),
+    "pdma": (lambda: validate_config(dict(
+                 _LINK, name="pdma", scheme="pdma",
+                 matrix_params={"patterns": [[1, 1, 1, 0], [1, 1, 0, 1],
+                                             [1, 0, 1, 1], [0, 1, 1, 1],
+                                             [1, 1, 0, 0], [0, 0, 1, 1]]})),
+             "fe1235f9ac07e794ca08175ef4d220c6474ce25b2bc8d5ebd0c43a09699d65f4"),
+    "musa": (lambda: validate_config(dict(
+                 _LINK, name="musa", scheme="musa",
+                 matrix_params={"column_weight": 2})),
+             "ad99b06d99f079b63522d44fe79a2d6d5a62f57c6ccad72e6a8c0edce5db1ff8"),
+    "pd-noma": (lambda: validate_config(dict(
+                    _LINK, name="pdnoma", scheme="pd-noma", k=1, n=2, q=2)),
+                "2406f4708844f3946d09e719d1a9947b1e1347206bfb6563c529d71b02b3ae37"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_csv_bytes_pinned(run, tmp_path):
+    make, digest = _RUNS[run]
+    csv_path, _, _ = run_experiment(make(), tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest

@@ -18,8 +18,8 @@ from unoma.config import (
 from unoma.engine import config_hash, run_experiment, subseed
 from unoma.metrics import TRIAL_BLOCK
 from unoma.noma_core import (
+    MEMORY_BUDGET,
     MPA_CHUNK,
-    MPA_MEMORY_BUDGET,
     build_matrix,
     mpa_chunk_bytes,
 )
@@ -182,7 +182,7 @@ def test_name_must_be_a_file_name(tmp_path, name):
 
 
 def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
-    """A link-level config whose MPA chunk would exceed MPA_MEMORY_BUDGET on
+    """A link-level config whose MPA chunk would exceed MEMORY_BUDGET on
     its densest RB fails validate and run, before any detection."""
 
     def no_run(*args, **kwargs):
@@ -194,7 +194,7 @@ def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
     validate_config(scma)
     matrix = build_matrix("scma", 4, 6, {"column_weight": 2},
                           np.random.default_rng(0))
-    assert mpa_chunk_bytes(matrix, 4) == 4**3 * MPA_CHUNK * 24 < MPA_MEMORY_BUDGET
+    assert mpa_chunk_bytes(matrix, 4) == 4**3 * MPA_CHUNK * 24 < MEMORY_BUDGET
     pd = dict(_tiny_link_config(), k=1, n=6, q=8)  # 8^6 * 4096 * 24 B = 24 GiB
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(pd))
@@ -226,7 +226,7 @@ def test_validate_and_run_refuse_the_musa_matrix_over_budget(
                  ["run", "--config", str(bad), "--output", out],
                  ["run", "--config", str(good), "--seed", "1", "--output", out]):
         assert main(argv) == 1
-        assert f"over the {MPA_MEMORY_BUDGET} B budget" in capsys.readouterr().err
+        assert f"over the {MEMORY_BUDGET} B budget" in capsys.readouterr().err
     assert main(["validate", "--config", str(good)]) == 0
 
 
@@ -245,7 +245,7 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
             raise AssertionError(f"drew from the rng ({name})")
 
     monkeypatch.setattr("unoma.cli.run_experiment", no_run)
-    monkeypatch.setattr(noma_core, "MPA_MEMORY_BUDGET", 24 * 6 * 6 - 1)
+    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 24 * 6 * 6 - 1)
     with pytest.raises(ValueError, match="Gram matrix"):
         noma_core.musa_pool(6, 4, [1.0, -1.0], NoDraws())
     path = tmp_path / "musa.json"
@@ -256,7 +256,7 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
         assert "6 sequences need a 864 B Gram matrix" in capsys.readouterr().err
-    monkeypatch.setattr(noma_core, "MPA_MEMORY_BUDGET", 24 * 6 * 6)
+    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 24 * 6 * 6)
     assert main(["validate", "--config", str(path)]) == 0
 
 
@@ -569,6 +569,32 @@ def _assert_seeding(conventions):
         assert fact in conventions["seeding"]
 
 
+@pytest.mark.parametrize("change", [{"n_rb": 10**9},
+                                    {"sweep": {"variable": "n_small_cells",
+                                               "values": [100000]}}])
+def test_validate_and_run_refuse_an_allocation_instance_over_budget(
+        tmp_path, monkeypatch, capsys, change):
+    """An allocation instance whose stacked gain tables exceed MEMORY_BUDGET
+    (tens to hundreds of GB here) is refused by validate and by run before
+    any draw, and nothing is written: the check is arithmetic only."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    path = tmp_path / "cfg" / "fig5.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(preset_config("fig5").data, **change)))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path),
+                  "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "one instance's gain tables need" in err
+        assert f"over the {MEMORY_BUDGET} B budget" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "fig5.json"]
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_tiny_link_config()))
@@ -584,6 +610,18 @@ def test_cli_validate_bad_config(tmp_path):
 
 def test_cli_missing_config_flag():
     assert main(["run"]) == 1
+
+
+def test_cli_usage_error_names_the_argument(capsys):
+    """A usage error exits 1, and stderr says which argument is wrong, not
+    only the usage lines."""
+    assert main(["run"]) == 1
+    assert "the following arguments are required: --config" \
+        in capsys.readouterr().err
+    assert main(["preset", "--name", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --name: invalid choice: 'nope'" in err
+    assert main(["--help"]) == 0
 
 
 def test_cli_unknown_command():

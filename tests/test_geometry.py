@@ -130,25 +130,28 @@ def test_fading_unit_mean():
     assert rayleigh_power_gains(rng, 1_000_000).mean() == pytest.approx(1.0, rel=0.005)
 
 
-def test_snapshot_reproducible_bit_for_bit():
+def test_network_reproducible_bit_for_bit():
     region = Region(500.0)
     tiers = [TierConfig("macro", 40.0, 2e-6, array_gain=12.4),
              TierConfig("pico", 30.0, 5e-6)]
     a = sample_network(region, tiers, np.random.default_rng(123), 5)
     b = sample_network(region, tiers, np.random.default_rng(123), 5)
-    for pa, pb in zip(a.bs_positions + a.bs_counts, b.bs_positions + b.bs_counts):
+    assert len(a) == len(b) == len(tiers)
+    for (pa, ca), (pb, cb) in zip(a, b):
         assert pa.tobytes() == pb.tobytes()
+        assert ca.tobytes() == cb.tobytes()
+        assert len(ca) == 5 and ca.sum() == len(pa)
 
 
 def test_sample_network_poisson_counts_per_drop():
     # mean 0.5 BSs per drop in a 100 m disc
     region = Region(100.0)
-    snap = sample_network(region, [TierConfig("t", 30.0, 0.5 / region.area)],
-                          np.random.default_rng(42), 100_000)
-    counts = snap.bs_counts[0]
+    ((positions, counts),) = sample_network(
+        region, [TierConfig("t", 30.0, 0.5 / region.area)],
+        np.random.default_rng(42), 100_000)
     assert abs(counts.mean() - 0.5) < 3.0 * math.sqrt(0.5 / len(counts))
     assert counts.var() == pytest.approx(0.5, rel=0.05)
-    d = np.linalg.norm(snap.bs_positions[0], axis=1)
+    d = np.linalg.norm(positions, axis=1)
     assert np.all(d <= region.radius * (1 + 1e-12))
 
 
