@@ -16,11 +16,13 @@ sentinel BS, whose gains add an exact +0.0, to the group's largest tau (at
 most n_bs; SCA: its fullest RB). Deferred acceptance, each greedy step, each
 swap round (a solve's DA-seeded and greedy-seeded phases are two lanes of
 it) and each SCA step is one pass over the rows of the group, and each solve
-stops on its own, so every solve gets the bytes it gets alone. group_size
-sizes a group, so that its stacked tables fit in GROUP_BYTES and a swap
-round's sets and an SCA pass in RATE_ROWS rows; only _plus_each, which adds
-every BS to each set, cuts its rows into kernel calls. match_rbs,
-sca_power_control and solve_instance are the one-solve case.
+stops on its own, so every solve gets the bytes it gets alone. The greedy
+and swap phases keep each lane's set scores (_rescore) throughout, and a
+step or a round rescores only the RBs it changed. group_size sizes a group,
+so that its stacked tables fit in GROUP_BYTES and the swap phase's first
+pass and an SCA pass in RATE_ROWS rows; only _plus_each, which adds every BS
+to each set, cuts its rows into kernel calls. match_rbs, sca_power_control
+and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _TINY = np.finfo(float).tiny
 # Rows per rate-kernel call, whose fixed cost is that of about 300 rows. At
 # 1 024 rows a call's arrays take 0.34 MB. 2 048 rows ran no faster on fig5
 # and raised its peak RSS above the per-instance solver's. group_size keeps
-# a swap round's sets and an SCA pass within it.
+# the swap phase's first pass of sets and an SCA pass within it.
 RATE_ROWS = 1024
 # Bytes of a lockstep group's stacked gain tables (group_size): 73 kB per
 # instance at 32 BSs and 4 RBs, so 3 instances. A 512 KiB cap ran about
@@ -185,10 +187,12 @@ def _stack(instances) -> _Tables:
 
 def group_size(n_bs: int, n_rb: int, solves: int) -> int:
     """Instances per lockstep group, each solved solves times: as many as
-    keep their stacked tables (_stack) within GROUP_BYTES and one swap
-    round's sets (two lanes per solve, one set per RB) within RATE_ROWS, so
-    also an SCA pass (at most one row per RB of each solve); at least one.
-    ValueError if one instance's tables exceed MEMORY_BUDGET."""
+    keep their stacked tables (_stack) within GROUP_BYTES and the swap
+    phase's first pass (two lanes per solve, one set per RB) within
+    RATE_ROWS, so also its later rounds and an SCA pass (at most one row per
+    RB of each solve); at least one. A lane's kept scores (_rescore) are
+    (n_rb + n_bs) (n_bs + 1) floats. ValueError if one instance's tables
+    exceed MEMORY_BUDGET."""
     table_bytes = 8 * n_rb * ((n_bs + 1) * (2 * n_bs + 5) + 1)
     if table_bytes > MEMORY_BUDGET:
         raise ValueError(f"one instance's gain tables need {table_bytes} B, "
@@ -397,109 +401,100 @@ def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(cols[:, :width].T)
 
 
+def _rescore(tab: _Tables, src, lanes, rbs, inst, tau, oma, on_rb, leave=None):
+    """Score the RBs rbs (n,) of lanes (n,) in one _plus_each pass into the
+    tables each lane keeps: lane l has the assignment src[l] of instance
+    inst[l] at quota tau[l] under scheme oma[l]. on_rb[l, r] (L, R, B + 1):
+    r's set with each BS added, its own total last, -inf in each BS column
+    of a full RB. leave[l, b] (L, B, B + 1), b on one of the RBs: its set
+    without b with each BS added (last: b gone alone) minus the RB's total.
+    Greedy passes no leave, reading neither these rows nor full totals."""
+    b_n = src.shape[1]
+    held = src[lanes] == rbs[:, None]  # (n, B): each RB's members
+    full = np.count_nonzero(held, axis=1) >= tau[lanes]
+    sets = _padded(src[lanes], rbs, b_n, min(int(tau.max()), b_n))
+    cols = inst[lanes] * tab.n_rb + rbs
+    pair, mb = np.nonzero(held if leave is not None else held[:0])
+    without = sets[:, pair]  # each member's set without it
+    without[without == mb] = b_n
+    opened = np.flatnonzero(~full)
+    scored = np.concatenate([opened, pair])
+    tot = _plus_each(tab, np.concatenate([sets[:, opened], without], axis=1),
+                     cols[scored], oma[lanes[scored]])
+    on_rb[lanes[opened], rbs[opened]] = tot[:len(opened)]
+    on_rb[lanes[full], rbs[full], :b_n] = -np.inf
+    if leave is not None:
+        on_rb[lanes[full], rbs[full], b_n] = _set_totals(
+            tab, sets[:, full], cols[full], oma[lanes[full]])
+        leave[lanes[pair], mb] = tot[len(opened):] - on_rb[lanes[pair], rbs[pair], b_n:]
+
+
 def _greedy_seed(tab: _Tables, solo, inst, tau, oma) -> np.ndarray:
     """Every solve's greedy seed, in lockstep. Solve s, instance inst[s] at
     quota tau[s] under scheme oma[s], repeatedly places the (BS, RB) pair
     with the largest marginal gain, the first in row-major (BS, RB) order on
-    ties, until no gain is positive. The gains start from solo (S, R, B + 1),
-    each solve's _plus_each table of the empty sets; each step rescores, in
-    one pass, the column of the RB that each live solve changed. Returns the
+    ties, until no gain is positive. The gains come from each solve's on_rb
+    table (_rescore), solo (S, R, B + 1) at first, the empty sets' _plus_each
+    table; each step rescores the RB each live solve filled. Returns the
     assignments (S, B), as _da_seed's."""
-    r_n, b_n = tab.n_rb, solo.shape[2] - 1
-    width = min(int(tau.max()), b_n)
+    b_n, on_rb = solo.shape[2] - 1, solo.copy()
     src = np.full((len(inst), b_n), -1)
-    # gain[s, b, r]: total of r's set with b added minus its total; -inf
-    # once b is placed or r is full
-    gain = (solo[:, :, :b_n] - solo[:, :, b_n:]).transpose(0, 2, 1)
     live = np.arange(len(inst))
     while len(live):
-        b, r = np.divmod(gain[live].reshape(len(live), -1).argmax(axis=1), r_n)
-        placed = gain[live, b, r] > 0.0
+        # gain[l, b, r]: total of r's set with b added minus its total; -inf
+        # once b is placed or r is full
+        gain = np.where(src[live, :, None] < 0, (on_rb[live, :, :b_n]
+                        - on_rb[live, :, b_n:]).transpose(0, 2, 1), -np.inf)
+        b, r = np.divmod(gain.reshape(len(live), -1).argmax(axis=1), tab.n_rb)
+        placed = gain[np.arange(len(live)), b, r] > 0.0
         live, b, r = live[placed], b[placed], r[placed]
         src[live, b] = r
-        gain[live, b] = -np.inf
-        room = np.count_nonzero(src[live] == r[:, None], axis=1) < tau[live]
-        gain[live[~room], :, r[~room]] = -np.inf
-        s, r = live[room], r[room]
-        tot = _plus_each(tab, _padded(src[s], r, b_n, width), inst[s] * r_n + r,
-                         oma[s])
-        gain[s, :, r] = np.where(src[s] < 0, tot[:, :b_n] - tot[:, b_n:], -np.inf)
+        _rescore(tab, src, live, r, inst, tau, oma, on_rb)
     return src
-
-
-def _best_changes(tab: _Tables, src, inst, tau, oma):
-    """One swap round's scores for the assignments src (n, B) of instances
-    inst at quotas tau under schemes oma, from one pass: a full RB's set is
-    scored alone (only its total is read), every other set and every matched
-    BS's set without it with each BS added. Returns (each RB's total (n, R),
-    and per assignment the best move into a vacancy, the first maximum in
-    row-major (BS, RB) order, and the best pairwise exchange, one side
-    possibly unmatched, the first maximum in row-major (BS, BS) order: flat
-    index and gain of each). The score tables die here, before the next
-    round's pass."""
-    n, (r_n, b_n) = len(src), (tab.n_rb, src.shape[1])
-    base = inst * r_n
-    set_cols = (base[:, None] + np.arange(r_n)).ravel()
-    sets = _padded(np.repeat(src, r_n, axis=0), set_cols - np.repeat(base, r_n),
-                   b_n, min(int(tau.max()), b_n))
-    ml, mb = np.nonzero(src >= 0)  # matched (assignment, BS) pairs
-    mr = src[ml, mb]
-    without = sets[:, ml * r_n + mr]  # each matched BS's set without it
-    without[without == mb] = b_n
-    full = np.bincount(ml * r_n + mr, minlength=n * r_n) >= np.repeat(tau, r_n)
-    set_oma = np.repeat(oma, r_n)
-    tot = _plus_each(tab, np.concatenate([sets[:, ~full], without], axis=1),
-                     np.concatenate([set_cols[~full], base[ml] + mr]),
-                     np.concatenate([set_oma[~full], oma[ml]]))
-    on_rb = np.zeros((n * r_n, b_n + 1))  # a full RB's moves are -inf
-    on_rb[~full] = tot[:len(tot) - len(ml)]
-    on_rb[full, b_n] = _set_totals(tab, sets[:, full], set_cols[full],
-                                   set_oma[full])
-    on_rb = on_rb.reshape(n, r_n, b_n + 1)
-    cur = on_rb[:, :, b_n]
-    # leave[i, b]: change on matched pair i's RB when its BS leaves and b
-    # joins (b = n_bs: leaves alone); 0 for an unmatched BS, so not stored
-    leave = tot[len(tot) - len(ml):] - cur[ml, mr, None]
-    del tot
-    move = on_rb[:, :, :b_n].transpose(0, 2, 1) - cur[:, None]
-    move[ml, mb] += leave[:, b_n:]
-    move[ml, mb, mr] = -np.inf
-    full_l, full_r = np.divmod(np.flatnonzero(full), r_n)
-    move[full_l, :, full_r] = -np.inf
-    # swap[l, b1, b2]: b1's leave with b2 joining plus b2's with b1 joining
-    swap = np.zeros((n, b_n, b_n))
-    swap[ml, mb] = leave[:, :b_n]
-    swap[ml, :, mb] += leave[:, :b_n]
-    upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
-    swap[~upper | (src[:, :, None] == src[:, None])] = -np.inf
-    move, swap = move.reshape(n, -1), swap.reshape(n, -1)
-    best_move, best_swap = move.argmax(axis=1), swap.argmax(axis=1)
-    return (cur, best_move, move[np.arange(n), best_move],
-            best_swap, swap[np.arange(n), best_swap])
 
 
 def _swap_phase(tab: _Tables, src, inst, tau, oma):
     """Best-improvement moves into vacancies and pairwise exchanges, on every
     lane in lockstep: lane l refines the assignment src[l] of instance
-    inst[l] at quota tau[l] under scheme oma[l] and stops on its own. A round
-    (_best_changes) applies a lane's best exchange if it is strictly better
-    than its best move and gains more than 1e-12, else its best move if that
-    does. Returns (the final assignments (L, B), each lane's final total)."""
-    r_n, b_n = tab.n_rb, src.shape[1]
-    src = src.copy()
-    totals = np.zeros(len(src))
-    live = np.arange(len(src))
+    inst[l] at quota tau[l] under scheme oma[l] and stops on its own. Its
+    _rescore tables score every RB once, then the RBs each round changed. A
+    round takes a lane's best move, the first maximum in row-major (BS, RB)
+    order, and best exchange, one side possibly unmatched, the first in
+    row-major (BS, BS) order; it applies the exchange if strictly better than
+    the move and gaining more than 1e-12, else the move if that does.
+    Returns (the final assignments (L, B), each lane's final total)."""
+    (l_n, b_n), r_n = src.shape, tab.n_rb
+    src, totals, live = src.copy(), np.zeros(l_n), np.arange(l_n)
+    on_rb, leave = np.empty((l_n, r_n, b_n + 1)), np.empty((l_n, b_n, b_n + 1))
+    lanes, rbs = np.divmod(np.arange(l_n * r_n), r_n)
+    upper = np.triu(np.ones((b_n, b_n), dtype=bool), 1)
     for done in range(_MAX_SWAP_ROUNDS + 1):
-        cur, best_move, gain_move, best_swap, gain_swap = _best_changes(
-            tab, src[live], inst[live], tau[live], oma[live])
+        _rescore(tab, src, lanes, rbs, inst, tau, oma, on_rb, leave)
+        n, cur = len(live), on_rb[live, :, b_n]
+        ml, mb = np.nonzero(src[live] >= 0)  # matched (live lane, BS) pairs
+        mr, out = src[live[ml], mb], leave[live[ml], mb]
+        move = on_rb[live, :, :b_n].transpose(0, 2, 1) - cur[:, None]
+        move[ml, mb] += out[:, b_n:]
+        move[ml, mb, mr] = -np.inf
+        # swap[l, b1, b2]: b1's leave with b2 joining plus b2's with b1 joining
+        swap = np.zeros((n, b_n, b_n))
+        swap[ml, mb] = out[:, :b_n]
+        swap[ml, :, mb] += out[:, :b_n]
+        swap[~upper | (src[live, :, None] == src[live, None])] = -np.inf
+        move, swap = move.reshape(n, -1), swap.reshape(n, -1)
+        best_move, best_swap = move.argmax(axis=1), swap.argmax(axis=1)
+        gain_move = move[np.arange(n), best_move]
+        gain_swap = swap[np.arange(n), best_swap]
         exchange = gain_swap > np.where(gain_move > 1e-12, gain_move, 1e-12)
         go = (exchange | (gain_move > 1e-12)) & (done < _MAX_SWAP_ROUNDS)
         totals[live[~go]] = _sum_in_order(cur[~go].T)
-        b1, b2 = np.divmod(best_swap[go & exchange], b_n)
-        lanes = live[go & exchange]
-        src[lanes, b1], src[lanes, b2] = src[lanes, b2], src[lanes, b1]
-        b, r = np.divmod(best_move[go & ~exchange], r_n)
-        src[live[go & ~exchange], b] = r
+        (b1, b2), lx = np.divmod(best_swap[go & exchange], b_n), live[go & exchange]
+        r1, r2 = src[lx, b1], src[lx, b2]
+        src[lx, b1], src[lx, b2] = r2, r1
+        (b, r), lm = np.divmod(best_move[go & ~exchange], r_n), live[go & ~exchange]
+        left, src[lm, b] = src[lm, b], r
+        lanes, rbs = np.concatenate([lx, lx, lm, lm]), np.concatenate([r1, r2, left, r])
+        lanes, rbs = lanes[rbs >= 0], rbs[rbs >= 0]  # an unmatched side has no RB
         live = live[go]
         if not len(live):
             break
@@ -514,7 +509,8 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
     better of the two local optima is kept. Candidate co-channel sets are
     scored at cap-scaled equal powers, every phase from _plus_each tables:
     DA's preferences and greedy's first gains from solo, every BS alone on
-    every RB of each solve. Returns the assignments (S, B)."""
+    every RB of each solve, then the tables _rescore keeps. Returns the
+    assignments (S, B)."""
     b_n, r_n = tab.h_macro.shape[0] - 1, tab.n_rb
     if b_n == 0:
         return np.full((len(inst), 0), -1)

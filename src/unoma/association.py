@@ -15,7 +15,13 @@ from .geometry import (
     sample_network,
     sample_uniform,
 )
-from .metrics import Z_95, trial_blocks
+from .metrics import TRIAL_BLOCK, Z_95, trial_blocks
+from .noma_core import MEMORY_BUDGET
+
+# Peak bytes of a block of drops per BS drawn in it. tracemalloc read 61-96 B
+# at 6 000 to 180 000 BSs per block, the most when the first tier holds them
+# all: putting the centre BSs in copies that tier's positions.
+_BYTES_PER_BS = 100
 
 
 def associate_user(probes, tiers, network):
@@ -50,6 +56,20 @@ def _wilson_half_width(p_hat: float, n: int) -> float:
             / (1 + z2 / n))
 
 
+def check_block_bytes(region: Region, tiers, trials: int) -> None:
+    """ValueError if the largest block of drops that association_probability
+    draws for trials may need more than MEMORY_BUDGET: its expected BS count,
+    centre BSs included, plus six Poisson standard deviations, times
+    _BYTES_PER_BS. Arithmetic only: nothing is drawn."""
+    drops = min(trials, TRIAL_BLOCK)
+    mean = drops * (1.0 + sum(tier.density for tier in tiers) * region.area)
+    need = (mean + 6.0 * math.sqrt(mean)) * _BYTES_PER_BS
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"a block of {drops} drops holds about {mean:.3g} BSs "
+                         f"and needs about {need:.3g} B, over the "
+                         f"{MEMORY_BUDGET} B budget")
+
+
 def association_probability(region: Region, tiers: tuple[TierConfig, ...],
                             trials: int, seed: int) -> tuple[tuple, tuple]:
     """Monte-Carlo per-tier association probability with Wilson 95% CIs:
@@ -63,6 +83,7 @@ def association_probability(region: Region, tiers: tuple[TierConfig, ...],
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_block_bytes(region, tiers, trials)
     counts = np.zeros(len(tiers), dtype=np.int64)
     for rng, drops in trial_blocks(seed, trials):
         (first, n), *rest = sample_network(region, tiers, rng, drops)

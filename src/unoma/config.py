@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .allocation import group_size
+from .association import check_block_bytes
 from .geometry import (
     Region,
     TierConfig,
@@ -160,8 +161,8 @@ def _validate_tier(tier: dict, idx: int) -> dict:
 
 def _validate_association(data: dict):
     _reject_unknown(data, _ASSOC_KEYS)
-    _built("key 'region_radius_m'", Region,
-           _require(data, "region_radius_m", (int, float)))
+    region = _built("key 'region_radius_m'", Region,
+                    _require(data, "region_radius_m", (int, float)))
     tiers = _require(data, "tiers", list, lambda t: len(t) >= 1,
                      "need at least one tier")
     for i, tier in enumerate(tiers):
@@ -171,7 +172,11 @@ def _validate_association(data: dict):
         raise ConfigError("key 'tiers' contains duplicate tier_id values")
     for v in _validate_sweep(data, "small_cell_density_per_m2", lambda v: v >= 0,
                              "must be >= 0"):
-        _built(f"tiers at sweep value {v!r}", association_tiers, data, v)
+        run_tiers = _built(f"tiers at sweep value {v!r}", association_tiers,
+                           data, v)
+        # the run's blocks of drops, as association_probability checks them
+        _built(f"sweep value {v!r}", check_block_bytes, region, run_tiers,
+               data["trials"])
 
 
 def association_tiers(data: dict, value: float) -> tuple[TierConfig, ...]:

@@ -91,12 +91,20 @@ _CONVENTIONS = {
                     "rates are all 0 has fairness 1 (all shares equal)",
         "matching": "candidate co-channel sets are scored by their sum rate "
                     "at cap-scaled equal power (every member at p_max, "
-                    "scaled down uniformly to meet i_threshold); each swap "
-                    "round scans moves into vacancies before pairwise "
+                    "scaled down uniformly to meet i_threshold); two seeds "
+                    "are each refined by swap rounds: deferred acceptance "
+                    "(BSs propose, each RB keeps its top tau, both sides "
+                    "ranking by a BS's score alone on the RB, ties to the "
+                    "lower index) and greedy, which keeps placing the (BS, "
+                    "RB) pair of largest gain while its best gain is > 0, "
+                    "the first maximum in row-major (BS, RB) order; each "
+                    "swap round scans moves into vacancies before pairwise "
                     "exchanges, in row-major (BS, RB) and (BS, BS) order, "
                     "the first maximum winning and an exchange only if "
                     "strictly better than the best move; a round applies its "
-                    "winner only if it raises the total by more than 1e-12",
+                    "winner only if it raises the total by more than 1e-12; "
+                    "the deferred-acceptance seed's optimum is kept unless "
+                    "greedy's total is better by more than 1e-12",
         "power_control": "SCA from p_max scaled uniformly below each RB's "
                          "cap: each outer iteration bounds every rate term "
                          "below by alpha*log z + beta, tight at the current "

@@ -355,8 +355,9 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
 # the chunk boundaries fall.
 MPA_CHUNK = 4096
 # Bound, in bytes, on the largest per-RB likelihood tensor of one chunk, on a
-# MUSA pool's Gram matrix and on one allocation instance's stacked gain
-# tables (allocation.group_size); a config that would exceed it is rejected
+# MUSA pool's Gram matrix, on one allocation instance's stacked gain tables
+# (allocation.group_size) and on a block of association drops
+# (association.check_block_bytes); a config that would exceed it is rejected
 # by validation.
 MEMORY_BUDGET = 2**30
 

@@ -390,6 +390,49 @@ def test_sets_never_wider_than_n_bs(monkeypatch):
     assert max(widths) == 3
 
 
+def test_kept_tables_stay_current(monkeypatch):
+    """After every greedy step and every swap round, the tables that each
+    lane keeps (_rescore) equal a fresh _rescore of every RB of every lane:
+    on_rb on the RBs with room, -inf in every BS column of a full RB (and,
+    in the swap phase, its total), and the leave rows of the matched BSs. On
+    fig5 groups at n = 12 and 32, and on random groups with quotas above
+    n_bs, with one RB, and with closed RBs (cap 0)."""
+    rescore = allocation._rescore
+    passes = {"greedy": 0, "first": 0, "later": 0}
+
+    def check(tab, src, lanes, rbs, inst, tau, oma, on_rb, leave=None):
+        rescore(tab, src, lanes, rbs, inst, tau, oma, on_rb, leave)
+        (l_n, b_n), r_n = src.shape, tab.n_rb
+        fresh_on = np.full_like(on_rb, np.nan)
+        fresh_leave = None if leave is None else np.full_like(leave, np.nan)
+        rescore(tab, src, *np.divmod(np.arange(l_n * r_n), r_n), inst, tau, oma,
+                fresh_on, fresh_leave)
+        full = np.count_nonzero(src[:, None] == np.arange(r_n)[:, None],
+                                axis=2) >= tau[:, None]  # (L, R)
+        assert np.isneginf(on_rb[full, :b_n]).all()
+        assert on_rb[~full].tobytes() == fresh_on[~full].tobytes()
+        if leave is None:
+            passes["greedy"] += 1
+            return
+        assert on_rb[full, b_n].tobytes() == fresh_on[full, b_n].tobytes()
+        assert leave[src >= 0].tobytes() == fresh_leave[src >= 0].tobytes()
+        passes["first" if len(lanes) == l_n * r_n else "later"] += 1
+
+    monkeypatch.setattr(allocation, "_rescore", check)
+    data = preset_config("fig5").data
+    rng = np.random.default_rng(11)
+    for n in (12, 32):
+        group = [generate_instance(n, data, 2, rng) for _ in range(3)]
+        solve_group(group, [2, 3], ["noma", "oma"])
+    for n_bs, n_rb, taus in ((2, 3, [1, 4]), (3, 1, [2, 5]), (5, 1, [3]),
+                             (4, 3, [1, 2, 6])):
+        group = [random_instance(rng, n_bs, n_rb, tau=1) for _ in range(2)]
+        closed = np.where(np.arange(n_rb) % 2, 0.0, 2e-10)  # RBs 1, 3, ...
+        group.append(replace(group[0], i_threshold=closed))
+        solve_group(group, taus, ["noma", "oma"])
+    assert passes["greedy"] and passes["first"] == 6 and passes["later"]
+
+
 def test_matching_validator():
     m = Matching((1, -1, 0, 1), n_rb=3, tau=2)
     assert m.rb_to_bs == ((2,), (0, 3), ())

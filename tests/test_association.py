@@ -10,6 +10,7 @@ from unoma.association import (
     _wilson_half_width,
     associate_user,
     association_probability,
+    check_block_bytes,
 )
 from unoma.geometry import Region, TierConfig, sample_network
 from unoma.metrics import TRIAL_BLOCK, trial_blocks
@@ -200,6 +201,43 @@ def test_association_memory_bounded_by_chunk():
     trials = 2 * TRIAL_BLOCK + 1  # a partial last block
     _, probs = peak(trials)
     assert sum(round(p * trials) for p in probs) == trials
+
+
+@pytest.mark.parametrize("densities", [(50, 0.0), (1.0, 50), (25, 25),
+                                       (1.0, 10, 50)])
+def test_block_bytes_bound_the_peak(densities, monkeypatch):
+    """check_block_bytes's estimate bounds the tracemalloc peak of a run's
+    block, full or partial, whichever tier holds the BSs: with the budget
+    set to the measured peak, it refuses."""
+    region = Region(500.0)
+    tiers = tuple(TierConfig(f"t{k}", 40.0 - 10 * k, d * _MACRO_DENSITY)
+                  for k, d in enumerate(densities))
+    for trials in (TRIAL_BLOCK, 40):
+        association_probability(region, tiers, trials, seed=3)  # warm up
+        tracemalloc.start()
+        try:
+            association_probability(region, tiers, trials, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(association, "MEMORY_BUDGET", peak)
+        with pytest.raises(ValueError, match=f"over the {peak} B budget"):
+            check_block_bytes(region, tiers, trials)
+
+
+def test_association_refuses_a_block_over_budget_before_any_draw(monkeypatch):
+    """At 1 BS per m^2 a block of 128 drops in a 500 m disc holds about 100 M
+    BSs: association_probability refuses it from arithmetic alone."""
+
+    def no_draw(*args):
+        raise AssertionError("drew a network")
+
+    monkeypatch.setattr(association, "sample_network", no_draw)
+    tiers = (TierConfig("macro", 40.0, _MACRO_DENSITY),
+             TierConfig("femto", 20.0, 1.0))
+    with pytest.raises(ValueError, match="a block of 128 drops holds about "
+                                         "1.01e\\+08 BSs"):
+        association_probability(Region(500.0), tiers, 20_000, seed=1)
 
 
 def test_chunks_draw_from_their_own_seed():

@@ -20,6 +20,19 @@ _RUNS = {
              "ca7540f6dc5b8f64f8cb9f0334a9b80f527029b7733a287d5caa5af38a31096d"),
     "fig5": (lambda: preset_config("fig5", {"trials": 8}),
              "c9a12670c580e023a0825f50352966d6ed0c81f5ca99dfe8a97c09fa43dbdb76"),
+    # the matcher's edge cases: quotas above n_bs, one RB with sets 12 wide,
+    # and closed RBs (at alpha 150 the macro signal, so the cap, is mostly 0)
+    "fig5-small-n": (lambda: preset_config("fig5", {
+                         "seed": 9, "n_rb": 2, "taus": [1, 2], "trials": 140,
+                         "sweep": {"variable": "n_small_cells",
+                                   "values": [1, 2, 3, 5]}}),
+                     "95699ca0a568cde593048c7dcc59d4363806d7312172a3d6d0ef075e4e76e1ca"),
+    "fig5-wide": (lambda: preset_config("fig5", {
+                      "seed": 5, "n_rb": 1, "taus": [12], "trials": 4,
+                      "sweep": {"variable": "n_small_cells", "values": [12]}}),
+                  "c72eed01e42fe45d02520a55116356d6316426a2c97fc8ebb8b4ee31a2a648b6"),
+    "fig5-closed": (lambda: preset_config("fig5", {"alpha": 150, "trials": 1}),
+                    "e8718039d353ed1a897eac958c3f74a283dd2b8100c1b6062e7dffb5c6def5df"),
     "scma": (lambda: validate_config(dict(
                  _LINK, name="scma", scheme="scma",
                  matrix_params={"column_weight": 2})),

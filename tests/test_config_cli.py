@@ -595,6 +595,35 @@ def test_validate_and_run_refuse_an_allocation_instance_over_budget(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "fig5.json"]
 
 
+def test_validate_and_run_refuse_an_association_block_over_budget(
+        tmp_path, monkeypatch, capsys):
+    """fig4 at 1 BS per m^2: a block of 128 drops holds about 600 M BSs
+    (about 9.7 GB for their positions alone), so validate and run refuse
+    it before any draw, and nothing is written: the check is arithmetic
+    only. The preset's own densities validate."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    monkeypatch.setattr("unoma.association.sample_network", no_run)
+    fig4 = preset_config("fig4").data
+    path = tmp_path / "cfg" / "fig4.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(fig4, sweep={
+        "variable": "small_cell_density_per_m2",
+        "values": [*fig4["sweep"]["values"], 1.0]})))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path),
+                  "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "sweep value 1.0: a block of 128 drops holds about 6.03e+08 " \
+               "BSs" in err
+        assert f"over the {MEMORY_BUDGET} B budget" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "fig4.json"]
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_tiny_link_config()))
@@ -662,7 +691,12 @@ def test_cli_run_allocation(tmp_path):
                                 "seeding"}
     _assert_seeding(conventions)
     for fact in ("cap-scaled equal power", "moves into vacancies before",
-                 "row-major (BS, RB) and (BS, BS)", "1e-12"):
+                 "row-major (BS, RB) and (BS, BS)", "1e-12",
+                 "two seeds", "deferred acceptance", "greedy",
+                 "while its best gain is > 0",
+                 "the first maximum in row-major (BS, RB) order",
+                 "optimum is kept unless greedy's total is better by more "
+                 "than 1e-12"):
         assert fact in conventions["matching"]
     for fact in ("clip(A_j / (c_j(p) + mu*h_j), p_max*e^-60, p_max)",
                  "bisection with Newton steps on RBs whose cap binds", "1e-15",

@@ -162,15 +162,17 @@ def test_one_matcher_and_one_power_pass_per_group(monkeypatch, schemes):
 
 def test_group_size_bounds_a_swap_round_and_an_sca_pass(tmp_path, monkeypatch):
     """group_size shrinks a group as its solves grow, so that on a small-n,
-    many-tau point (n = 4, tau 1-8, both schemes) no swap round's sets and
-    no SCA pass take more than RATE_ROWS rows unless the group is one
-    instance; and groups cut small give the bytes of the default."""
+    many-tau point (n = 4, tau 1-8, both schemes) no scoring pass's sets
+    (_rescore: a greedy step, the swap phase's first pass over every RB or a
+    later round) and no SCA pass take more than RATE_ROWS rows unless the
+    group is one instance; and groups cut small give the bytes of the
+    default."""
     sizes = [allocation.group_size(4, 4, solves) for solves in (1, 4, 16, 256)]
     assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] == 1
     data = dict(preset_config("fig5").data, name="taus", trials=5,
                 taus=list(range(1, 9)),
                 sweep={"variable": "n_small_cells", "values": [4]})
-    passes = []  # (instances in the group, rows) per swap round and SCA pass
+    passes = []  # (instances in the group, rows) per scoring and SCA pass
     size = [0]
 
     def record(name, rows):
@@ -187,8 +189,8 @@ def test_group_size_bounds_a_swap_round_and_an_sca_pass(tmp_path, monkeypatch):
 
     solve_group = allocation.solve_group
     monkeypatch.setattr(engine, "solve_group", group)
-    monkeypatch.setattr(allocation, "_best_changes", record(
-        "_best_changes", lambda tab, src, *_: len(src) * tab.n_rb))
+    monkeypatch.setattr(allocation, "_rescore", record(
+        "_rescore", lambda tab, src, lanes, *_: len(lanes)))
     monkeypatch.setattr(allocation, "_sca", record(
         "_sca", lambda tab, sets, *_: sets.shape[1]))
     default = _csv(data, tmp_path / "default")
