@@ -22,6 +22,7 @@ from .geometry import (
 from .metrics import point_rng
 from .noma_core import (
     MEMORY_BUDGET,
+    MPA_CHUNK,
     SCHEMES,
     NomaPair,
     build_matrix,
@@ -248,8 +249,8 @@ def _validate_link(data: dict):
     if need > MEMORY_BUDGET:
         raise ConfigError(f"{data['scheme']} with k={data['k']}, n={data['n']}, "
                           f"q={data['q']}: MPA detection would need {need} B "
-                          f"on its densest RB, over the {MEMORY_BUDGET} B "
-                          "budget")
+                          f"per chunk of {MPA_CHUNK} vectors, over the "
+                          f"{MEMORY_BUDGET} B budget")
 
 
 def validate_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:

@@ -131,8 +131,8 @@ _CONVENTIONS = {
                   "sample, each layer's codewords having unit average energy; "
                   "the per-RB aggregate SNR is snr_db + 10*log10(N/K)",
         "mpa_stop": "per received vector: its messages freeze after the first "
-                    "iteration whose largest message change is below 1e-6, "
-                    "or after max_iters",
+                    "iteration whose largest RB-to-layer message change is "
+                    "below 1e-6, or after max_iters",
     },
 }
 

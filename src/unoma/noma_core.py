@@ -365,11 +365,15 @@ _TINY = np.finfo(float).tiny
 
 
 def mpa_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
-    """Peak bytes of the likelihood tensor of one MPA chunk on the densest
-    RB: a complex difference and its modulus, 24 B, per joint symbol of the
-    RB's d layers (Q^d) and vector (MPA_CHUNK)."""
-    degree = int(matrix.occupancy.sum(axis=1).max())
-    return q ** degree * MPA_CHUNK * 24
+    """Peak bytes of one MPA chunk, 8 B per float and vector (MPA_CHUNK):
+    every RB's likelihood tensor, one float per joint symbol of its d layers
+    (Q^d), kept through all iterations; the densest RB's tensor once more,
+    while it is built; and three message arrays of Q floats per edge.
+    tracemalloc at chunks of 256 and 1024 vectors read 0.91 to 1.16 times
+    this figure (SCMA 4x6 at Q = 4 and 8, PDMA 4x6 and 8x5, PD-NOMA 1x6)."""
+    degrees = [int(d) for d in matrix.occupancy.sum(axis=1) if d]
+    joint = [q ** d for d in degrees]
+    return (sum(joint) + max(joint) + 3 * q * sum(degrees)) * MPA_CHUNK * 8
 
 
 def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
@@ -382,13 +386,6 @@ def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
         raise ValueError("codeword support outside the column support")
 
 
-def _log_normalize(x: np.ndarray) -> np.ndarray:
-    """Shift log-messages along axis 1 (symbols) so their exponentials sum to
-    one."""
-    x = x - x.max(axis=1, keepdims=True)
-    return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
-
-
 def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
                      codebook: Codebook, noise_var: float, max_iters: int = 8,
                      tol: float = 1e-6):
@@ -396,14 +393,17 @@ def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
 
     received has shape (B, K). Returns (marginals (B, N, Q), hard decisions
     (B, N), iterations used). Messages flow between RB (function) nodes and
-    layer (variable) nodes and are kept as log-probabilities. Each RB's
-    channel likelihoods exp(-|y - s|^2 / noise_var) over the joint symbols of
-    its layers are computed once per chunk, and each outgoing message is their
-    contraction with the other layers' incoming messages. Stop rule, per
+    layer (variable) nodes. Each RB's channel likelihoods
+    exp(-|y - s|^2 / noise_var) over the joint symbols s of its layers are
+    computed once per chunk, from real products, and each RB -> layer message
+    is their contraction with the other layers' incoming messages. Only the
+    RB -> layer messages are kept, as log-probabilities; a layer -> RB
+    message is the sum of its layer's other incoming ones. Stop rule, per
     vector: its messages freeze after the first iteration in which its
-    largest message change is below tol, or after max_iters; the returned
-    iterations is the maximum over vectors. Vectors are processed in chunks
-    of MPA_CHUNK, and a vector's result does not depend on its batch-mates.
+    largest RB -> layer message change is below tol, or after max_iters; the
+    returned iterations is the maximum over vectors. Vectors are processed in
+    chunks of MPA_CHUNK, and a vector's result does not depend on its
+    batch-mates.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be > 0")
@@ -427,13 +427,24 @@ def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
         for li in layers:
             layer_edges[li].append(n_edges)
             n_edges += 1
-    # Per RB: the noiseless received value of every joint symbol of its
-    # layers (first layer slowest), and for each layer the einsum that
-    # contracts the likelihoods with every other layer's message.
-    row_sums, row_subs = [], []
+    # others[e]: the other edges of e's layer in RB order, padded with
+    # n_edges, the index of an all-zero message row.
+    others = np.full((n_edges, max(1, max(map(len, layer_edges)) - 1)), n_edges)
+    for edges in layer_edges:
+        for e in edges:
+            rest = [o for o in edges if o != e]
+            others[e, :len(rest)] = rest
+    # Per RB: the terms of -|y - s|^2 / noise_var that depend on the joint
+    # symbol s of its layers (first layer slowest), as columns 2 Re s, 2 Im s
+    # and |s|^2 over noise_var, and for each layer the einsum that contracts
+    # the likelihoods with every other layer's message. The dropped term
+    # |y|^2 / noise_var is the same for every s.
+    row_terms, row_subs = [], []
     for ki, layers in zip(rbs, rows):
         axes = "abcdefghijklmnopqrstuvwxy"[:len(layers)]
-        row_sums.append(sum(np.ix_(*codebook.codewords[layers, :, ki])).ravel())
+        joint = sum(np.ix_(*codebook.codewords[layers, :, ki])).ravel()[:, None]
+        row_terms.append((2 * joint.real / noise_var, 2 * joint.imag / noise_var,
+                          np.abs(joint) ** 2 / noise_var))
         row_subs.append([",".join([axes + "z"] + [a + "z" for a in axes if a != ax])
                          + f"->{ax}z" for ax in axes])
 
@@ -446,35 +457,37 @@ def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
             # order; a lone vector is detected as a pair to keep its bits.
             marg, its = detect(np.repeat(yc, 2, axis=0))
             return marg[:1], its
+        y_re, y_im = yc.real.T.copy(), yc.imag.T.copy()
         likelihood = []
-        for ki, layers, sums in zip(rbs, rows, row_sums):
-            ll = -np.abs(yc[None, :, ki] - sums[:, None]) ** 2 / noise_var
-            p = np.exp(ll - ll.max(axis=0))
-            likelihood.append(p.reshape((q,) * len(layers) + (bc,)))
-        mv = np.full((n_edges, q, bc), -math.log(q))  # variable -> function
-        mf = np.zeros((n_edges, q, bc))  # function -> variable
+        for ki, layers, (a_re, a_im, energy) in zip(rbs, rows, row_terms):
+            ll = a_re * y_re[ki]
+            ll += a_im * y_im[ki]
+            ll -= energy
+            ll -= ll.max(axis=0)
+            likelihood.append(np.exp(ll, out=ll).reshape((q,) * len(layers) + (bc,)))
+        mf = np.zeros((n_edges + 1, q, bc))  # RB -> layer, then the zero row
+        pv = np.empty((n_edges, q, bc))  # layer -> RB, as probabilities
+        s = np.empty((n_edges, q, bc))  # the contractions, then new mf
         live = np.ones(bc, dtype=bool)
         for it in range(max_iters):
-            # function (RB) node update
-            pv = np.exp(mv)
-            new_mf = np.empty_like(mf)
+            # variable (layer) node update, scaled to a maximum of 1; "clip"
+            # spares take() the copy it makes of out= in its default mode
+            np.take(mf, others[:, 0], axis=0, out=pv, mode="clip")
+            for col in others.T[1:]:
+                pv += mf[col]
+            pv -= pv.max(axis=1, keepdims=True)
+            np.exp(pv, out=pv)
+            # function (RB) node update, normalized over the symbols
             for p, edges, subs in zip(likelihood, row_edges, row_subs):
                 for e, sub in zip(edges, subs):
-                    s = np.einsum(sub, p, *(pv[o] for o in edges if o != e))
-                    new_mf[e] = np.log(np.maximum(s, _TINY))
-            new_mf = _log_normalize(new_mf)
-            # variable (layer) node update
-            new_mv = np.zeros_like(mv)
-            for edges in layer_edges:
-                for e in edges:
-                    for o in edges:
-                        if o != e:
-                            new_mv[e] += new_mf[o]
-            new_mv = _log_normalize(new_mv)
-            change = np.maximum(np.abs(new_mf - mf).max(axis=(0, 1)),
-                                np.abs(new_mv - mv).max(axis=(0, 1)))
-            mf = np.where(live, new_mf, mf)
-            mv = np.where(live, new_mv, mv)
+                    np.einsum(sub, p, *(pv[o] for o in edges if o != e), out=s[e])
+            np.maximum(s, _TINY, out=s)
+            total = s.sum(axis=1, keepdims=True)
+            np.log(s, out=s)
+            s -= np.log(total)
+            # pv is free again once the contractions are done
+            change = np.abs(np.subtract(s, mf[:-1], out=pv), out=pv).max(axis=(0, 1))
+            np.copyto(mf[:-1], s, where=live)
             live &= change >= tol
             if not live.any():
                 break

@@ -15,6 +15,9 @@ from unoma.engine import run_experiment
 _LINK = {"kind": "link_level", "seed": 5, "trials": 200, "k": 4, "n": 6,
          "q": 4, "sweep": {"variable": "snr_db", "values": [4.0, 10.0]}}
 
+_PDMA_PATTERNS = [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1],
+                  [1, 1, 0, 0], [0, 0, 1, 1]]
+
 _RUNS = {
     "fig4": (lambda: preset_config("fig4", {"trials": 300}),
              "ca7540f6dc5b8f64f8cb9f0334a9b80f527029b7733a287d5caa5af38a31096d"),
@@ -39,10 +42,26 @@ _RUNS = {
              "b58ad66363ddc0507eb0374ba82603f2cffcd6609ddc4eb5899152c2871c8c9f"),
     "pdma": (lambda: validate_config(dict(
                  _LINK, name="pdma", scheme="pdma",
-                 matrix_params={"patterns": [[1, 1, 1, 0], [1, 1, 0, 1],
-                                             [1, 0, 1, 1], [0, 1, 1, 1],
-                                             [1, 1, 0, 0], [0, 0, 1, 1]]})),
+                 matrix_params={"patterns": _PDMA_PATTERNS})),
              "fe1235f9ac07e794ca08175ef4d220c6474ce25b2bc8d5ebd0c43a09699d65f4"),
+    # MPA's edge paths: at 20 and 30 dB messages reach the _TINY clamp
+    # (the SER is 0, so a clamp gone wrong shows as errors), Q=8 has 512
+    # joint symbols per RB, and PDMA's degree-3 layers sum two messages
+    "scma-high-snr": (lambda: validate_config(dict(
+                          _LINK, name="scma", scheme="scma", trials=600,
+                          matrix_params={"column_weight": 2},
+                          sweep={"variable": "snr_db", "values": [20.0, 30.0]})),
+                      "928ca550bee3e9b586c13c8ae3d8513d5822a69abbcd8b23cda4a5d44fa7f4e1"),
+    "scma-q8": (lambda: validate_config(dict(
+                    _LINK, name="scma8", scheme="scma", q=8,
+                    matrix_params={"column_weight": 2},
+                    sweep={"variable": "snr_db", "values": [4.0, 12.0]})),
+                "a9d6eeaebbf244daef2b9d3995d1273203b8cb049fc10616754cd460134fbef8"),
+    "pdma-20db": (lambda: validate_config(dict(
+                      _LINK, name="pdma", scheme="pdma", trials=600,
+                      matrix_params={"patterns": _PDMA_PATTERNS},
+                      sweep={"variable": "snr_db", "values": [20.0]})),
+                  "0554cc9179b31cc858037895ea3dc368e680451494e17961cba60ae714dbdf7c"),
     "musa": (lambda: validate_config(dict(
                  _LINK, name="musa", scheme="musa",
                  matrix_params={"column_weight": 2})),

@@ -182,8 +182,8 @@ def test_name_must_be_a_file_name(tmp_path, name):
 
 
 def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
-    """A link-level config whose MPA chunk would exceed MEMORY_BUDGET on
-    its densest RB fails validate and run, before any detection."""
+    """A link-level config whose MPA chunk would exceed MEMORY_BUDGET fails
+    validate and run, before any detection."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the run should have been refused")
@@ -194,22 +194,59 @@ def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
     validate_config(scma)
     matrix = build_matrix("scma", 4, 6, {"column_weight": 2},
                           np.random.default_rng(0))
-    assert mpa_chunk_bytes(matrix, 4) == 4**3 * MPA_CHUNK * 24 < MEMORY_BUDGET
-    pd = dict(_tiny_link_config(), k=1, n=6, q=8)  # 8^6 * 4096 * 24 B = 24 GiB
+    # 4 RBs of 3 layers, so 4^3 joint symbols each, and 12 edges
+    assert mpa_chunk_bytes(matrix, 4) == \
+        (4 * 4**3 + 4**3 + 3 * 4 * 12) * MPA_CHUNK * 8 < MEMORY_BUDGET
+    # (2 * 8^6 + 3 * 8 * 6) * 4096 * 8 B = 16 GiB
+    pd = dict(_tiny_link_config(), k=1, n=6, q=8)
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(pd))
     assert main(["validate", "--config", str(path)]) == 1
     assert main(["run", "--config", str(path),
                  "--output", str(tmp_path / "out")]) == 1
-    validate_config(dict(pd, q=4))  # 4^6 * 4096 * 24 B = 384 MiB
+    validate_config(dict(pd, q=4))  # (2 * 4^6 + 72) * 4096 * 8 B = 258 MiB
+
+
+def test_validate_and_run_count_every_rbs_likelihoods(tmp_path, monkeypatch,
+                                                      capsys):
+    """PDMA k=16, n=6, q=4, layer j on every RB but RB j: no RB holds more
+    than 4^6 joint symbols (384 MiB at the old 24 B each), but detection
+    keeps all 16 RBs' likelihoods, 6 * 4^5 + 10 * 4^6 of them (1472 MiB at
+    8 B), so validate and run refuse it and write nothing. Only the
+    estimate is computed; the config is never run."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    patterns = [[int(rb != j) for rb in range(16)] for j in range(6)]
+    matrix = build_matrix("pdma", 16, 6, {"patterns": patterns})
+    kept = (6 * 4**5 + 10 * 4**6) * MPA_CHUNK * 8
+    assert 4**6 * MPA_CHUNK * 24 < MEMORY_BUDGET < kept
+    assert mpa_chunk_bytes(matrix, 4) == \
+        kept + (4**6 + 3 * 4 * 90) * MPA_CHUNK * 8
+    path = tmp_path / "cfg" / "pdma.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="pdma",
+                                    k=16, n=6, q=4,
+                                    matrix_params={"patterns": patterns})))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path),
+                  "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{mpa_chunk_bytes(matrix, 4)} B per chunk of {MPA_CHUNK} " \
+            f"vectors, over the {MEMORY_BUDGET} B budget" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "pdma.json"]
 
 
 def test_validate_and_run_refuse_the_musa_matrix_over_budget(
         tmp_path, monkeypatch, capsys):
     """MUSA k=6, n=8, q=4, 8 sequences of weight 3: at seed 1 the
-    experiment's one matrix has a degree-7 RB (4^7 * 4096 * 24 B = 1.5 GiB),
-    so validate and run refuse it, also when --seed picks it; at seed 2 its
-    densest RB has degree 5 (96 MiB)."""
+    experiment's one matrix has a degree-7 RB, whose likelihoods alone take
+    4^7 * 4096 * 8 B = 512 MiB and as much again while built (1201 MiB in
+    all), so validate and run refuse it, also when --seed picks it; at seed
+    2 its densest RB has degree 5 (125 MiB in all)."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the run should have been refused")
@@ -674,6 +711,8 @@ def test_cli_run_link_level(tmp_path):
     assert ser[1] <= ser[0]
     manifest = json.loads((out / "tiny_manifest.json").read_text())
     assert set(manifest["conventions"]) == {"snr_db", "mpa_stop", "seeding"}
+    assert "largest RB-to-layer message change" in \
+        manifest["conventions"]["mpa_stop"]
     _assert_seeding(manifest["conventions"])
 
 

@@ -98,6 +98,61 @@ def test_mpa_chunk_and_batch_mate_invariance(monkeypatch):
         assert np.array_equal(alone_hard[0], hard[v])
 
 
+# PDMA 4x6: the patterns of test_bytes.py, with degree-3 layers
+_PDMA_PATTERNS = [(1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
+                  (1, 1, 0, 0), (0, 0, 1, 1)]
+_INVARIANCE_CASES = {
+    "scma-q4": (lambda: build_matrix("scma", 4, 6, {"column_weight": 2}), 4),
+    "scma-q8": (lambda: build_matrix("scma", 4, 6, {"column_weight": 2}), 8),
+    "pdma": (lambda: build_matrix("pdma", 4, 6, {"patterns": _PDMA_PATTERNS}), 4),
+    "pd-noma": (lambda: build_matrix("pd-noma", 1, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVARIANCE_CASES))
+def test_mpa_bits_do_not_depend_on_batch_size(case):
+    """Every sub-batch of sizes 1 to 1500, at offsets 0, 1 and 37, gets the
+    full batch's marginals bit for bit, at high, middle and low noise. At
+    the default eight iterations and low noise, vectors start to freeze
+    after the fourth, and a small sub-batch can stop before the full batch
+    does."""
+    make, q = _INVARIANCE_CASES[case]
+    matrix = make()
+    cb = default_codebook(matrix, q)
+    rng = np.random.default_rng(11)
+    for noise_var in (1.0, 0.1, 1e-3):
+        truth = rng.integers(0, q, size=(1537, matrix.n_layers))
+        y = _receive(cb, truth, noise_var, rng)
+        marg, hard, _ = mpa_detect_batch(y, matrix, cb, noise_var)
+        for size in (1, 2, 3, 17, 129, 1500):
+            for offset in (0, 1, 37):
+                part = slice(offset, offset + size)
+                sub, sub_hard, _ = mpa_detect_batch(y[part], matrix, cb,
+                                                    noise_var)
+                assert np.array_equal(sub, marg[part]), (noise_var, size, offset)
+                assert np.array_equal(sub_hard, hard[part])
+
+
+@pytest.mark.parametrize("case, iterations", [
+    ("scma", [60, 60, 15]), ("pdma", [60, 60, 11]), ("tree", [3, 3, 3])])
+def test_mpa_stop_rule_iterations(case, iterations):
+    """The iterations the stop rule returns on fixed batches of 200 vectors
+    at 4, 12 and 20 dB, with max_iters 60."""
+    matrix = {"scma": lambda: build_matrix("scma", 4, 6, {"column_weight": 2}),
+              "pdma": lambda: build_matrix("pdma", 4, 6,
+                                           {"patterns": _PDMA_PATTERNS}),
+              "tree": _tree_matrix}[case]()
+    cb = default_codebook(matrix, 4)
+    used = []
+    for snr_db in (4, 12, 20):
+        rng = np.random.default_rng(snr_db)
+        noise_var = 10 ** (-snr_db / 10)
+        truth = rng.integers(0, 4, size=(200, matrix.n_layers))
+        y = _receive(cb, truth, noise_var, rng)
+        used.append(mpa_detect_batch(y, matrix, cb, noise_var, max_iters=60)[2])
+    assert used == iterations
+
+
 def test_mpa_low_noise_stays_finite():
     matrix, cb, truth, y = _scma_batch(1e-12)
     marg, hard, _ = mpa_detect_batch(y, matrix, cb, 1e-3)
