@@ -13,12 +13,12 @@ instances together. The instances' padded gain tables sit side by side along
 the RB axis (_stack), so a kernel row's column names its instance and its RB,
 and each row carries its solve's scheme. A solve's sets are padded with the
 sentinel BS, whose gains add an exact +0.0, to the group's largest tau (at
-most n_bs; SCA: its fullest RB). Deferred acceptance, each greedy step, each
-swap round (a solve's DA-seeded and greedy-seeded phases are two lanes of
-it) and each SCA step is one pass over the rows of the group, and each solve
-stops on its own, so every solve gets the bytes it gets alone. The greedy
-and swap phases keep each lane's set scores (_rescore) throughout, and a
-step or a round rescores only the RBs it changed. group_size sizes a group,
+most n_bs; solo scores: one slot; SCA: its fullest RB). Each deferred
+acceptance round, greedy step, swap round (a solve's DA-seeded and
+greedy-seeded phases are two lanes of it) and SCA step is one pass over the
+group, and each solve stops on its own, so it gets the bytes it gets alone.
+The greedy and swap phases keep each lane's set scores (_rescore), and a
+step or a round rescores only the RBs it changed. group_size sizes a group
 so that its stacked tables fit in GROUP_BYTES and the swap phase's first
 pass and an SCA pass in RATE_ROWS rows; only _plus_each, which adds every BS
 to each set, cuts its rows into kernel calls. match_rbs, sca_power_control
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -148,13 +147,6 @@ class AllocationInstance:
     @property
     def n_rb(self) -> int:
         return self.h_macro.shape[1]
-
-    @cached_property
-    def _tables(self) -> _Tables:
-        """The rate kernel's tables of this instance alone, built on first
-        use and kept: an instance's gain arrays are not to be changed in
-        place."""
-        return _stack([self])
 
 
 def _stack(instances) -> _Tables:
@@ -286,7 +278,7 @@ def rb_rates(instance, sets, rbs, powers, scheme):
     Slot-major arrays keep numpy's inner loops n long. Returns (rates (k, n),
     totals (n,)).
     """
-    tab = instance if isinstance(instance, _Tables) else instance._tables
+    tab = instance if isinstance(instance, _Tables) else _stack([instance])
     if isinstance(scheme, str):
         scheme = np.full(len(rbs), _is_oma(scheme))
     return _rates(_pair_terms(tab, sets, rbs, scheme), powers, tab.sigma2)
@@ -364,29 +356,28 @@ class Matching:
 def _da_seed(score: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Deferred acceptance on every solve at once: solve s's BSs propose and
     its RBs keep their top-tau[s] proposers, both sides ranking by score[s]
-    (B, R), best first, ties to the lower index. Solve s's RB r is the global
-    RB s R + r. Every free BS proposes at once each round; preferences being
-    strict on both sides, that gives each solve the BS-optimal stable
-    matching, as proposing one at a time does. Returns the assignments
-    (S, B): one RB index per BS, -1 for unmatched."""
+    (B, R), best first, ties to the lower index. Returns the assignments
+    (S, B): one RB index per BS, -1 for unmatched.
+
+    Ordered by score, then BS, then RB, the pairs of a BS's row or an RB's
+    column follow that side's ranking, so the preferences have no cycle and
+    the stable matching, the one deferred acceptance finds, is unique. Each
+    round every solve places its first open pair in that order (BS free, RB
+    with room: the row-major argmax of its masked scores), and that is
+    stable: a pair b prefers to its own, or any of an unmatched b, came up
+    while b was free, so its RB was full of pairs that came earlier."""
     s_n, b_n, r_n = score.shape
-    bs_prefs = np.argsort(-score, axis=2, kind="stable").reshape(-1, r_n)
-    rb_prefs = np.argsort(-score.transpose(0, 2, 1), axis=2, kind="stable")
-    # rb_rank[s R + r, b]: b's place on solve s's RB r's list
-    rb_rank = np.argsort(rb_prefs, axis=2).reshape(-1, b_n)
-    src = np.full(s_n * b_n, -1)  # flat BS s B + b's RB
-    pointer = np.zeros(s_n * b_n, dtype=np.intp)
-    while len(free := np.flatnonzero((src < 0) & (pointer < r_n))):
-        src[free] = bs_prefs[free, pointer[free]]
-        pointer[free] += 1
-        held = np.flatnonzero(src >= 0)
-        rbs = held // b_n * r_n + src[held]  # global RBs
-        order = np.lexsort((rb_rank[rbs, held % b_n], rbs))
-        held, rbs = held[order], rbs[order]
-        # each holder's place among its RB's holders, best first
-        place = np.arange(len(held)) - np.searchsorted(rbs, rbs)
-        src[held[place >= tau[held // b_n]]] = -1
-    return src.reshape(s_n, b_n)
+    src = np.full((s_n, b_n), -1)
+    room = np.repeat(tau[:, None], r_n, axis=1)  # (S, R) places left
+    live = np.arange(s_n)
+    while len(live):
+        open_ = (src[live, :, None] < 0) & (room[live, None] > 0)
+        pick = np.where(open_, score[live], -np.inf).reshape(len(live), -1).argmax(1)
+        placing = open_.reshape(len(live), -1)[np.arange(len(live)), pick]
+        live, (b, r) = live[placing], np.divmod(pick[placing], r_n)
+        src[live, b] = r
+        room[live, r] -= 1
+    return src
 
 
 def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
@@ -515,7 +506,7 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
     if b_n == 0:
         return np.full((len(inst), 0), -1)
     cols = (inst[:, None] * r_n + np.arange(r_n)).ravel()
-    empty = np.full((min(int(tau.max()), b_n), len(cols)), b_n)
+    empty = np.full((1, len(cols)), b_n)  # wider, it would add only +0.0s
     solo = _plus_each(tab, empty, cols, np.repeat(oma, r_n)).reshape(-1, r_n, b_n + 1)
     seeds = np.concatenate([_da_seed(solo[:, :, :b_n].transpose(0, 2, 1), tau),
                             _greedy_seed(tab, solo, inst, tau, oma)])
@@ -529,7 +520,7 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
 
 def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     """The matching of one instance (_match)."""
-    src = _match(instance._tables, np.array([0]), np.array([instance.tau]),
+    src = _match(_stack([instance]), np.array([0]), np.array([instance.tau]),
                  np.array([_is_oma(scheme)]))
     return Matching(tuple(src[0].tolist()), instance.n_rb, instance.tau)
 
@@ -584,11 +575,11 @@ def _cap_multiplier(a, c, h, cap, lo: float, p_max: float, solve):
     return mu
 
 
-def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted, going):
+def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, going):
     """One SCA step on every row (RB) of the solves that going (S,) flags,
     all at once, from slot-major powers p (k, n); every other row keeps p.
-    terms are the rows' (far, near) pair from _pair_terms, solve (n,) names
-    each row's solve and counted (k, n) the slots its stop test reads.
+    terms are the rows' (far, near) pair from _pair_terms, h (k, n) their
+    macro gains and solve (n,) names each row's solve.
 
     Maximizes the tight lower bound log(1 + z) >= alpha log z + beta of the
     rows' rates at p (alpha = weight z0 / (1 + z0) at the current SINR z0),
@@ -601,11 +592,11 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted, going):
     alpha_u D_uj / (D_u.p + sigma2) over the terms u that member j's power
     enters with coefficient D_uj, and mu >= 0 the row's cap multiplier
     (_cap_multiplier) on the rows whose cap binds. A_j = 0 sends p_j to its
-    lower bound and c_j + mu h_j = 0 to p_max. A solve's rows stop updating
-    after the first update in which none of their counted powers changes by
-    1e-15 of itself (a sentinel slot's power reaches no rate or load, but
-    moves to its lower bound). The candidate is then scaled down uniformly to
-    1 - 1e-12 of its cap on a row whose load still exceeds it.
+    lower bound and c_j + mu h_j = 0 to p_max, so a sentinel slot (A_j = c_j
+    = h_j = 0) stays at the lower bound, where _sca starts it. A solve's rows
+    stop updating after the first update in which none of their powers
+    changes by 1e-15 of itself. The candidate is then scaled down uniformly
+    to 1 - 1e-12 of its cap on a row whose load still exceeds it.
     """
     p_max, sigma2 = tab.p_max, tab.sigma2
     lo = p_max * math.exp(-60.0)
@@ -629,7 +620,7 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted, going):
             a_b, c_b, h_b = a[:, binds], c[:, binds], h[:, binds]
             mu = _cap_multiplier(a_b, c_b, h_b, cap[binds], lo, p_max, solve[binds])
             new[:, binds] = _clipped_power(a_b, c_b, mu, h_b, lo, p_max)[0]
-        moved = ((np.abs(new - q) > 1e-15 * q) & counted).any(axis=0)
+        moved = (np.abs(new - q) > 1e-15 * q).any(axis=0)
         going = going & (np.bincount(solve[moved], minlength=len(going)) > 0)
         q = np.where(rows_going, new, q)
         rows_going = going[solve]
@@ -642,19 +633,21 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, counted, going):
     return q
 
 
-def _sca(tab: _Tables, sets, cols, oma, counted, solve, s_n: int) -> list:
+def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> list:
     """SCA on s_n solves in one pass over their rows: the slot-major sets
-    (width, n) and columns of each solve's open matched RBs, solve (n,)
-    naming each row's solve (a solve's rows in RB order), each row's scheme
-    flag and the slots _surrogate_step's stop test counts. Every live solve
-    takes one _surrogate_step per outer iteration; a finished solve's rows
-    are frozen. A row keeps its candidate only if its sum rate does not
-    fall. A solve's total is summed over its rows in RB order (np.bincount
-    adds them in row order), and it stops on its own when an iteration gains
-    less than _SCA_TOL of it. Returns each solve's PowerSolution."""
-    h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
+    (width, n), columns, macro gains h and scheme flags of each solve's open
+    matched RBs, solve (n,) naming each row's solve (a solve's rows in RB
+    order). Members start at _capped_power, sentinel slots at their fixed
+    point p_max e^-60 (_surrogate_step). Every live solve takes one
+    _surrogate_step per outer iteration; a finished solve's rows are frozen.
+    A row keeps its candidate only if its sum rate does not fall. A solve's
+    total is summed over its rows in RB order (np.bincount adds them in row
+    order), and it stops on its own when an iteration gains less than
+    _SCA_TOL of it. Returns each solve's PowerSolution."""
+    b_n = tab.h_macro.shape[0] - 1  # the sentinel
     cap = tab.i_threshold[cols]
-    p = np.repeat(_capped_power(tab, sets, cols)[None], len(sets), axis=0)
+    p = np.where(sets < b_n, _capped_power(tab, sets, cols),
+                 tab.p_max * math.exp(-60.0))
     terms = _pair_terms(tab, sets, cols, oma)
     rates, totals = _rates(terms, p, tab.sigma2)
 
@@ -663,7 +656,7 @@ def _sca(tab: _Tables, sets, cols, oma, counted, solve, s_n: int) -> list:
     iterations = np.zeros(s_n, dtype=int)
     history = []  # every solve's total after each outer iteration
     while live.any() and len(history) < _MAX_SCA_ITERS:
-        cand = _surrogate_step(tab, terms, h, cap, p, solve, counted, live)
+        cand = _surrogate_step(tab, terms, h, cap, p, solve, live)
         cand_rates, cand_totals = _rates(terms, cand, tab.sigma2)
         keep = (cand_totals >= totals) & live[solve]
         p = np.where(keep, cand, p)
@@ -675,7 +668,6 @@ def _sca(tab: _Tables, sets, cols, oma, counted, solve, s_n: int) -> list:
         live &= ~(total - prev < _SCA_TOL * np.maximum(1.0, np.abs(total)))
         prev = total
 
-    b_n = tab.h_macro.shape[0] - 1  # the sentinel's column, dropped below
     powers, per_bs = np.zeros((2, s_n, b_n + 1))
     powers[solve, sets], per_bs[solve, sets] = p, rates
     history = np.reshape(history, (-1, s_n)).T
@@ -688,10 +680,9 @@ def _sca(tab: _Tables, sets, cols, oma, counted, solve, s_n: int) -> list:
 def _power(tab: _Tables, src, inst, oma) -> list:
     """Every solve's PowerSolution, from one _sca pass: solve s gives
     instance inst[s] the assignment src[s] under scheme oma[s]. Its sets are
-    its matched RBs', padded to the fullest RB of any solve, but its stop
-    test counts the slots of its own fullest RB, as alone; a closed RB (cap
-    0, a member heard by the macro user) is left out, so its members keep
-    power and rate 0, as _capped_power scores them."""
+    its matched RBs', padded to the fullest RB of any solve; a closed RB
+    (cap 0, a member heard by the macro user) is left out, so its members
+    keep power and rate 0, as _capped_power scores them."""
     (s_n, b_n), r_n = src.shape, tab.n_rb
     counts = np.bincount((np.arange(s_n)[:, None] * r_n + src)[src >= 0],
                          minlength=s_n * r_n).reshape(s_n, r_n)
@@ -700,9 +691,8 @@ def _power(tab: _Tables, src, inst, oma) -> list:
     cols = inst[solve] * r_n + rbs
     h = tab.h_macro.take(sets * tab.h_macro.shape[1] + cols)
     shut = (tab.i_threshold[cols] == 0) & np.any(h > 0, axis=0)
-    solve, sets, cols = solve[~shut], sets[:, ~shut], cols[~shut]
-    counted = np.arange(len(sets))[:, None] < counts.max(axis=1, initial=1)[solve]
-    return _sca(tab, sets, cols, oma[solve], counted, solve, s_n)
+    solve, sets, cols, h = solve[~shut], sets[:, ~shut], cols[~shut], h[:, ~shut]
+    return _sca(tab, sets, cols, oma[solve], h, solve, s_n)
 
 
 def sca_power_control(matching: Matching, instance: AllocationInstance,
@@ -718,7 +708,7 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     0, as _capped_power scores them.
     """
     src = np.array([matching.bs_to_rb], dtype=np.intp).reshape(1, -1)
-    return _power(instance._tables, src, np.array([0]),
+    return _power(_stack([instance]), src, np.array([0]),
                   np.array([_is_oma(scheme)]))[0]
 
 

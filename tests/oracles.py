@@ -26,6 +26,7 @@ from unoma.allocation import (
     _pair_terms,
     _rates,
     _sinr,
+    _stack,
     rb_rates,
 )
 from unoma.geometry import db_to_linear, dbm_to_watts
@@ -409,7 +410,7 @@ def _solo_plus_each(instance, scheme):
     """plus_each(sets, rbs): the (n, n_bs + 1) totals of the slot-major sets
     (tau, n) with each BS added, at cap-scaled equal power, in one kernel
     call; the last column is each set's own total."""
-    b_n, tau, tab = instance.n_bs, instance.tau, instance._tables
+    b_n, tau, tab = instance.n_bs, instance.tau, _stack([instance])
 
     def plus_each(sets, rbs):
         n = len(rbs)
@@ -420,7 +421,7 @@ def _solo_plus_each(instance, scheme):
         rows = np.ascontiguousarray(rows[:, :, :tau].reshape(-1, tau).T)
         rbs = np.repeat(rbs, b_n + 1)
         p = _capped_power(tab, rows, rbs)
-        totals = rb_rates(instance, rows, rbs, np.broadcast_to(p, rows.shape),
+        totals = rb_rates(tab, rows, rbs, np.broadcast_to(p, rows.shape),
                           scheme)[1]
         return totals.reshape(n, b_n + 1)
 
@@ -552,7 +553,7 @@ def _surrogate_step(instance, terms, h, cap, p):
 def per_instance_sca(matching, instance, scheme="noma"):
     """SCA power control of one instance's matching, every loop stopping on
     this solve alone."""
-    b_n, r_n, tab = instance.n_bs, instance.n_rb, instance._tables
+    b_n, r_n, tab = instance.n_bs, instance.n_rb, _stack([instance])
     src = np.asarray(matching.bs_to_rb, dtype=np.intp)
     counts = np.bincount(src[src >= 0], minlength=r_n)
     rbs = np.flatnonzero(counts)

@@ -297,6 +297,36 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
     assert main(["validate", "--config", str(path)]) == 0
 
 
+def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
+        tmp_path, monkeypatch, capsys):
+    """MUSA holds two (N, K) complex candidate pools and three K-long arrays
+    of a draw, (32 N + 24) K B: 5 632 B for 2 sequences of length 64, whose
+    Gram matrix needs only 96 B. Over the budget, the pool is refused before
+    any draw, by validate and by run, which writes nothing; the budget is
+    lowered here so that no test allocates a large array."""
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the rng ({name})")
+
+    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 5_632 - 1)
+    with pytest.raises(ValueError, match="candidate pools"):
+        noma_core.musa_pool(2, 64, [1.0, -1.0], NoDraws(), weight=1,
+                            max_row_weight=1)
+    path = tmp_path / "musa.json"
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=64,
+                                    n=2, matrix_params={"column_weight": 1})))
+    out = tmp_path / "out"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--output", str(out)]):
+        assert main(argv) == 1
+        assert "2 sequences of length 64 need 5632 B of candidate pools" \
+            in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["musa.json"]
+    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 5_632)
+    assert main(["validate", "--config", str(path)]) == 0
+
+
 def test_power_split_must_be_a_valid_pair(tmp_path, monkeypatch, capsys):
     """a_m/a_n must be numbers that make the NomaPair the run builds."""
 
