@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noma_core import MEMORY_BUDGET, NomaPair
+from .metrics import within_budget
+from .noma_core import NomaPair
 
 # Bound on the improving-swap rounds of each matching seed.
 _MAX_SWAP_ROUNDS = 10_000
@@ -183,12 +184,10 @@ def group_size(n_bs: int, n_rb: int, solves: int) -> int:
     phase's first pass (two lanes per solve, one set per RB) within
     RATE_ROWS, so also its later rounds and an SCA pass (at most one row per
     RB of each solve); at least one. A lane's kept scores (_rescore) are
-    (n_rb + n_bs) (n_bs + 1) floats. ValueError if one instance's tables
-    exceed MEMORY_BUDGET."""
+    (n_rb + n_bs) (n_bs + 1) floats. within_budget refuses one instance's
+    tables over the memory budget."""
     table_bytes = 8 * n_rb * ((n_bs + 1) * (2 * n_bs + 5) + 1)
-    if table_bytes > MEMORY_BUDGET:
-        raise ValueError(f"one instance's gain tables need {table_bytes} B, "
-                         f"over the {MEMORY_BUDGET} B budget")
+    within_budget(table_bytes, "stacking one instance's gain tables")
     return max(1, min(GROUP_BYTES // table_bytes, RATE_ROWS // (2 * solves * n_rb)))
 
 

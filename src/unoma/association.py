@@ -15,8 +15,7 @@ from .geometry import (
     sample_network,
     sample_uniform,
 )
-from .metrics import TRIAL_BLOCK, Z_95, trial_blocks
-from .noma_core import MEMORY_BUDGET
+from .metrics import TRIAL_BLOCK, Z_95, trial_blocks, within_budget
 
 # Peak bytes of a block of drops per BS drawn in it. tracemalloc read 61-96 B
 # at 6 000 to 180 000 BSs per block, the most when the first tier holds them
@@ -57,17 +56,14 @@ def _wilson_half_width(p_hat: float, n: int) -> float:
 
 
 def check_block_bytes(region: Region, tiers, trials: int) -> None:
-    """ValueError if the largest block of drops that association_probability
-    draws for trials may need more than MEMORY_BUDGET: its expected BS count,
-    centre BSs included, plus six Poisson standard deviations, times
+    """Refuse, by within_budget, the largest block of drops that
+    association_probability draws for trials, sized as its expected BS
+    count, centre BSs included, plus six Poisson standard deviations, times
     _BYTES_PER_BS. Arithmetic only: nothing is drawn."""
     drops = min(trials, TRIAL_BLOCK)
     mean = drops * (1.0 + sum(tier.density for tier in tiers) * region.area)
-    need = (mean + 6.0 * math.sqrt(mean)) * _BYTES_PER_BS
-    if need > MEMORY_BUDGET:
-        raise ValueError(f"a block of {drops} drops holds about {mean:.3g} BSs "
-                         f"and needs about {need:.3g} B, over the "
-                         f"{MEMORY_BUDGET} B budget")
+    within_budget(math.ceil((mean + 6.0 * math.sqrt(mean)) * _BYTES_PER_BS),
+                  f"drawing a block of {drops} drops (about {mean:.3g} BSs)")
 
 
 def association_probability(region: Region, tiers: tuple[TierConfig, ...],

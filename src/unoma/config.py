@@ -19,14 +19,14 @@ from .geometry import (
     dbm_to_watts,
     zero_forcing_array_gain,
 )
-from .metrics import point_rng
+from .metrics import point_rng, within_budget
 from .noma_core import (
-    MEMORY_BUDGET,
     MPA_CHUNK,
     SCHEMES,
     NomaPair,
     build_matrix,
     mpa_chunk_bytes,
+    received_chunk_bytes,
 )
 
 KINDS = ("association_sweep", "allocation_sweep", "link_level")
@@ -245,12 +245,12 @@ def _validate_link(data: dict):
     matrix = _built(f"{data['scheme']} matrix with k={data['k']}, n={data['n']}",
                     build_matrix, data["scheme"], data["k"], data["n"],
                     data["matrix_params"], point_rng(data["seed"]))
-    need = mpa_chunk_bytes(matrix, data["q"])
-    if need > MEMORY_BUDGET:
-        raise ConfigError(f"{data['scheme']} with k={data['k']}, n={data['n']}, "
-                          f"q={data['q']}: MPA detection would need {need} B "
-                          f"per chunk of {MPA_CHUNK} vectors, over the "
-                          f"{MEMORY_BUDGET} B budget")
+    mpa = mpa_chunk_bytes(matrix, data["q"])
+    arrays = received_chunk_bytes(matrix, data["q"])
+    _built(f"{data['scheme']} with k={data['k']}, n={data['n']}, q={data['q']}",
+           within_budget, mpa + arrays,
+           f"detecting a chunk of {MPA_CHUNK} vectors by MPA ({mpa} B, "
+           f"plus {arrays} B of K-wide arrays)")
 
 
 def validate_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:

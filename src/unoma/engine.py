@@ -44,7 +44,15 @@ from .geometry import (
     rayleigh_power_gains,
     sample_uniform,
 )
-from .metrics import TRIAL_BLOCK, mean_ci, point_rng, trial_blocks, write_csv
+from .metrics import (
+    SEEDING,
+    TRIAL_BLOCK,
+    mean_ci,
+    point_rng,
+    subseed,
+    trial_blocks,
+    write_csv,
+)
 from .noma_core import (
     MPA_CHUNK,
     NomaPair,
@@ -66,13 +74,6 @@ _HEADERS = {
 def config_hash(data: dict) -> str:
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def subseed(master_seed: int, index: int) -> int:
-    """Sweep point's sub-seed: hash of (master seed, point index)."""
-    canonical = json.dumps([master_seed, index], separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 _CONVENTIONS = {
@@ -135,14 +136,6 @@ _CONVENTIONS = {
                     "below 1e-6, or after max_iters",
     },
 }
-
-
-_SEEDING = ("sweep point i's sub-seed is the first 8 bytes of SHA-256 of "
-            "the JSON list [master seed, i], mod 2^63; its trials are drawn "
-            f"{TRIAL_BLOCK} at a time (TRIAL_BLOCK), block b from "
-            "numpy.random.SeedSequence([point sub-seed, b]), in trial order; "
-            "a link-level experiment has one spreading matrix (MUSA sequences), "
-            "from numpy.random.SeedSequence(master seed, spawn_key=(1,))")
 
 
 def generate_instance(n_small: int, data: dict, tau: int,
@@ -284,7 +277,7 @@ def run_experiment(config: ExperimentConfig, output_dir, workers: int | None = N
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "point_seeds": [subseed(config.seed, i) for i in range(len(values))],
-        "conventions": {**_CONVENTIONS[config.kind], "seeding": _SEEDING},
+        "conventions": {**_CONVENTIONS[config.kind], "seeding": SEEDING},
     }
     manifest_path = out / f"{config.name}_manifest.json"
     with open(manifest_path, "w") as fh:

@@ -1,7 +1,10 @@
-"""Seeding of Monte-Carlo trials, statistical aggregation and CSV output."""
+"""Run-wide rules: seeding of Monte-Carlo trials and the memory budget;
+statistical aggregation and CSV output."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,6 +16,20 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 # Association draws and associates one block per array pass; in assoc-fig4,
 # 256 drops per pass ran about 10 % faster but raised peak RSS by 1.2 MB.
 TRIAL_BLOCK = 128
+
+SEEDING = ("sweep point i's sub-seed is the first 8 bytes of SHA-256 of "
+           "the JSON list [master seed, i], mod 2^63; its trials are drawn "
+           f"{TRIAL_BLOCK} at a time (TRIAL_BLOCK), block b from "
+           "numpy.random.SeedSequence([point sub-seed, b]), in trial order; "
+           "a link-level experiment has one spreading matrix (MUSA sequences), "
+           "from numpy.random.SeedSequence(master seed, spawn_key=(1,))")
+
+
+def subseed(master_seed: int, index: int) -> int:
+    """Sweep point's sub-seed: hash of (master seed, point index)."""
+    canonical = json.dumps([master_seed, index], separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).digest()
+    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def point_rng(seed: int, block: int | None = None) -> np.random.Generator:
@@ -31,6 +48,18 @@ def trial_blocks(point_seed: int, trials: int):
     a sweep point, in trial order; the last block may be partial."""
     for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         yield point_rng(point_seed, block), min(TRIAL_BLOCK, trials - start)
+
+
+# Bound, in bytes, on every memory estimate of a run; a config whose estimate
+# exceeds it is refused before anything is drawn.
+MEMORY_BUDGET = 2**30
+
+
+def within_budget(need: int, what: str) -> None:
+    """ValueError if need, the bytes an estimate gives for what, exceeds
+    MEMORY_BUDGET, which is read at each call."""
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{what} needs {need} B, over the {MEMORY_BUDGET} B budget")
 
 
 def mean_ci(values) -> tuple[float, float]:

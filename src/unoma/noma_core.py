@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import TRIAL_BLOCK, within_budget
+
 # Keys each scheme's matrix construction reads from its params.
 MATRIX_PARAMS = {
     "pd-noma": (),
@@ -176,12 +178,13 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     random support of the given weight (default: full length). Of
     _MUSA_CANDIDATES random pools, the one minimizing the maximum pairwise
     absolute cross-correlation is kept. Returns the sequences, an array of
-    shape (pool_size, k). Refused before any draw if the N x N complex Gram
-    matrix and its modulus (24 B per entry), or the two (N, K) complex pools
-    (the best and the one drawn) with a draw's K-long row_load, allowed and
-    order arrays, (32 N + 24) K B, would exceed MEMORY_BUDGET; tracemalloc
-    put musa_pool's peak at 1.5 to 1.7 times the latter for N = 2 to 64,
-    K = 1 024 to 16 384 (0.84 times when the first pool is orthogonal).
+    shape (pool_size, k). within_budget refuses it before any draw if the
+    N x N complex Gram matrix and its modulus (24 B per entry), or the two
+    (N, K) complex pools (the best and the one drawn) with a draw's K-long
+    row_load, allowed and order arrays, (32 N + 24) K B, exceed the memory
+    budget; tracemalloc put musa_pool's peak at 1.5 to 1.7 times the latter
+    for N = 2 to 64, K = 1 024 to 16 384 (0.84 times when the first pool is
+    orthogonal).
     """
     values = [_alphabet_entry(a) for a in alphabet]
     if not values:
@@ -194,14 +197,10 @@ def musa_pool(pool_size: int, k: int, alphabet, rng: np.random.Generator,
     alphabet = np.asarray(values, dtype=complex)
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    gram = 24 * pool_size * pool_size  # complex Gram matrix and its modulus
-    if gram > MEMORY_BUDGET:
-        raise ValueError(f"{pool_size} sequences need a {gram} B Gram matrix, "
-                         f"over the {MEMORY_BUDGET} B budget")
-    pools = (32 * pool_size + 24) * k
-    if pools > MEMORY_BUDGET:
-        raise ValueError(f"{pool_size} sequences of length {k} need {pools} B "
-                         f"of candidate pools, over the {MEMORY_BUDGET} B budget")
+    within_budget(24 * pool_size * pool_size,
+                  f"comparing {pool_size} sequences in a Gram matrix")
+    within_budget((32 * pool_size + 24) * k,
+                  f"drawing {pool_size} sequences of length {k} into candidate pools")
     w = k if weight is None else int(weight)
     if not 1 <= w <= k:
         raise ValueError(f"weight must be in [1, K], got {w}")
@@ -363,12 +362,6 @@ def sic_decode_uplink(y: complex, near_link: SicLink, far_link: SicLink,
 # size, and since each vector stops on its own, results do not depend on where
 # the chunk boundaries fall.
 MPA_CHUNK = 4096
-# Bound, in bytes, on the largest per-RB likelihood tensor of one chunk, on a
-# MUSA pool's Gram matrix, on one allocation instance's stacked gain tables
-# (allocation.group_size) and on a block of association drops
-# (association.check_block_bytes); a config that would exceed it is rejected
-# by validation.
-MEMORY_BUDGET = 2**30
 
 _TINY = np.finfo(float).tiny
 
@@ -383,6 +376,19 @@ def mpa_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
     degrees = [int(d) for d in matrix.occupancy.sum(axis=1) if d]
     joint = [q ** d for d in degrees]
     return (sum(joint) + max(joint) + 3 * q * sum(degrees)) * MPA_CHUNK * 8
+
+
+def received_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
+    """Peak bytes of the K-wide arrays a link-level run holds beside MPA's
+    (mpa_chunk_bytes), 16 B per complex value: one chunk's received vectors
+    (MPA_CHUNK x K) three times, as the per-block list, its concatenation
+    and detection's real and imaginary copies; one block's codeword gather
+    (TRIAL_BLOCK x N x K); and the codebook (N x Q x K). tracemalloc read a
+    full chunk's peak at 0.98 to 1.18 times this figure plus mpa_chunk_bytes
+    (SCMA at Q = 4, column weight 1, N = 2 and 6, K = 64 to 512), nearer 1
+    as K grows."""
+    n = matrix.n_layers
+    return (3 * MPA_CHUNK + TRIAL_BLOCK * n + n * q) * matrix.n_rbs * 16
 
 
 def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:

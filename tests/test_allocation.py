@@ -37,8 +37,8 @@ from unoma.allocation import (
     solve_instance,
 )
 from unoma.config import preset_config
-from unoma.engine import generate_instance, subseed
-from unoma.metrics import trial_blocks
+from unoma.engine import generate_instance
+from unoma.metrics import subseed, trial_blocks
 from unoma.noma_core import NomaPair
 
 

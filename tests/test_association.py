@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import associate_drops
-from unoma import association
+from unoma import association, metrics
 from unoma.association import (
     _wilson_half_width,
     associate_user,
@@ -220,7 +220,7 @@ def test_block_bytes_bound_the_peak(densities, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(association, "MEMORY_BUDGET", peak)
+        monkeypatch.setattr(metrics, "MEMORY_BUDGET", peak)
         with pytest.raises(ValueError, match=f"over the {peak} B budget"):
             check_block_bytes(region, tiers, trials)
 
@@ -235,8 +235,8 @@ def test_association_refuses_a_block_over_budget_before_any_draw(monkeypatch):
     monkeypatch.setattr(association, "sample_network", no_draw)
     tiers = (TierConfig("macro", 40.0, _MACRO_DENSITY),
              TierConfig("femto", 20.0, 1.0))
-    with pytest.raises(ValueError, match="a block of 128 drops holds about "
-                                         "1.01e\\+08 BSs"):
+    with pytest.raises(ValueError, match="drawing a block of 128 drops "
+                                         "\\(about 1.01e\\+08 BSs\\) needs"):
         association_probability(Region(500.0), tiers, 20_000, seed=1)
 
 

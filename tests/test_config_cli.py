@@ -2,12 +2,13 @@ import concurrent.futures
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from unoma import config as config_module
-from unoma import noma_core
+from unoma import metrics, noma_core
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -15,13 +16,13 @@ from unoma.config import (
     preset_config,
     validate_config,
 )
-from unoma.engine import config_hash, run_experiment, subseed
-from unoma.metrics import TRIAL_BLOCK
+from unoma.engine import config_hash, run_experiment
+from unoma.metrics import MEMORY_BUDGET, TRIAL_BLOCK, subseed
 from unoma.noma_core import (
-    MEMORY_BUDGET,
     MPA_CHUNK,
     build_matrix,
     mpa_chunk_bytes,
+    received_chunk_bytes,
 )
 
 
@@ -230,14 +231,47 @@ def test_validate_and_run_count_every_rbs_likelihoods(tmp_path, monkeypatch,
     path.write_text(json.dumps(dict(_tiny_link_config(), scheme="pdma",
                                     k=16, n=6, q=4,
                                     matrix_params={"patterns": patterns})))
+    arrays = received_chunk_bytes(matrix, 4)
     for argv in (["validate", "--config", str(path)],
                  ["run", "--config", str(path),
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"{mpa_chunk_bytes(matrix, 4)} B per chunk of {MPA_CHUNK} " \
-            f"vectors, over the {MEMORY_BUDGET} B budget" in err
+        assert f"detecting a chunk of {MPA_CHUNK} vectors by MPA " \
+            f"({mpa_chunk_bytes(matrix, 4)} B, plus {arrays} B of K-wide " \
+            f"arrays) needs {mpa_chunk_bytes(matrix, 4) + arrays} B, over " \
+            f"the {MEMORY_BUDGET} B budget" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "pdma.json"]
+
+
+def test_validate_and_run_count_the_k_wide_arrays(tmp_path, monkeypatch,
+                                                  capsys):
+    """SCMA k=100 000, n=2, column_weight 1, q=4: only two RBs hold a layer,
+    so MPA's likelihoods and messages take 1 179 648 B a chunk, but the
+    chunk's received vectors alone are 4096 x 100 000 complex values
+    (6.55 GB), held three times. validate and run refuse it and write
+    nothing; only the estimates are computed, and the config is never run."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run should have been refused")
+
+    monkeypatch.setattr("unoma.cli.run_experiment", no_run)
+    matrix = build_matrix("scma", 100_000, 2, {"column_weight": 1})
+    assert mpa_chunk_bytes(matrix, 4) == 1_179_648 < MEMORY_BUDGET
+    arrays = received_chunk_bytes(matrix, 4)
+    assert arrays > 3 * MPA_CHUNK * 100_000 * 16 > MEMORY_BUDGET
+    path = tmp_path / "cfg" / "scma.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="scma",
+                                    k=100_000, n=2, q=4,
+                                    matrix_params={"column_weight": 1})))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path),
+                  "--output", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert f"(1179648 B, plus {arrays} B of K-wide arrays) needs " \
+            f"{1_179_648 + arrays} B" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "scma.json"]
 
 
 def test_validate_and_run_refuse_the_musa_matrix_over_budget(
@@ -272,7 +306,8 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
     """MUSA compares its N sequences in an N x N complex Gram matrix and its
     modulus, 24 B per entry. A pool whose matrix would exceed the budget is
     refused before any draw, by validate and by run; the budget is lowered
-    here so that no test allocates a large matrix."""
+    here so that no test allocates a large matrix. At exactly 864 B the pool
+    is drawn, and validate refuses the config on its MPA estimate instead."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the run should have been refused")
@@ -282,7 +317,7 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
             raise AssertionError(f"drew from the rng ({name})")
 
     monkeypatch.setattr("unoma.cli.run_experiment", no_run)
-    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 24 * 6 * 6 - 1)
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 6 * 6 - 1)
     with pytest.raises(ValueError, match="Gram matrix"):
         noma_core.musa_pool(6, 4, [1.0, -1.0], NoDraws())
     path = tmp_path / "musa.json"
@@ -292,9 +327,13 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
                  ["run", "--config", str(path),
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
-        assert "6 sequences need a 864 B Gram matrix" in capsys.readouterr().err
-    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 24 * 6 * 6)
-    assert main(["validate", "--config", str(path)]) == 0
+        assert "comparing 6 sequences in a Gram matrix needs 864 B" \
+            in capsys.readouterr().err
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 6 * 6)
+    assert noma_core.musa_pool(6, 4, [1.0, -1.0], np.random.default_rng(0),
+                               weight=2, max_row_weight=5).shape == (6, 4)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "by MPA" in capsys.readouterr().err
 
 
 def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
@@ -303,13 +342,15 @@ def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
     of a draw, (32 N + 24) K B: 5 632 B for 2 sequences of length 64, whose
     Gram matrix needs only 96 B. Over the budget, the pool is refused before
     any draw, by validate and by run, which writes nothing; the budget is
-    lowered here so that no test allocates a large array."""
+    lowered here so that no test allocates a large array. At exactly 5 632 B
+    the pool is drawn, and validate refuses the config on its MPA estimate
+    instead."""
 
     class NoDraws:
         def __getattr__(self, name):
             raise AssertionError(f"drew from the rng ({name})")
 
-    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 5_632 - 1)
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 5_632 - 1)
     with pytest.raises(ValueError, match="candidate pools"):
         noma_core.musa_pool(2, 64, [1.0, -1.0], NoDraws(), weight=1,
                             max_row_weight=1)
@@ -320,11 +361,14 @@ def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
     for argv in (["validate", "--config", str(path)],
                  ["run", "--config", str(path), "--output", str(out)]):
         assert main(argv) == 1
-        assert "2 sequences of length 64 need 5632 B of candidate pools" \
-            in capsys.readouterr().err
+        assert "drawing 2 sequences of length 64 into candidate pools " \
+            "needs 5632 B" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["musa.json"]
-    monkeypatch.setattr(noma_core, "MEMORY_BUDGET", 5_632)
-    assert main(["validate", "--config", str(path)]) == 0
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 5_632)
+    assert noma_core.musa_pool(2, 64, [1.0, -1.0], np.random.default_rng(0),
+                               weight=1, max_row_weight=1).shape == (2, 64)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "by MPA" in capsys.readouterr().err
 
 
 def test_power_split_must_be_a_valid_pair(tmp_path, monkeypatch, capsys):
@@ -657,7 +701,7 @@ def test_validate_and_run_refuse_an_allocation_instance_over_budget(
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "one instance's gain tables need" in err
+        assert "stacking one instance's gain tables needs" in err
         assert f"over the {MEMORY_BUDGET} B budget" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "fig5.json"]
 
@@ -685,10 +729,57 @@ def test_validate_and_run_refuse_an_association_block_over_budget(
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "sweep value 1.0: a block of 128 drops holds about 6.03e+08 " \
-               "BSs" in err
+        assert "sweep value 1.0: drawing a block of 128 drops (about " \
+               "6.03e+08 BSs) needs" in err
         assert f"over the {MEMORY_BUDGET} B budget" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "fig4.json"]
+
+
+def _one_trial_configs():
+    fig4, fig5 = preset_config("fig4").data, preset_config("fig5").data
+    musa = dict(_tiny_link_config(), scheme="musa", k=4, n=6,
+                matrix_params={"column_weight": 2})
+    return {
+        "association": dict(fig4, sweep=dict(fig4["sweep"],
+                                             values=fig4["sweep"]["values"][:1])),
+        "allocation": dict(fig5, taus=[2], sweep=dict(fig5["sweep"], values=[4])),
+        "scma": dict(musa, scheme="scma", q=4),
+        "musa": musa,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_one_trial_configs()))
+def test_validate_and_run_refuse_at_the_same_budget(tmp_path, monkeypatch,
+                                                     kind):
+    """Every memory estimate is read against metrics.MEMORY_BUDGET alone: at
+    the largest need that validate checks, validate passes and the run
+    completes; one byte lower, validate and run both exit 1 and write
+    nothing."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_one_trial_configs()[kind], name=kind,
+                                    trials=1)))
+    check, needs = metrics.within_budget, []
+
+    def spy(need, what):
+        needs.append(need)
+        check(need, what)
+
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "unoma" \
+                    and getattr(module, "within_budget", None) is check:
+                m.setattr(module, "within_budget", spy)
+        assert main(["validate", "--config", str(path)]) == 0
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", max(needs))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "fits")]) == 0
+    assert (tmp_path / "fits" / f"{kind}.csv").exists()
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", max(needs) - 1)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "over")]) == 1
+    assert not (tmp_path / "over").exists()
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unoma.engine import subseed
 from unoma.metrics import (
     TRIAL_BLOCK,
     Z_95,
     mean_ci,
     point_rng,
+    subseed,
     trial_blocks,
     write_csv,
 )

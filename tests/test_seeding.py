@@ -11,7 +11,7 @@ import pytest
 from oracles import reference_instance
 from unoma import allocation, config, engine
 from unoma.config import preset_config, validate_config
-from unoma.metrics import TRIAL_BLOCK, point_rng, trial_blocks
+from unoma.metrics import TRIAL_BLOCK, point_rng, subseed, trial_blocks
 from unoma.noma_core import MPA_CHUNK, build_matrix, default_codebook
 
 _SCMA = {
@@ -80,7 +80,7 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
     engine._allocation_point(data, 2, 3)
     assert len(drawn) == 130
     block_1 = np.random.default_rng(
-        np.random.SeedSequence([engine.subseed(data["seed"], 2), 1]))
+        np.random.SeedSequence([subseed(data["seed"], 2), 1]))
     expected = generate(3, data, 2, block_1)
     for field in fields(expected):
         if isinstance(getattr(expected, field.name), np.ndarray):
@@ -254,7 +254,7 @@ def test_link_matrix_draws_from_the_matrix_stream(monkeypatch, tmp_path):
     engine.run_experiment(run, tmp_path)
     assert states == [point_rng(data["seed"]).bit_generator.state]
     for i in range(len(_FOUR_POINTS["values"])):
-        block_0, _ = next(trial_blocks(engine.subseed(data["seed"], i),
+        block_0, _ = next(trial_blocks(subseed(data["seed"], i),
                                        data["trials"]))
         assert states[0] != block_0.bit_generator.state
 

@@ -1,8 +1,9 @@
 """Guards on the package's shape: every public name it defines, and every
 default of its public functions, must be used by the package itself or by the
 acceptance suite, nothing it runs may need scipy, every seed goes through the
-one seeding rule, nothing reads the environment, and every name the traced
-benchmark harness wraps exists."""
+one seeding rule, every memory estimate through the one budget check, nothing
+reads the environment, and every name the traced benchmark harness wraps
+exists."""
 
 import ast
 import importlib.util
@@ -168,6 +169,32 @@ def test_seed_sequences_only_in_the_seeding_rule():
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
     assert inside > 0 and outside == [], f"seeded outside point_rng at {outside}"
+
+
+def test_memory_budget_only_in_its_check():
+    """MEMORY_BUDGET is assigned only in metrics.py and read only inside
+    metrics.within_budget, the one check every memory estimate goes through,
+    and no module imports it, so a second copy of the budget or a comparison
+    beside the check cannot come back unnoticed."""
+    assigned, inside, outside = [], 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        check = {id(node) for top in tree.body
+                 if path.name == "metrics.py" and isinstance(top, ast.FunctionDef)
+                 and top.name == "within_budget" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "MEMORY_BUDGET":
+                outside.append(f"{path.name}:{node.lineno} import")
+            elif (getattr(node, "id", None) == "MEMORY_BUDGET"
+                  or getattr(node, "attr", None) == "MEMORY_BUDGET"):
+                if isinstance(node.ctx, ast.Store):
+                    assigned.append(path.name)
+                elif id(node) in check:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert assigned == ["metrics.py"], f"MEMORY_BUDGET assigned in {assigned}"
+    assert inside > 0 and outside == [], f"MEMORY_BUDGET read at {outside}"
 
 
 def test_no_module_reads_the_environment():
