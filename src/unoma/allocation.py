@@ -20,9 +20,9 @@ group, and each solve stops on its own, so it gets the bytes it gets alone.
 The greedy and swap phases keep each lane's set scores (_rescore), and a
 step or a round rescores only the RBs it changed. group_size sizes a group
 so that its stacked tables fit in GROUP_BYTES and the swap phase's first
-pass and an SCA pass in RATE_ROWS rows; only _plus_each, which adds every BS
-to each set, cuts its rows into kernel calls. match_rbs, sca_power_control
-and solve_instance are the one-solve case.
+pass and an SCA pass in RATE_ROWS rows; _plus_each, which adds every BS to
+each set, makes every kernel call of the matcher, cut into calls of whole
+sets. match_rbs, sca_power_control and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -46,6 +46,37 @@ _SCA_TOL = 1e-6
 _MAX_FIXED_POINT = 100
 _MAX_MULTIPLIER_STEPS = 200
 _TINY = np.finfo(float).tiny
+
+MATCHING = ("candidate co-channel sets are scored by their sum rate at "
+            "cap-scaled equal power (every member at p_max, scaled down "
+            "uniformly to meet i_threshold); two seeds are each refined by "
+            "swap rounds: deferred acceptance (BSs propose, each RB keeps its "
+            "top tau, both sides ranking by a BS's score alone on the RB, ties "
+            "to the lower index) and greedy, which keeps placing the (BS, RB) "
+            "pair of largest gain while its best gain is > 0, the first "
+            "maximum in row-major (BS, RB) order; each swap round scans moves "
+            "into vacancies before pairwise exchanges, in row-major (BS, RB) "
+            "and (BS, BS) order, the first maximum winning and an exchange "
+            "only if strictly better than the best move; a round applies its "
+            "winner only if it raises the total by more than 1e-12; the "
+            "deferred-acceptance seed's optimum is kept unless greedy's total "
+            "is better by more than 1e-12")
+POWER_CONTROL = (
+    "SCA from p_max scaled uniformly below each RB's cap: each outer iteration "
+    "bounds every rate term below by alpha*log z + beta, tight at the current "
+    "powers, and solves that surrogate on every RB by the fixed point p_j <- "
+    "clip(A_j / (c_j(p) + mu*h_j), p_max*e^-60, p_max): A_j sums the alpha of "
+    "BS j's terms, c_j(p) sums alpha_u*D_uj / (D_u.p + sigma2) over the terms "
+    "u whose interference D_u.p BS j's power enters, and mu >= 0 is found by "
+    "bisection with Newton steps on RBs whose cap binds; the fixed point stops "
+    f"when no power changes by 1e-15 of itself, or after {_MAX_FIXED_POINT} "
+    "updates; a candidate over its cap is scaled to 1 - 1e-12 of it and is "
+    "kept on an RB only if that RB's sum rate does not fall; the outer loop "
+    "stops when the total gains less than "
+    + np.format_float_scientific(_SCA_TOL, trim="-", exp_digits=1)
+    + f" of itself, or after {_MAX_SCA_ITERS} iterations; an RB whose cap is 0 "
+    "keeps the members the macro user hears silent, at power and rate 0")
+
 # Rows per rate-kernel call, whose fixed cost is that of about 300 rows. At
 # 1 024 rows a call's arrays take 0.34 MB. 2 048 rows ran no faster on fig5
 # and raised its peak RSS above the per-instance solver's. group_size keeps
@@ -298,25 +329,17 @@ def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
     return p
 
 
-def _set_totals(tab: _Tables, sets, cols, oma) -> np.ndarray:
-    """(n,) totals of the slot-major sets (width, n) on the columns cols
-    under the schemes oma (n,) at cap-scaled equal power, in one kernel
-    call."""
-    p = _capped_power(tab, sets, cols)
-    return rb_rates(tab, sets, cols, np.broadcast_to(p, sets.shape), oma)[1]
-
-
 def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
-    """(n, n_bs + 1) table of the totals (_set_totals) of the slot-major sets
-    (width, n) on the columns cols (n,) under the schemes oma (n,) with each
-    BS added; the last column (the sentinel) is each set's own total. A full
-    set drops its largest member to make room: those entries are never read.
-    A kernel call holds the rows of as many whole sets as RATE_ROWS allows,
-    at least one."""
+    """(n, n_bs + 1) table of the totals at cap-scaled equal power of the
+    slot-major sets (width, n) on the columns cols (n,) under the schemes oma
+    (n,) with each BS added; the last column (the sentinel) is each set's own
+    total. A full set drops its largest member to make room: those entries
+    are never read. Every kernel call of the matcher is made here; one holds
+    the rows of as many whole sets as RATE_ROWS allows, at least one."""
     width, n = sets.shape
     b1 = tab.h_macro.shape[0]
     out = np.empty((n, b1))
-    step = max(1, RATE_ROWS // b1)  # sets per pass of _set_totals
+    step = max(1, RATE_ROWS // b1)  # sets per kernel call
     for first in range(0, n, step):
         part = sets[:, first:first + step]
         rows = np.empty((part.shape[1], b1, width + 1), dtype=np.intp)
@@ -324,9 +347,11 @@ def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
         rows[:, :, width] = np.arange(b1)
         rows.sort(axis=2)
         rows = np.ascontiguousarray(rows[:, :, :width].reshape(-1, width).T)
-        out[first:first + step] = _set_totals(
-            tab, rows, np.repeat(cols[first:first + step], b1),
-            np.repeat(oma[first:first + step], b1)).reshape(-1, b1)
+        row_cols = np.repeat(cols[first:first + step], b1)
+        p = np.broadcast_to(_capped_power(tab, rows, row_cols), rows.shape)
+        out[first:first + step] = rb_rates(
+            tab, rows, row_cols, p, np.repeat(oma[first:first + step], b1)
+        )[1].reshape(-1, b1)
     return out
 
 
@@ -392,13 +417,15 @@ def _padded(src, rbs, n_bs: int, width: int) -> np.ndarray:
 
 
 def _rescore(tab: _Tables, src, lanes, rbs, inst, tau, oma, on_rb, leave=None):
-    """Score the RBs rbs (n,) of lanes (n,) in one _plus_each pass into the
-    tables each lane keeps: lane l has the assignment src[l] of instance
-    inst[l] at quota tau[l] under scheme oma[l]. on_rb[l, r] (L, R, B + 1):
-    r's set with each BS added, its own total last, -inf in each BS column
-    of a full RB. leave[l, b] (L, B, B + 1), b on one of the RBs: its set
-    without b with each BS added (last: b gone alone) minus the RB's total.
-    Greedy passes no leave, reading neither these rows nor full totals."""
+    """Score the RBs rbs (n,) of lanes (n,) in one _plus_each pass, and no
+    other kernel call, into the tables each lane keeps: lane l has the
+    assignment src[l] of instance inst[l] at quota tau[l] under scheme
+    oma[l]. on_rb[l, r] (L, R, B + 1): r's set with each BS added, its own
+    total last, -inf in each BS column of a full RB. leave[l, b] (L, B,
+    B + 1), b on one of the RBs: its set without b with each BS added (last:
+    b gone alone) minus the RB's total, read where b is added back, the row
+    of the RB's own set. Greedy passes no leave, reading neither these rows
+    nor full totals."""
     b_n = src.shape[1]
     held = src[lanes] == rbs[:, None]  # (n, B): each RB's members
     full = np.count_nonzero(held, axis=1) >= tau[lanes]
@@ -414,9 +441,9 @@ def _rescore(tab: _Tables, src, lanes, rbs, inst, tau, oma, on_rb, leave=None):
     on_rb[lanes[opened], rbs[opened]] = tot[:len(opened)]
     on_rb[lanes[full], rbs[full], :b_n] = -np.inf
     if leave is not None:
-        on_rb[lanes[full], rbs[full], b_n] = _set_totals(
-            tab, sets[:, full], cols[full], oma[lanes[full]])
-        leave[lanes[pair], mb] = tot[len(opened):] - on_rb[lanes[pair], rbs[pair], b_n:]
+        own = tot[len(opened) + np.arange(len(pair)), mb]
+        on_rb[lanes[pair], rbs[pair], b_n] = own
+        leave[lanes[pair], mb] = tot[len(opened):] - own[:, None]
 
 
 def _greedy_seed(tab: _Tables, solo, inst, tau, oma) -> np.ndarray:

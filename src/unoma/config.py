@@ -241,14 +241,16 @@ def _validate_link(data: dict):
     _require(data, "matrix_params", dict)
     for snr_db in _validate_sweep(data, "snr_db"):  # the run's noise variance
         _built(f"key 'sweep.values' entry {snr_db!r}", db_to_linear, -snr_db)
+    what = f"{data['scheme']} with k={data['k']}, n={data['n']}, q={data['q']}"
+    arrays = received_chunk_bytes(data["k"], data["n"], data["q"])
+    _built(what, within_budget, arrays,
+           f"holding the K-wide arrays of a chunk of {MPA_CHUNK} vectors")
     # Build the run's one spreading matrix, so validation rejects what it would.
     matrix = _built(f"{data['scheme']} matrix with k={data['k']}, n={data['n']}",
                     build_matrix, data["scheme"], data["k"], data["n"],
                     data["matrix_params"], point_rng(data["seed"]))
     mpa = mpa_chunk_bytes(matrix, data["q"])
-    arrays = received_chunk_bytes(matrix, data["q"])
-    _built(f"{data['scheme']} with k={data['k']}, n={data['n']}, q={data['q']}",
-           within_budget, mpa + arrays,
+    _built(what, within_budget, mpa + arrays,
            f"detecting a chunk of {MPA_CHUNK} vectors by MPA ({mpa} B, "
            f"plus {arrays} B of K-wide arrays)")
 

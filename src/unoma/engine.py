@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    _MAX_FIXED_POINT,
-    _MAX_SCA_ITERS,
-    _SCA_TOL,
+    MATCHING,
+    POWER_CONTROL,
     AllocationInstance,
     group_size,
     jain_fairness,
@@ -55,6 +54,7 @@ from .metrics import (
 )
 from .noma_core import (
     MPA_CHUNK,
+    MPA_STOP,
     NomaPair,
     build_matrix,
     default_codebook,
@@ -90,50 +90,14 @@ _CONVENTIONS = {
         "fairness": "Jain index over per-small-cell pair rates; "
                     "unmatched (blocked) BSs count as rate 0; a trial whose "
                     "rates are all 0 has fairness 1 (all shares equal)",
-        "matching": "candidate co-channel sets are scored by their sum rate "
-                    "at cap-scaled equal power (every member at p_max, "
-                    "scaled down uniformly to meet i_threshold); two seeds "
-                    "are each refined by swap rounds: deferred acceptance "
-                    "(BSs propose, each RB keeps its top tau, both sides "
-                    "ranking by a BS's score alone on the RB, ties to the "
-                    "lower index) and greedy, which keeps placing the (BS, "
-                    "RB) pair of largest gain while its best gain is > 0, "
-                    "the first maximum in row-major (BS, RB) order; each "
-                    "swap round scans moves into vacancies before pairwise "
-                    "exchanges, in row-major (BS, RB) and (BS, BS) order, "
-                    "the first maximum winning and an exchange only if "
-                    "strictly better than the best move; a round applies its "
-                    "winner only if it raises the total by more than 1e-12; "
-                    "the deferred-acceptance seed's optimum is kept unless "
-                    "greedy's total is better by more than 1e-12",
-        "power_control": "SCA from p_max scaled uniformly below each RB's "
-                         "cap: each outer iteration bounds every rate term "
-                         "below by alpha*log z + beta, tight at the current "
-                         "powers, and solves that surrogate on every RB by "
-                         "the fixed point p_j <- clip(A_j / (c_j(p) + "
-                         "mu*h_j), p_max*e^-60, p_max): A_j sums the alpha "
-                         "of BS j's terms, c_j(p) sums alpha_u*D_uj / "
-                         "(D_u.p + sigma2) over the terms u whose "
-                         "interference D_u.p BS j's power enters, and mu >= 0 "
-                         "is found by bisection with Newton steps on RBs "
-                         "whose cap binds; the fixed point stops when no "
-                         "power changes by 1e-15 of itself, or after "
-                         f"{_MAX_FIXED_POINT} updates; a candidate over its "
-                         "cap is scaled to 1 - 1e-12 of it and is kept on an "
-                         "RB only if that RB's sum rate does not fall; the "
-                         "outer loop stops when the total gains less than "
-                         + np.format_float_scientific(_SCA_TOL, trim="-", exp_digits=1)
-                         + f" of itself, or after {_MAX_SCA_ITERS} iterations; "
-                         "an RB whose cap is 0 keeps the members the macro "
-                         "user hears silent, at power and rate 0",
+        "matching": MATCHING,
+        "power_control": POWER_CONTROL,
     },
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "
                   "sample, each layer's codewords having unit average energy; "
                   "the per-RB aggregate SNR is snr_db + 10*log10(N/K)",
-        "mpa_stop": "per received vector: its messages freeze after the first "
-                    "iteration whose largest RB-to-layer message change is "
-                    "below 1e-6, or after max_iters",
+        "mpa_stop": MPA_STOP,
     },
 }
 

@@ -365,30 +365,37 @@ MPA_CHUNK = 4096
 
 _TINY = np.finfo(float).tiny
 
+_MPA_TOL = 1e-6  # mpa_detect_batch's default stop tolerance
+MPA_STOP = ("per received vector: its messages freeze after the first "
+            "iteration whose largest RB-to-layer message change is below "
+            + np.format_float_scientific(_MPA_TOL, trim="-", exp_digits=1)
+            + ", or after max_iters")
+
 
 def mpa_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
     """Peak bytes of one MPA chunk, 8 B per float and vector (MPA_CHUNK):
     every RB's likelihood tensor, one float per joint symbol of its d layers
     (Q^d), kept through all iterations; the densest RB's tensor once more,
-    while it is built; and three message arrays of Q floats per edge.
-    tracemalloc at chunks of 256 and 1024 vectors read 0.91 to 1.16 times
-    this figure (SCMA 4x6 at Q = 4 and 8, PDMA 4x6 and 8x5, PD-NOMA 1x6)."""
+    while it is built; three message arrays of Q floats per edge, and a zero
+    row; and per layer the marginals, the log-marginals with their shifted
+    and exponentiated copies (Q floats each) and the decision. tracemalloc
+    read a full chunk of engine._link_point at 0.85 to 0.999 times this plus
+    received_chunk_bytes (SCMA with Q = 2 to 8, K = 4 to 1 024, N = 1 to 6;
+    PDMA 4x6, 8x5; PD-NOMA 1x6), up to 1.07 times near 1 MB."""
     degrees = [int(d) for d in matrix.occupancy.sum(axis=1) if d]
     joint = [q ** d for d in degrees]
-    return (sum(joint) + max(joint) + 3 * q * sum(degrees)) * MPA_CHUNK * 8
+    return (sum(joint) + max(joint) + q * (3 * sum(degrees) + 1)
+            + (4 * q + 1) * matrix.n_layers) * MPA_CHUNK * 8
 
 
-def received_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
-    """Peak bytes of the K-wide arrays a link-level run holds beside MPA's
-    (mpa_chunk_bytes), 16 B per complex value: one chunk's received vectors
-    (MPA_CHUNK x K) three times, as the per-block list, its concatenation
-    and detection's real and imaginary copies; one block's codeword gather
-    (TRIAL_BLOCK x N x K); and the codebook (N x Q x K). tracemalloc read a
-    full chunk's peak at 0.98 to 1.18 times this figure plus mpa_chunk_bytes
-    (SCMA at Q = 4, column weight 1, N = 2 and 6, K = 64 to 512), nearer 1
-    as K grows."""
-    n = matrix.n_layers
-    return (3 * MPA_CHUNK + TRIAL_BLOCK * n + n * q) * matrix.n_rbs * 16
+def received_chunk_bytes(k: int, n: int, q: int) -> int:
+    """Peak bytes of the K-wide arrays a link-level run of K RBs, N layers
+    and Q symbols holds beside MPA's (mpa_chunk_bytes), 16 B per complex
+    value: one chunk's received vectors (MPA_CHUNK x K) three times, as the
+    per-block list, its concatenation and detection's real and imaginary
+    copies; one block's codeword gather (TRIAL_BLOCK x N x K); and the
+    codebook (N x Q x K). Validation checks it before building the matrix."""
+    return (3 * MPA_CHUNK + TRIAL_BLOCK * n + n * q) * k * 16
 
 
 def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
@@ -403,7 +410,7 @@ def _check_supports(matrix: SpreadingMatrix, codebook: Codebook) -> None:
 
 def mpa_detect_batch(received: np.ndarray, matrix: SpreadingMatrix,
                      codebook: Codebook, noise_var: float, max_iters: int = 8,
-                     tol: float = 1e-6):
+                     tol: float = _MPA_TOL):
     """Sum-product MPA on a batch of received vectors.
 
     received has shape (B, K). Returns (marginals (B, N, Q), hard decisions

@@ -421,7 +421,8 @@ def test_kept_tables_stay_current(monkeypatch):
     """After every greedy step and every swap round, the tables that each
     lane keeps (_rescore) equal a fresh _rescore of every RB of every lane:
     on_rb on the RBs with room, -inf in every BS column of a full RB (and,
-    in the swap phase, its total), and the leave rows of the matched BSs. On
+    in the swap phase, its total, which also equals rb_rates of its set at
+    _capped_power), and the leave rows of the matched BSs. On
     fig5 groups at n = 12 and 32, and on random groups with quotas above
     n_bs, with one RB, and with closed RBs (cap 0)."""
     rescore = allocation._rescore
@@ -442,6 +443,14 @@ def test_kept_tables_stay_current(monkeypatch):
             passes["greedy"] += 1
             return
         assert on_rb[full, b_n].tobytes() == fresh_on[full, b_n].tobytes()
+        # and, independently of _rescore, the kernel's total of each set
+        lf, rf = np.nonzero(full)
+        sets = allocation._padded(src[lf], rf, b_n, min(int(tau.max()), b_n))
+        cols = inst[lf] * r_n + rf
+        p = allocation._capped_power(tab, sets, cols)
+        want = allocation.rb_rates(tab, sets, cols,
+                                   np.broadcast_to(p, sets.shape), oma[lf])[1]
+        assert on_rb[full, b_n].tobytes() == want.tobytes()
         assert leave[src >= 0].tobytes() == fresh_leave[src >= 0].tobytes()
         passes["first" if len(lanes) == l_n * r_n else "later"] += 1
 

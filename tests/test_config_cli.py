@@ -3,12 +3,13 @@ import copy
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unoma import config as config_module
-from unoma import metrics, noma_core
+from unoma import engine, metrics, noma_core
 from unoma.cli import main
 from unoma.config import (
     ConfigError,
@@ -21,6 +22,7 @@ from unoma.metrics import MEMORY_BUDGET, TRIAL_BLOCK, subseed
 from unoma.noma_core import (
     MPA_CHUNK,
     build_matrix,
+    default_codebook,
     mpa_chunk_bytes,
     received_chunk_bytes,
 )
@@ -195,17 +197,17 @@ def test_validate_rejects_mpa_over_memory_budget(tmp_path, monkeypatch):
     validate_config(scma)
     matrix = build_matrix("scma", 4, 6, {"column_weight": 2},
                           np.random.default_rng(0))
-    # 4 RBs of 3 layers, so 4^3 joint symbols each, and 12 edges
-    assert mpa_chunk_bytes(matrix, 4) == \
-        (4 * 4**3 + 4**3 + 3 * 4 * 12) * MPA_CHUNK * 8 < MEMORY_BUDGET
-    # (2 * 8^6 + 3 * 8 * 6) * 4096 * 8 B = 16 GiB
+    # 4 RBs of 3 layers, so 4^3 joint symbols each, 12 edges and 6 layers
+    assert mpa_chunk_bytes(matrix, 4) == (4 * 4**3 + 4**3 + 4 * (3 * 12 + 1)
+                                          + 17 * 6) * MPA_CHUNK * 8 < MEMORY_BUDGET
+    # (2 * 8^6 + 8 * 19 + 33 * 6) * 4096 * 8 B = 16 GiB
     pd = dict(_tiny_link_config(), k=1, n=6, q=8)
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(pd))
     assert main(["validate", "--config", str(path)]) == 1
     assert main(["run", "--config", str(path),
                  "--output", str(tmp_path / "out")]) == 1
-    validate_config(dict(pd, q=4))  # (2 * 4^6 + 72) * 4096 * 8 B = 258 MiB
+    validate_config(dict(pd, q=4))  # (2 * 4^6 + 76 + 102) * 4096 * 8 B = 262 MiB
 
 
 def test_validate_and_run_count_every_rbs_likelihoods(tmp_path, monkeypatch,
@@ -225,13 +227,13 @@ def test_validate_and_run_count_every_rbs_likelihoods(tmp_path, monkeypatch,
     kept = (6 * 4**5 + 10 * 4**6) * MPA_CHUNK * 8
     assert 4**6 * MPA_CHUNK * 24 < MEMORY_BUDGET < kept
     assert mpa_chunk_bytes(matrix, 4) == \
-        kept + (4**6 + 3 * 4 * 90) * MPA_CHUNK * 8
+        kept + (4**6 + 4 * (3 * 90 + 1) + 17 * 6) * MPA_CHUNK * 8
     path = tmp_path / "cfg" / "pdma.json"
     path.parent.mkdir()
     path.write_text(json.dumps(dict(_tiny_link_config(), scheme="pdma",
                                     k=16, n=6, q=4,
                                     matrix_params={"patterns": patterns})))
-    arrays = received_chunk_bytes(matrix, 4)
+    arrays = received_chunk_bytes(16, 6, 4)
     for argv in (["validate", "--config", str(path)],
                  ["run", "--config", str(path),
                   "--output", str(tmp_path / "out")]):
@@ -247,18 +249,19 @@ def test_validate_and_run_count_every_rbs_likelihoods(tmp_path, monkeypatch,
 def test_validate_and_run_count_the_k_wide_arrays(tmp_path, monkeypatch,
                                                   capsys):
     """SCMA k=100 000, n=2, column_weight 1, q=4: only two RBs hold a layer,
-    so MPA's likelihoods and messages take 1 179 648 B a chunk, but the
-    chunk's received vectors alone are 4096 x 100 000 complex values
-    (6.55 GB), held three times. validate and run refuse it and write
-    nothing; only the estimates are computed, and the config is never run."""
+    so MPA's likelihoods, messages and layer arrays take 2 424 832 B a
+    chunk, but the chunk's received vectors alone are 4096 x 100 000 complex
+    values (6.55 GB), held three times. validate and run refuse it, from k,
+    n and q alone, and write nothing; only the estimates are computed, and
+    the config is never run."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the run should have been refused")
 
     monkeypatch.setattr("unoma.cli.run_experiment", no_run)
     matrix = build_matrix("scma", 100_000, 2, {"column_weight": 1})
-    assert mpa_chunk_bytes(matrix, 4) == 1_179_648 < MEMORY_BUDGET
-    arrays = received_chunk_bytes(matrix, 4)
+    assert mpa_chunk_bytes(matrix, 4) == 2_424_832 < MEMORY_BUDGET
+    arrays = received_chunk_bytes(100_000, 2, 4)
     assert arrays > 3 * MPA_CHUNK * 100_000 * 16 > MEMORY_BUDGET
     path = tmp_path / "cfg" / "scma.json"
     path.parent.mkdir()
@@ -269,9 +272,50 @@ def test_validate_and_run_count_the_k_wide_arrays(tmp_path, monkeypatch,
                  ["run", "--config", str(path),
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
-        assert f"(1179648 B, plus {arrays} B of K-wide arrays) needs " \
-            f"{1_179_648 + arrays} B" in capsys.readouterr().err
+        assert "scma with k=100000, n=2, q=4: holding the K-wide arrays of a " \
+            f"chunk of {MPA_CHUNK} vectors needs {arrays} B, over the " \
+            f"{MEMORY_BUDGET} B budget" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg", "scma.json"]
+
+
+def test_validate_refuses_the_k_wide_arrays_before_building_the_matrix():
+    """SCMA k = n = 1 500, q = 2, column_weight 1: the K-wide arrays need
+    about 5 GB, and validate refuses them before build_matrix allocates its
+    K x N arrays, which peaked at 66 MB when the build came first."""
+    data = dict(_tiny_link_config(), scheme="scma", k=1500, n=1500, q=2,
+                matrix_params={"column_weight": 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="holding the K-wide arrays"):
+            validate_config(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_link_estimate_bounds_a_full_chunk(n, monkeypatch):
+    """SCMA K = 64, Q = 4, column weight 1: mpa_chunk_bytes plus
+    received_chunk_bytes bounds the tracemalloc peak of a full MPA_CHUNK of
+    engine._link_point (it read 0.99 and 0.97 times the estimate): with the
+    budget set to the measured peak, validate refuses the config."""
+    data = validate_config(dict(_tiny_link_config(), scheme="scma", k=64, n=n,
+                                q=4, trials=MPA_CHUNK,
+                                matrix_params={"column_weight": 1})).data
+    matrix = build_matrix("scma", 64, n, data["matrix_params"])
+    codebook = default_codebook(matrix, 4)
+    engine._link_point(dict(data, trials=TRIAL_BLOCK), 0, 8.0, matrix,
+                       codebook)  # one-time allocations are not in the peak
+    tracemalloc.start()
+    try:
+        engine._link_point(data, 0, 8.0, matrix, codebook)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", peak)
+    with pytest.raises(ConfigError, match=f"over the {peak} B budget"):
+        validate_config(data)
 
 
 def test_validate_and_run_refuse_the_musa_matrix_over_budget(
@@ -306,8 +350,10 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
     """MUSA compares its N sequences in an N x N complex Gram matrix and its
     modulus, 24 B per entry. A pool whose matrix would exceed the budget is
     refused before any draw, by validate and by run; the budget is lowered
-    here so that no test allocates a large matrix. At exactly 864 B the pool
-    is drawn, and validate refuses the config on its MPA estimate instead."""
+    here so that no test allocates a large matrix. 150 sequences of length 1
+    need 540 000 B there, more than the 508 608 B of K-wide arrays validate
+    checks first. At exactly 540 000 B the pool is drawn, and validate
+    refuses the config on its MPA estimate instead."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the run should have been refused")
@@ -317,21 +363,22 @@ def test_validate_and_run_refuse_a_musa_pool_over_budget(
             raise AssertionError(f"drew from the rng ({name})")
 
     monkeypatch.setattr("unoma.cli.run_experiment", no_run)
-    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 6 * 6 - 1)
+    assert received_chunk_bytes(1, 150, 2) == 508_608 < 24 * 150 * 150
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 150 * 150 - 1)
     with pytest.raises(ValueError, match="Gram matrix"):
-        noma_core.musa_pool(6, 4, [1.0, -1.0], NoDraws())
+        noma_core.musa_pool(150, 1, [1.0, -1.0], NoDraws())
     path = tmp_path / "musa.json"
-    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=4,
-                                    n=6, matrix_params={"column_weight": 2})))
+    path.write_text(json.dumps(dict(_tiny_link_config(), scheme="musa", k=1,
+                                    n=150)))
     for argv in (["validate", "--config", str(path)],
                  ["run", "--config", str(path),
                   "--output", str(tmp_path / "out")]):
         assert main(argv) == 1
-        assert "comparing 6 sequences in a Gram matrix needs 864 B" \
+        assert "comparing 150 sequences in a Gram matrix needs 540000 B" \
             in capsys.readouterr().err
-    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 6 * 6)
-    assert noma_core.musa_pool(6, 4, [1.0, -1.0], np.random.default_rng(0),
-                               weight=2, max_row_weight=5).shape == (6, 4)
+    monkeypatch.setattr(metrics, "MEMORY_BUDGET", 24 * 150 * 150)
+    assert noma_core.musa_pool(150, 1, [1.0, -1.0],
+                               np.random.default_rng(0)).shape == (150, 1)
     assert main(["validate", "--config", str(path)]) == 1
     assert "by MPA" in capsys.readouterr().err
 
@@ -340,11 +387,12 @@ def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
         tmp_path, monkeypatch, capsys):
     """MUSA holds two (N, K) complex candidate pools and three K-long arrays
     of a draw, (32 N + 24) K B: 5 632 B for 2 sequences of length 64, whose
-    Gram matrix needs only 96 B. Over the budget, the pool is refused before
-    any draw, by validate and by run, which writes nothing; the budget is
-    lowered here so that no test allocates a large array. At exactly 5 632 B
-    the pool is drawn, and validate refuses the config on its MPA estimate
-    instead."""
+    Gram matrix needs only 96 B. Over the budget, musa_pool refuses the pool
+    before any draw. The K-wide arrays of a link-level chunk are larger than
+    the pools for every k and n, so validate and run refuse that config
+    before building the matrix, on its 12 849 152 B of K-wide arrays, and
+    write nothing; the budget is lowered here so that no test allocates a
+    large array. At exactly 5 632 B the pool is drawn."""
 
     class NoDraws:
         def __getattr__(self, name):
@@ -361,14 +409,12 @@ def test_validate_and_run_refuse_musa_candidate_pools_over_budget(
     for argv in (["validate", "--config", str(path)],
                  ["run", "--config", str(path), "--output", str(out)]):
         assert main(argv) == 1
-        assert "drawing 2 sequences of length 64 into candidate pools " \
-            "needs 5632 B" in capsys.readouterr().err
+        assert "holding the K-wide arrays of a chunk of 4096 vectors needs " \
+            "12849152 B" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["musa.json"]
     monkeypatch.setattr(metrics, "MEMORY_BUDGET", 5_632)
     assert noma_core.musa_pool(2, 64, [1.0, -1.0], np.random.default_rng(0),
                                weight=1, max_row_weight=1).shape == (2, 64)
-    assert main(["validate", "--config", str(path)]) == 1
-    assert "by MPA" in capsys.readouterr().err
 
 
 def test_power_split_must_be_a_valid_pair(tmp_path, monkeypatch, capsys):

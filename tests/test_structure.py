@@ -1,9 +1,9 @@
 """Guards on the package's shape: every public name it defines, and every
 default of its public functions, must be used by the package itself or by the
 acceptance suite, nothing it runs may need scipy, every seed goes through the
-one seeding rule, every memory estimate through the one budget check, nothing
-reads the environment, and every name the traced benchmark harness wraps
-exists."""
+one seeding rule, every memory estimate through the one budget check, no
+module imports another's private names, nothing reads the environment, and
+every name the traced benchmark harness wraps exists."""
 
 import ast
 import importlib.util
@@ -195,6 +195,23 @@ def test_memory_budget_only_in_its_check():
                     outside.append(f"{path.name}:{node.lineno}")
     assert assigned == ["metrics.py"], f"MEMORY_BUDGET assigned in {assigned}"
     assert inside > 0 and outside == [], f"MEMORY_BUDGET read at {outside}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    """No module imports a _-prefixed name from another module of the
+    package (a dunder such as __version__ is public), so a module's private
+    constants are read only where they are defined, and text that quotes
+    them, such as a manifest convention, sits beside them."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "unoma"):
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")
+                              and not alias.name.endswith("__")]
+    assert offenders == [], f"private names imported at {offenders}"
 
 
 def test_no_module_reads_the_environment():
