@@ -22,7 +22,9 @@ step or a round rescores only the RBs it changed. group_size sizes a group
 so that its stacked tables fit in GROUP_BYTES and the swap phase's first
 pass and an SCA pass in RATE_ROWS rows; _plus_each, which adds every BS to
 each set, makes every kernel call of the matcher, cut into calls of whole
-sets. match_rbs, sca_power_control and solve_instance are the one-solve case.
+sets. solve_group returns arrays, per (tau, scheme) the assignments and a
+PowerSolution; match_rbs, sca_power_control and solve_instance are the
+one-solve case.
 """
 
 from __future__ import annotations
@@ -99,18 +101,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def jain_fairness(values) -> float:
-    """Jain's index (sum x)^2 / (n sum x^2); 1 for equal shares (all 0
-    included), 1/n for one."""
-    x = np.asarray(list(values), dtype=float)
-    if x.size < 1:
+def jain_fairness(values):
+    """Jain's index (sum x)^2 / (n sum x^2) over the last axis, a float for a
+    1-D input; 1 for equal shares (all 0 included), 1/n for one. float_power
+    squares as Python's ** does (x * x differs in the last place at times)."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("need at least one value")
     if np.any(x < 0):
         raise ValueError("values must be nonnegative")
-    ssq = float(np.sum(x * x))
-    if ssq == 0.0:
-        return 1.0  # every share is 0, so all are equal
-    return float(np.sum(x)) ** 2 / (x.size * ssq)
+    ssq = (x * x).sum(axis=-1)
+    index = np.divide(np.float_power(x.sum(axis=-1), 2), x.shape[-1] * ssq,
+                      out=np.ones_like(ssq), where=ssq > 0)  # all 0: 1
+    return float(index) if x.ndim == 1 else index
 
 
 class _Tables(NamedTuple):
@@ -551,14 +554,15 @@ def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
     return Matching(tuple(src[0].tolist()), instance.n_rb, instance.tau)
 
 
-@dataclass(frozen=True)
-class PowerSolution:
-    powers: np.ndarray  # (B,) watts, 0 for unmatched BSs
-    per_bs_rates: np.ndarray  # (B,) bits/s/Hz
-    sum_rate: float
-    iterations: int
-    converged: bool
-    objective_history: tuple  # total sum rate after each outer iteration
+class PowerSolution(NamedTuple):
+    """Power control of S solves, one row each (sca_power_control: row 0)."""
+
+    powers: np.ndarray  # (S, B) watts, 0 for unmatched BSs
+    per_bs_rates: np.ndarray  # (S, B) bits/s/Hz
+    sum_rate: np.ndarray  # (S,)
+    iterations: np.ndarray  # (S,)
+    converged: np.ndarray  # (S,)
+    objective_history: np.ndarray  # (S, I) total after each outer iteration
 
 
 def _clipped_power(a, c, mu, h, lo: float, p_max: float):
@@ -659,7 +663,7 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, going):
     return q
 
 
-def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> list:
+def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> PowerSolution:
     """SCA on s_n solves in one pass over their rows: the slot-major sets
     (width, n), columns, macro gains h and scheme flags of each solve's open
     matched RBs, solve (n,) naming each row's solve (a solve's rows in RB
@@ -669,7 +673,8 @@ def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> list:
     A row keeps its candidate only if its sum rate does not fall. A solve's
     total is summed over its rows in RB order (np.bincount adds them in row
     order), and it stops on its own when an iteration gains less than
-    _SCA_TOL of it. Returns each solve's PowerSolution."""
+    _SCA_TOL of it. Returns the s_n solves' PowerSolution, from the loop's
+    arrays; a history row repeats its total past its solve's iterations."""
     b_n = tab.h_macro.shape[0] - 1  # the sentinel
     cap = tab.i_threshold[cols]
     p = np.where(sets < b_n, _capped_power(tab, sets, cols),
@@ -696,19 +701,17 @@ def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> list:
 
     powers, per_bs = np.zeros((2, s_n, b_n + 1))
     powers[solve, sets], per_bs[solve, sets] = p, rates
-    history = np.reshape(history, (-1, s_n)).T
-    return [PowerSolution(pw[:b_n], r[:b_n], float(r[:b_n].sum()), n, not alive,
-                          tuple(hist[:n].tolist()))
-            for pw, r, n, alive, hist in zip(powers, per_bs, iterations.tolist(),
-                                             live.tolist(), history)]
+    per_bs = per_bs[:, :b_n]
+    return PowerSolution(powers[:, :b_n], per_bs, per_bs.sum(axis=1), iterations,
+                         ~live, np.reshape(history, (-1, s_n)).T)
 
 
-def _power(tab: _Tables, src, inst, oma) -> list:
-    """Every solve's PowerSolution, from one _sca pass: solve s gives
-    instance inst[s] the assignment src[s] under scheme oma[s]. Its sets are
-    its matched RBs', padded to the fullest RB of any solve; a closed RB
-    (cap 0, a member heard by the macro user) is left out, so its members
-    keep power and rate 0, as _capped_power scores them."""
+def _power(tab: _Tables, src, inst, oma) -> PowerSolution:
+    """The PowerSolution of every solve from one _sca pass, row s that of
+    solve s: instance inst[s] with the assignment src[s] under scheme oma[s].
+    Its sets are its matched RBs', padded to the fullest RB of any solve; a
+    closed RB (cap 0, a member heard by the macro user) is left out, so its
+    members keep power and rate 0, as _capped_power scores them."""
     (s_n, b_n), r_n = src.shape, tab.n_rb
     counts = np.bincount((np.arange(s_n)[:, None] * r_n + src)[src >= 0],
                          minlength=s_n * r_n).reshape(s_n, r_n)
@@ -731,11 +734,11 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     kept only if its true sum rate does not decrease, so the reported
     objective history is non-decreasing by construction. The members of a
     closed RB (cap 0, a member heard by the macro user) get power and rate
-    0, as _capped_power scores them.
+    0, as _capped_power scores them. Returns row 0 of _power's PowerSolution.
     """
     src = np.array([matching.bs_to_rb], dtype=np.intp).reshape(1, -1)
-    return _power(_stack([instance]), src, np.array([0]),
-                  np.array([_is_oma(scheme)]))[0]
+    return PowerSolution(*(field[0] for field in _power(
+        _stack([instance]), src, np.array([0]), np.array([_is_oma(scheme)]))))
 
 
 def solve_instance(instance: AllocationInstance):
@@ -750,8 +753,8 @@ def solve_group(instances, taus, schemes) -> dict:
     group, all in one _match and one _power: instances sharing n_bs, n_rb,
     p_max, sigma2 and pair, each at every quota in taus (its own tau is not
     read), under every scheme in schemes. Each solve gets what match_rbs and
-    sca_power_control give it alone. Returns {(tau, scheme): [(Matching,
-    PowerSolution) per instance, in order]}."""
+    sca_power_control give it alone. Returns {(tau, scheme): (assignments
+    (I, B), as _match's, and PowerSolution), row i instance i's solve}."""
     tab, i_n = _stack(instances), len(instances)
     # the solves read only tab: a list the caller passed without keeping it
     # is freed here, and with it the group's gain arrays
@@ -760,7 +763,6 @@ def solve_group(instances, taus, schemes) -> dict:
     inst = np.repeat(np.arange(i_n), len(keys))
     tau, oma = np.tile([[t, _is_oma(scheme)] for t, scheme in keys], (i_n, 1)).T
     src = _match(tab, inst, tau, oma)
-    solutions = _power(tab, src, inst, oma)
-    return {key: [(Matching(tuple(src[s].tolist()), tab.n_rb, key[0]),
-                   solutions[s]) for s in range(j, len(inst), len(keys))]
+    sol, k = _power(tab, src, inst, oma), len(keys)
+    return {key: (src[j::k], PowerSolution(*(field[j::k] for field in sol)))
             for j, key in enumerate(keys)}

@@ -215,6 +215,12 @@ def _validate_allocation(data: dict):
                       ("region_radius_m", Region),
                       ("user_ring_radius_m", Region)):
         _built(f"key {key!r}", make, _require(data, key, (int, float)))
+    # link_distances squares the coordinate differences of a BS and another
+    # BS's user, up to two region radii and a ring radius apart
+    reach = 2.0 * data["region_radius_m"] + data["user_ring_radius_m"]
+    if not math.isfinite(reach * reach):
+        raise ConfigError("keys 'region_radius_m'/'user_ring_radius_m': a link "
+                          f"up to {reach:g} m long overflows when squared")
     _require(data, "sigma2_w", (int, float), lambda s: s > 0, "must be > 0")
     _require(data, "alpha", (int, float), lambda a: a > 2, "must be > 2")
     # the pair every small cell of the run is built with

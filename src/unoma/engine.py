@@ -162,13 +162,11 @@ def _allocation_point(data: dict, index: int, n_small: int):
         for size in (n // cuts + (g < n % cuts) for g in range(cuts)):
             group = solve_group([generate_instance(n_small, data, taus[0], rng)
                                  for _ in range(size)], taus, schemes)
-            for key, solved in group.items():
-                rates, fairs = results[key]
-                for _, sol in solved:
-                    rates.append(sol.sum_rate)
-                    fairs.append(jain_fairness(sol.per_bs_rates))
-    return [(n_small, tau, scheme.upper(), *mean_ci(rates), *mean_ci(fairs),
-             data["trials"], point_seed)
+            for key, (_, sol) in group.items():
+                results[key][0].append(sol.sum_rate)
+                results[key][1].append(jain_fairness(sol.per_bs_rates))
+    return [(n_small, tau, scheme.upper(), *mean_ci(np.concatenate(rates)),
+             *mean_ci(np.concatenate(fairs)), data["trials"], point_seed)
             for (tau, scheme), (rates, fairs) in results.items()]
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite: brute-force enumeration for
-detection, scalar pair rates, exhaustive search and a per-RB SLSQP power
-control for allocation, the per-instance matcher and SCA that the lockstep
-group solver must reproduce bit for bit, a per-BS loop for the small-cell
-drop, and a per-drop loop for user association. Deliberately naive."""
+detection, scalar pair rates, exhaustive search, a per-RB SLSQP power
+control and an assignment bound for allocation, the per-instance matcher
+and SCA that the lockstep group solver must reproduce bit for bit, a per-BS
+loop for the small-cell drop, and a per-drop loop for user association.
+Deliberately naive."""
 
 import itertools
 import math
@@ -194,6 +195,28 @@ def exhaustive_optimum(instance, scheme="noma", levels=50):
         total = sum(best_rb[(r, tuple(v))] for r, v in occ.items())
         optimum = max(optimum, total)
     return optimum
+
+
+def assignment_bound(instance, tau, scheme="noma"):
+    """An upper bound on the sum rate of every allocation of instance at
+    quota tau. A member's power is at most min(p_max, cap_r / h_b), since
+    h_b p_b <= h.p <= cap_r, and interference only lowers its rate; so BS b
+    earns at most w[b, r], its rate alone on RB r at that power (p_max where
+    h_b = 0, 0 on a closed RB whose macro user hears b). The best assignment
+    of BSs to tau copies of each RB by w (the Hungarian method) bounds the
+    sum; at tau = 1, with no co-channel interference, it is the optimum."""
+    from scipy.optimize import linear_sum_assignment
+
+    b_n, r_n = instance.n_bs, instance.n_rb
+    h = instance.h_macro
+    cap = np.broadcast_to(instance.i_threshold, h.shape)
+    power = np.minimum(instance.p_max,
+                       np.divide(cap, h, out=np.full(h.shape, np.inf), where=h > 0))
+    bs, rbs = np.divmod(np.arange(b_n * r_n), r_n)
+    w = rb_rates(instance, bs[None], rbs, power.reshape(1, -1),
+                 scheme)[1].reshape(b_n, r_n)
+    copies = np.tile(w, tau)  # column c is a copy of RB c % r_n
+    return float(copies[linear_sum_assignment(copies, maximize=True)].sum())
 
 
 def sca_terms(instance, rb, members, scheme="noma"):

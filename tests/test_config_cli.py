@@ -529,6 +529,25 @@ def test_allocation_refuses_a_repeated_entry(tmp_path, capsys, repeat):
         assert repr(next(iter(repeat))) in capsys.readouterr().err
 
 
+def test_validate_and_run_refuse_radii_whose_distances_overflow(tmp_path):
+    """A link spans up to 2 region_radius_m + user_ring_radius_m; where its
+    square overflows, validate and run exit 1 and write nothing. Just inside
+    the bound both run clean (a RuntimeWarning is an error here)."""
+    fig5 = dict(preset_config("fig5").data, trials=1,
+                sweep={"variable": "n_small_cells", "values": [12]})
+    for i, radii in enumerate([{"region_radius_m": 1e308},
+                               {"region_radius_m": 1e154},
+                               {"user_ring_radius_m": 1e308}]):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(dict(fig5, **radii)))
+        assert main(["validate", "--config", str(path)]) == 1
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+        assert not out.exists()
+    for radii in ({"region_radius_m": 1e150}, {"user_ring_radius_m": 1e154}):
+        run_experiment(validate_config(dict(fig5, **radii)), tmp_path / "ok")
+
+
 def test_allocation_config_checks():
     data = dict(preset_config("fig5").data)
     data["taus"] = [2, 0]

@@ -70,11 +70,12 @@ def test_allocation_trial_draws_from_its_block(monkeypatch):
         return drawn[-1]
 
     def solve(group, taus, schemes):
-        return {(tau, scheme): [(None, solution)] * len(group)
+        solution = SimpleNamespace(sum_rate=np.ones(len(group)),
+                                   per_bs_rates=np.ones((len(group), 3)))
+        return {(tau, scheme): (None, solution)
                 for tau in taus for scheme in schemes}
 
     generate = engine.generate_instance
-    solution = SimpleNamespace(sum_rate=1.0, per_bs_rates=np.ones(3))
     monkeypatch.setattr(engine, "generate_instance", record)
     monkeypatch.setattr(engine, "solve_group", solve)
     engine._allocation_point(data, 2, 3)
