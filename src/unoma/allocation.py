@@ -22,9 +22,9 @@ step or a round rescores only the RBs it changed. group_size sizes a group
 so that its stacked tables fit in GROUP_BYTES and the swap phase's first
 pass and an SCA pass in RATE_ROWS rows; _plus_each, which adds every BS to
 each set, makes every kernel call of the matcher, cut into calls of whole
-sets. solve_group returns arrays, per (tau, scheme) the assignments and a
-PowerSolution; match_rbs, sca_power_control and solve_instance are the
-one-solve case.
+sets. An assignment is one RB index per BS, -1 if unmatched: solve_group
+returns one per instance and a PowerSolution per (tau, scheme); match_rbs,
+sca_power_control and solve_instance are the one-solve case.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ _SCA_TOL = 1e-6
 _MAX_FIXED_POINT = 100
 _MAX_MULTIPLIER_STEPS = 200
 _TINY = np.finfo(float).tiny
+_FLOOR = math.exp(-60.0)  # SCA's lowest power, as a fraction of p_max
 
 MATCHING = ("candidate co-channel sets are scored by their sum rate at "
             "cap-scaled equal power (every member at p_max, scaled down "
@@ -99,6 +100,11 @@ def __getattr__(name):
         from scipy.optimize import minimize
         return minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+FAIRNESS = ("Jain index over per-small-cell pair rates; unmatched (blocked) "
+            "BSs count as rate 0; a trial whose rates are all 0 has fairness 1 "
+            "(all shares equal)")
 
 
 def jain_fairness(values):
@@ -300,21 +306,17 @@ def _rates(terms, p: np.ndarray, sigma2: float):
     return rates, _sum_in_order(rates)
 
 
-def rb_rates(instance, sets, rbs, powers, scheme):
+def rb_rates(tab: _Tables, sets, cols, powers, oma):
     """Pair sum rate of every member of every co-channel set.
 
-    instance: an AllocationInstance, or the _Tables of a group, whose columns
-    rbs then names. sets: (k, n) BS indices, slot-major, one RB's co-channel
-    set per column, padded with the sentinel index n_bs; rbs: (n,) the RB of
-    each column; powers: (k, n) the transmit power of each member; scheme:
-    "noma" or "oma", or per column (n,) whether it is OMA.
+    tab: a group's _Tables. sets: (k, n) BS indices, slot-major, one
+    co-channel set per column, padded with the sentinel index n_bs; cols:
+    (n,) the table column (instance and RB) of each set; powers: (k, n) the
+    transmit power of each member; oma: (n,) whether each set is OMA.
     Slot-major arrays keep numpy's inner loops n long. Returns (rates (k, n),
     totals (n,)).
     """
-    tab = instance if isinstance(instance, _Tables) else _stack([instance])
-    if isinstance(scheme, str):
-        scheme = np.full(len(rbs), _is_oma(scheme))
-    return _rates(_pair_terms(tab, sets, rbs, scheme), powers, tab.sigma2)
+    return _rates(_pair_terms(tab, sets, cols, oma), powers, tab.sigma2)
 
 
 def _capped_power(tab: _Tables, sets, cols) -> np.ndarray:
@@ -356,28 +358,6 @@ def _plus_each(tab: _Tables, sets, cols, oma) -> np.ndarray:
             tab, rows, row_cols, p, np.repeat(oma[first:first + step], b1)
         )[1].reshape(-1, b1)
     return out
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Many-to-one assignment of BSs to RBs under the quota."""
-
-    bs_to_rb: tuple  # B entries, RB index or -1 for unmatched
-    n_rb: int
-    tau: int
-
-    def __post_init__(self):
-        if any(not -1 <= r < self.n_rb for r in self.bs_to_rb):
-            raise ValueError(f"RB index outside -1..{self.n_rb - 1}")
-        for r, members in enumerate(self.rb_to_bs):
-            if len(members) > self.tau:
-                raise ValueError(f"RB {r} exceeds quota {self.tau}")
-
-    @property
-    def rb_to_bs(self) -> tuple:
-        """R tuples of BS indices, each sorted."""
-        return tuple(tuple(b for b, rb in enumerate(self.bs_to_rb) if rb == r)
-                     for r in range(self.n_rb))
 
 
 def _da_seed(score: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -547,11 +527,10 @@ def _match(tab: _Tables, inst, tau, oma) -> np.ndarray:
     return np.where(greedy[:, None], src[s_n:], src[:s_n])
 
 
-def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> Matching:
-    """The matching of one instance (_match)."""
-    src = _match(_stack([instance]), np.array([0]), np.array([instance.tau]),
-                 np.array([_is_oma(scheme)]))
-    return Matching(tuple(src[0].tolist()), instance.n_rb, instance.tau)
+def match_rbs(instance: AllocationInstance, scheme: str = "noma") -> np.ndarray:
+    """The assignment (B,) of one instance (_match)."""
+    return _match(_stack([instance]), np.array([0]), np.array([instance.tau]),
+                  np.array([_is_oma(scheme)]))[0]
 
 
 class PowerSolution(NamedTuple):
@@ -629,7 +608,7 @@ def _surrogate_step(tab: _Tables, terms, h, cap, p, solve, going):
     to 1 - 1e-12 of its cap on a row whose load still exceeds it.
     """
     p_max, sigma2 = tab.p_max, tab.sigma2
-    lo = p_max * math.exp(-60.0)
+    lo = p_max * _FLOOR
     sinrs = [_sinr(term, p, sigma2) for term in terms]
     alphas = [term.weight * z / (1.0 + z) for term, (z, _) in zip(terms, sinrs)]
     dens = [den for _, den in sinrs]
@@ -677,8 +656,7 @@ def _sca(tab: _Tables, sets, cols, oma, h, solve, s_n: int) -> PowerSolution:
     arrays; a history row repeats its total past its solve's iterations."""
     b_n = tab.h_macro.shape[0] - 1  # the sentinel
     cap = tab.i_threshold[cols]
-    p = np.where(sets < b_n, _capped_power(tab, sets, cols),
-                 tab.p_max * math.exp(-60.0))
+    p = np.where(sets < b_n, _capped_power(tab, sets, cols), tab.p_max * _FLOOR)
     terms = _pair_terms(tab, sets, cols, oma)
     rates, totals = _rates(terms, p, tab.sigma2)
 
@@ -724,10 +702,12 @@ def _power(tab: _Tables, src, inst, oma) -> PowerSolution:
     return _sca(tab, sets, cols, oma[solve], h, solve, s_n)
 
 
-def sca_power_control(matching: Matching, instance: AllocationInstance,
+def sca_power_control(src, instance: AllocationInstance,
                       scheme: str = "noma") -> PowerSolution:
-    """Sum-rate power control of one instance's matching on every matched RB
-    at once, via the iterated concave lower bound (_power).
+    """Sum-rate power control of one instance's assignment src (B,) on every
+    matched RB at once, via the iterated concave lower bound (_power).
+    ValueError unless src has one integer entry per BS, each an RB index or
+    -1, and no RB holds more than tau BSs.
 
     Powers start at _capped_power. Each outer iteration re-linearizes and
     solves the surrogate on every RB (_surrogate_step); an RB's candidate is
@@ -736,16 +716,21 @@ def sca_power_control(matching: Matching, instance: AllocationInstance,
     closed RB (cap 0, a member heard by the macro user) get power and rate
     0, as _capped_power scores them. Returns row 0 of _power's PowerSolution.
     """
-    src = np.array([matching.bs_to_rb], dtype=np.intp).reshape(1, -1)
+    src, r_n, tau = np.asarray(src), instance.n_rb, instance.tau
+    if (src.dtype.kind != "i" or src.shape != (instance.n_bs,)
+            or np.any((src < -1) | (src >= r_n))
+            or np.any(np.bincount(src[src >= 0], minlength=r_n) > tau)):
+        raise ValueError(f"an assignment is one integer RB index in -1..{r_n - 1} "
+                         f"per BS, {instance.n_bs} of them, at most {tau} per RB")
     return PowerSolution(*(field[0] for field in _power(
-        _stack([instance]), src, np.array([0]), np.array([_is_oma(scheme)]))))
+        _stack([instance]), src[None], np.array([0]), np.array([_is_oma(scheme)]))))
 
 
 def solve_instance(instance: AllocationInstance):
     """The NOMA pipeline on one instance: match RBs, then optimize powers.
-    Returns (matching, PowerSolution)."""
-    matching = match_rbs(instance, "noma")
-    return matching, sca_power_control(matching, instance, "noma")
+    Returns (the assignment (B,), PowerSolution)."""
+    src = match_rbs(instance, "noma")
+    return src, sca_power_control(src, instance, "noma")
 
 
 def solve_group(instances, taus, schemes) -> dict:

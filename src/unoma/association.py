@@ -66,6 +66,14 @@ def check_block_bytes(region: Region, tiers, trials: int) -> None:
                   f"drawing a block of {drops} drops (about {mean:.3g} BSs)")
 
 
+ASSOCIATION = ("each drop is a PPP of every tier in a disc of radius "
+               "region_radius_m, plus one BS of the first tier at the disc's "
+               "centre, and one probe user drawn uniformly in the disc; the "
+               "probe joins the tier whose nearest BS gives the largest "
+               "average received power P*G*max(d, 1 m)^-alpha; ties go to the "
+               "earlier tier in config order")
+
+
 def association_probability(region: Region, tiers: tuple[TierConfig, ...],
                             trials: int, seed: int) -> tuple[tuple, tuple]:
     """Monte-Carlo per-tier association probability with Wilson 95% CIs:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
+    FAIRNESS,
     MATCHING,
     POWER_CONTROL,
     AllocationInstance,
@@ -31,7 +32,7 @@ from .allocation import (
     jain_fairness,
     solve_group,
 )
-from .association import association_probability
+from .association import ASSOCIATION, association_probability
 from .config import ExperimentConfig, association_tiers
 from .geometry import (
     DISTANCE_FLOOR_M,
@@ -77,22 +78,9 @@ def config_hash(data: dict) -> str:
 
 
 _CONVENTIONS = {
-    "association_sweep": {
-        "association": "each drop is a PPP of every tier in a disc of "
-                       "radius region_radius_m, plus one BS of the first tier "
-                       "at the disc's centre, and one probe user drawn "
-                       "uniformly in the disc; the probe joins the tier whose "
-                       "nearest BS gives the largest average received power "
-                       "P*G*max(d, 1 m)^-alpha; ties go to the earlier tier in "
-                       "config order",
-    },
-    "allocation_sweep": {
-        "fairness": "Jain index over per-small-cell pair rates; "
-                    "unmatched (blocked) BSs count as rate 0; a trial whose "
-                    "rates are all 0 has fairness 1 (all shares equal)",
-        "matching": MATCHING,
-        "power_control": POWER_CONTROL,
-    },
+    "association_sweep": {"association": ASSOCIATION},
+    "allocation_sweep": {"fairness": FAIRNESS, "matching": MATCHING,
+                         "power_control": POWER_CONTROL},
     "link_level": {
         "snr_db": "per-layer SNR: noise_var = 10^(-snr_db/10) per complex RB "
                   "sample, each layer's codewords having unit average energy; "

@@ -63,9 +63,9 @@ def within_budget(need: int, what: str) -> None:
 
 
 def mean_ci(values) -> tuple[float, float]:
-    """Mean and normal 95% CI half-width of the samples. They are sorted
-    before summation, so the result does not depend on their order
-    (bit-reproducible under concurrent merges)."""
+    """Mean and normal 95% CI half-width of the samples. Sorting them fixes
+    the summation order, so the bytes depend only on the samples, not on
+    their order."""
     vals = np.sort(np.asarray(values, dtype=float))
     n = len(vals)
     if n == 0:

@@ -381,7 +381,8 @@ def mpa_chunk_bytes(matrix: SpreadingMatrix, q: int) -> int:
     and exponentiated copies (Q floats each) and the decision. tracemalloc
     read a full chunk of engine._link_point at 0.85 to 0.999 times this plus
     received_chunk_bytes (SCMA with Q = 2 to 8, K = 4 to 1 024, N = 1 to 6;
-    PDMA 4x6, 8x5; PD-NOMA 1x6), up to 1.07 times near 1 MB."""
+    PDMA 4x6, 8x5; PD-NOMA 1x6), up to 1.07 times near 1 MB: it leaves out
+    about 0.1 MB of small arrays, so it bounds the peak only above a few MB."""
     degrees = [int(d) for d in matrix.occupancy.sum(axis=1) if d]
     joint = [q ** d for d in degrees]
     return (sum(joint) + max(joint) + q * (3 * sum(degrees) + 1)
@@ -394,7 +395,9 @@ def received_chunk_bytes(k: int, n: int, q: int) -> int:
     value: one chunk's received vectors (MPA_CHUNK x K) three times, as the
     per-block list, its concatenation and detection's real and imaginary
     copies; one block's codeword gather (TRIAL_BLOCK x N x K); and the
-    codebook (N x Q x K). Validation checks it before building the matrix."""
+    codebook (N x Q x K). Validation checks it before building the matrix.
+    Like mpa_chunk_bytes, it leaves out about 0.1 MB of small arrays, so the
+    sum bounds the peak only above a few MB."""
     return (3 * MPA_CHUNK + TRIAL_BLOCK * n + n * q) * k * 16
 
 

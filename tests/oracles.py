@@ -19,10 +19,10 @@ from unoma.allocation import (
     _MAX_SWAP_ROUNDS,
     _SCA_TOL,
     AllocationInstance,
-    Matching,
     PowerSolution,
     _capped_power,
     _clipped_power,
+    _is_oma,
     _padded,
     _pair_terms,
     _rates,
@@ -124,6 +124,20 @@ def reference_instance(n_small, data, tau, rng):
         sigma2=data["sigma2_w"], pair=NomaPair(data["a_m"], data["a_n"]))
 
 
+def rb_members(src, n_rb):
+    """Each RB's BSs under the assignment src (one RB index per BS, -1 for
+    unmatched), in increasing order: n_rb tuples."""
+    src = np.asarray(src)
+    return tuple(tuple(np.flatnonzero(src == r).tolist()) for r in range(n_rb))
+
+
+def instance_rates(instance, sets, rbs, powers, scheme):
+    """rb_rates on one instance: its tables stacked alone, the columns rbs
+    its RBs, every set under scheme."""
+    oma = np.full(len(rbs), _is_oma(scheme))
+    return rb_rates(_stack([instance]), sets, rbs, powers, oma)
+
+
 def pair_rates(instance, rb, members, powers, scheme="noma"):
     """{BS: pair sum rate} on one RB, one member and one interferer at a time.
 
@@ -213,8 +227,8 @@ def assignment_bound(instance, tau, scheme="noma"):
     power = np.minimum(instance.p_max,
                        np.divide(cap, h, out=np.full(h.shape, np.inf), where=h > 0))
     bs, rbs = np.divmod(np.arange(b_n * r_n), r_n)
-    w = rb_rates(instance, bs[None], rbs, power.reshape(1, -1),
-                 scheme)[1].reshape(b_n, r_n)
+    w = instance_rates(instance, bs[None], rbs, power.reshape(1, -1),
+                       scheme)[1].reshape(b_n, r_n)
     copies = np.tile(w, tau)  # column c is a copy of RB c % r_n
     return float(copies[linear_sum_assignment(copies, maximize=True)].sum())
 
@@ -296,13 +310,13 @@ def slsqp_surrogate_step(instance, rb, members, p0, scheme="noma"):
     return p
 
 
-def slsqp_sca(matching, instance, scheme="noma", max_iters=100, tol=1e-6):
-    """SCA one RB at a time with slsqp_surrogate_step: start at p_max scaled
-    below each RB's cap, keep an RB's candidate only if its sum rate does not
-    fall, stop when the total gains less than tol (relative). Returns
-    ({BS: power}, sum rate, outer iterations)."""
+def slsqp_sca(src, instance, scheme="noma", max_iters=100, tol=1e-6):
+    """SCA of the assignment src one RB at a time with slsqp_surrogate_step:
+    start at p_max scaled below each RB's cap, keep an RB's candidate only if
+    its sum rate does not fall, stop when the total gains less than tol
+    (relative). Returns ({BS: power}, sum rate, outer iterations)."""
     state = []
-    for r, members in enumerate(matching.rb_to_bs):
+    for r, members in enumerate(rb_members(src, instance.n_rb)):
         if not members:
             continue
         members = list(members)
@@ -355,13 +369,13 @@ def sequential_deferred_acceptance(score, tau):
     return src
 
 
-def all_swap_deltas(instance, matching, scheme="noma"):
+def all_swap_deltas(instance, src, scheme="noma"):
     """Sum-rate deltas of every single move-to-vacancy and pairwise exchange
-    from the given matching (exhaustive stability check), scored with the
+    from the assignment src (exhaustive stability check), scored with the
     same cap-scaled equal-power proxy the matcher uses."""
     n_bs, n_rb = instance.n_bs, instance.n_rb
-    assign = [None if r < 0 else r for r in matching.bs_to_rb]
-    occ = [set(ms) for ms in matching.rb_to_bs]
+    assign = [None if r < 0 else r for r in np.asarray(src).tolist()]
+    occ = [set(ms) for ms in rb_members(src, n_rb)]
 
     def total(occ_sets):
         out = 0.0
@@ -434,6 +448,7 @@ def _solo_plus_each(instance, scheme):
     (tau, n) with each BS added, at cap-scaled equal power, in one kernel
     call; the last column is each set's own total."""
     b_n, tau, tab = instance.n_bs, instance.tau, _stack([instance])
+    is_oma = _is_oma(scheme)
 
     def plus_each(sets, rbs):
         n = len(rbs)
@@ -445,7 +460,7 @@ def _solo_plus_each(instance, scheme):
         rbs = np.repeat(rbs, b_n + 1)
         p = _capped_power(tab, rows, rbs)
         totals = rb_rates(tab, rows, rbs, np.broadcast_to(p, rows.shape),
-                          scheme)[1]
+                          np.full(len(rbs), is_oma))[1]
         return totals.reshape(n, b_n + 1)
 
     return plus_each
@@ -503,10 +518,11 @@ def _swap_phase(instance, src, plus_each):
 def per_instance_match(instance, scheme="noma"):
     """The matcher on one instance: deferred-acceptance (one proposal at a
     time) and greedy seeds, each refined by best-improvement swaps, the
-    better kept."""
+    better kept. Returns the assignment: one RB index per BS, -1 for
+    unmatched."""
     b_n, r_n, tau = instance.n_bs, instance.n_rb, instance.tau
     if b_n == 0:
-        return Matching((), r_n, tau)
+        return np.full(0, -1)
     plus_each = _solo_plus_each(instance, scheme)
     all_rbs = np.arange(r_n)
     solo = plus_each(_padded(np.full(b_n, -1), all_rbs, b_n, tau), all_rbs)
@@ -516,7 +532,7 @@ def per_instance_match(instance, scheme="noma"):
         src, total = _swap_phase(instance, seed, plus_each)
         if total > best_total + 1e-12:
             best_src, best_total = src, total
-    return Matching(tuple(best_src.tolist()), r_n, tau)
+    return best_src
 
 
 # The SCA oracle sums over set slots with Python's sum, one slot at a time
@@ -573,11 +589,11 @@ def _surrogate_step(instance, terms, h, cap, p):
     return q
 
 
-def per_instance_sca(matching, instance, scheme="noma"):
-    """SCA power control of one instance's matching, every loop stopping on
-    this solve alone."""
+def per_instance_sca(src, instance, scheme="noma"):
+    """SCA power control of one instance's assignment src, every loop
+    stopping on this solve alone."""
     b_n, r_n, tab = instance.n_bs, instance.n_rb, _stack([instance])
-    src = np.asarray(matching.bs_to_rb, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
     counts = np.bincount(src[src >= 0], minlength=r_n)
     rbs = np.flatnonzero(counts)
     sets = _padded(src, rbs, b_n, int(counts.max(initial=1)))

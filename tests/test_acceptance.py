@@ -293,7 +293,8 @@ def test_criterion_7_sca_monotone_feasible():
                 ok = False
         if np.any(sol.powers > inst.p_max * (1 + 1e-9)):
             ok = False
-        for r, members in enumerate(matching.rb_to_bs):
+        for r, members in enumerate(np.flatnonzero(matching == rb)
+                                    for rb in range(inst.n_rb)):
             load = sum(sol.powers[b] * inst.h_macro[b, r] for b in members)
             if load > inst.i_threshold[r] * (1 + 1e-9):
                 ok = False

@@ -10,10 +10,12 @@ from oracles import (
     all_swap_deltas,
     assignment_bound,
     capped_equal_power,
+    instance_rates,
     pair_rates,
     per_instance_match,
     per_instance_sca,
     random_instance,
+    rb_members,
     sequential_deferred_acceptance,
     slsqp_sca,
     slsqp_surrogate_step,
@@ -22,7 +24,6 @@ import unoma.allocation as allocation
 from unoma import engine
 from unoma.allocation import (
     AllocationInstance,
-    Matching,
     _capped_power,
     _da_seed,
     _padded,
@@ -33,7 +34,6 @@ from unoma.allocation import (
     _surrogate_step,
     jain_fairness,
     match_rbs,
-    rb_rates,
     sca_power_control,
     solve_group,
     solve_instance,
@@ -107,8 +107,8 @@ def _one_bs(g_far, g_near, sigma2=1.0):
 
 def _rates_on_rb0(inst, members, powers, scheme):
     """The kernel's (rates, total) of one co-channel set on RB 0."""
-    rates, totals = rb_rates(inst, np.array([members]).T, np.array([0]),
-                             np.array([powers], dtype=float).T, scheme)
+    rates, totals = instance_rates(inst, np.array([members]).T, np.array([0]),
+                                   np.array([powers], dtype=float).T, scheme)
     return rates[:, 0].tolist(), float(totals[0])
 
 
@@ -127,24 +127,31 @@ def test_oma_pair_rates_values():
     assert total == pytest.approx(0.5 * math.log2(11.0) + 0.5 * math.log2(31.0))
 
 
-def test_rb_rates_unknown_scheme():
+def test_entry_points_refuse_an_unknown_scheme():
+    """A scheme is read as a name only where a solve comes in: match_rbs,
+    sca_power_control and solve_group refuse one that is neither "noma" nor
+    "oma"."""
     inst = random_instance(np.random.default_rng(1), 2, 2, tau=1)
-    with pytest.raises(ValueError):
-        _rates_on_rb0(inst, [0], [inst.p_max], "tdma")
+    with pytest.raises(ValueError, match="tdma"):
+        match_rbs(inst, "tdma")
+    with pytest.raises(ValueError, match="tdma"):
+        sca_power_control(np.array([0, 1]), inst, "tdma")
+    with pytest.raises(ValueError, match="tdma"):
+        solve_group([inst], [1], ["noma", "tdma"])
 
 
 def test_rb_rates_reads_the_instance_as_it_is():
-    """rb_rates builds an instance's tables on every call: after a gain array
-    is changed in place, it gives what a fresh instance of the same arrays
-    gives."""
+    """One instance's kernel call stacks its tables on every call: after a
+    gain array is changed in place, it gives what a fresh instance of the
+    same arrays gives."""
     inst = random_instance(np.random.default_rng(3), 3, 2, tau=2)
     sets, rbs = np.array([[0, 2], [1, 3]]), np.array([0, 1])  # {0, 1}, {2}
     powers = np.full(sets.shape, inst.p_max)
-    before = rb_rates(inst, sets, rbs, powers, "noma")[1]
+    before = instance_rates(inst, sets, rbs, powers, "noma")[1]
     inst.x_near[1, 0, 0] *= 100.0  # BS 1 into BS 0's near user on RB 0
-    after = rb_rates(inst, sets, rbs, powers, "noma")[1]
-    assert after.tobytes() == rb_rates(replace(inst), sets, rbs, powers,
-                                       "noma")[1].tobytes()
+    after = instance_rates(inst, sets, rbs, powers, "noma")[1]
+    assert after.tobytes() == instance_rates(replace(inst), sets, rbs, powers,
+                                             "noma")[1].tobytes()
     assert after[0] < before[0]
 
 
@@ -166,7 +173,7 @@ def _alone_scores(inst, scheme):
     bs, rb = np.divmod(np.arange(inst.n_bs * inst.n_rb), inst.n_rb)
     sets = bs[None]
     p = _capped_power(_stack([inst]), sets, rb)
-    totals = rb_rates(inst, sets, rb, p[None], scheme)[1]
+    totals = instance_rates(inst, sets, rb, p[None], scheme)[1]
     return totals.reshape(inst.n_bs, inst.n_rb)
 
 
@@ -240,9 +247,7 @@ def test_plus_each_invariant_to_row_budget(monkeypatch):
 
 def test_match_single_bs_single_rb():
     inst = random_instance(np.random.default_rng(5), 1, 1, tau=1)
-    m = match_rbs(inst)
-    assert m.bs_to_rb == (0,)
-    assert m.rb_to_bs == ((0,),)
+    assert match_rbs(inst).tolist() == [0]
 
 
 def test_da_seed_matches_one_proposal_at_a_time():
@@ -286,9 +291,9 @@ def test_da_seed_matches_one_proposal_at_a_time():
 
 def test_match_respects_quota():
     inst = random_instance(np.random.default_rng(6), 5, 2, tau=2)
-    m = match_rbs(inst)
-    assert all(len(ms) <= 2 for ms in m.rb_to_bs)
-    matched = sum(len(ms) for ms in m.rb_to_bs)
+    members = rb_members(match_rbs(inst), inst.n_rb)
+    assert all(len(ms) <= 2 for ms in members)
+    matched = sum(len(ms) for ms in members)
     assert matched == 4  # 2 RBs x quota 2, with 5 > 4 candidates
 
 
@@ -312,10 +317,10 @@ def test_set_rate_kernel_matches_scalar_oracle():
     powers[::5, 0] = 0.0  # some members silent
     sets, powers = sets.T, powers.T  # slot-major, one set per column
     for scheme in ("noma", "oma"):
-        rates, totals = rb_rates(inst, sets, rbs, powers, scheme)
+        rates, totals = instance_rates(inst, sets, rbs, powers, scheme)
         p = _capped_power(_stack([inst]), sets, rbs)
-        capped = rb_rates(inst, sets, rbs, np.broadcast_to(p, sets.shape),
-                          scheme)[1]
+        capped = instance_rates(inst, sets, rbs, np.broadcast_to(p, sets.shape),
+                                scheme)[1]
         for row, (padded, r) in enumerate(zip(sets.T.tolist(), rbs.tolist())):
             members = [b for b in padded if b < n_bs]
             want = pair_rates(inst, r, members,
@@ -344,15 +349,14 @@ def test_match_is_exchange_stable():
         n_rb = int(rng.integers(1, 4))
         tau = int(rng.integers(1, 3))
         inst = random_instance(rng, n_bs, n_rb, tau=tau)
-        m = match_rbs(inst)
-        deltas = all_swap_deltas(inst, m)
+        deltas = all_swap_deltas(inst, match_rbs(inst))
         assert all(d <= 1e-9 for d in deltas)
 
 
-# rb_to_bs of generate_instance(n, fig5 data, tau, default_rng(2024 + n)),
-# recorded from the scalar, set-by-set matcher that the batched scoring
-# replaced. At n = 7 the 4 RBs have vacancies, so moves are scored as well as
-# exchanges.
+# rb_members of the assignment of generate_instance(n, fig5 data, tau,
+# default_rng(2024 + n)), recorded from the scalar, set-by-set matcher that
+# the batched scoring replaced. At n = 7 the 4 RBs have vacancies, so moves
+# are scored as well as exchanges.
 _FIG5_MATCHINGS = {
     (7, 2, "noma"): ((1, 4), (3, 5), (0,), (2, 6)),
     (7, 2, "oma"): ((0, 2), (4, 5), (1,), (3, 6)),
@@ -373,9 +377,9 @@ def test_match_at_fig5_scale():
     data = preset_config("fig5").data
     for (n, tau, scheme), expected in _FIG5_MATCHINGS.items():
         inst = generate_instance(n, data, tau, np.random.default_rng(2024 + n))
-        m = match_rbs(inst, scheme)
-        assert m.rb_to_bs == expected
-        assert max(all_swap_deltas(inst, m, scheme)) <= 1e-9
+        src = match_rbs(inst, scheme)
+        assert rb_members(src, inst.n_rb) == expected
+        assert max(all_swap_deltas(inst, src, scheme)) <= 1e-9
 
 
 def test_within_the_assignment_bound_at_fig5_scale():
@@ -401,10 +405,10 @@ def test_within_the_assignment_bound_at_fig5_scale():
 
 
 def test_group_path_builds_no_per_solve_objects(tmp_path, monkeypatch):
-    """A fig5 run at 8 trials builds no Matching, and PowerSolutions only per
-    solve_group call: one from its _sca pass and one per (tau, scheme)
-    series, none per solve (192 solves: 6 n x 4 series x 8 trials)."""
-    built = dict.fromkeys(["Matching", "PowerSolution", "solve_group"], 0)
+    """A fig5 run at 8 trials builds PowerSolutions only per solve_group
+    call: one from its _sca pass and one per (tau, scheme) series, none per
+    solve (192 solves: 6 n x 4 series x 8 trials)."""
+    built = dict.fromkeys(["PowerSolution", "solve_group"], 0)
 
     def count(module, name):
         real = getattr(module, name)
@@ -414,7 +418,6 @@ def test_group_path_builds_no_per_solve_objects(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    count(allocation, "Matching")
     count(allocation, "PowerSolution")
     count(engine, "solve_group")
     config = preset_config("fig5", {"trials": 8})
@@ -422,8 +425,7 @@ def test_group_path_builds_no_per_solve_objects(tmp_path, monkeypatch):
     series = len(config.data["taus"]) * len(config.data["schemes"])
     calls = built["solve_group"]
     assert calls > 0 and series == 4
-    assert built == {"Matching": 0, "solve_group": calls,
-                     "PowerSolution": calls * (1 + series)}
+    assert built == {"solve_group": calls, "PowerSolution": calls * (1 + series)}
 
 
 def _assert_group_matches_oracle(group, taus) -> int:
@@ -438,7 +440,7 @@ def _assert_group_matches_oracle(group, taus) -> int:
             inst = replace(inst, tau=tau)
             want = per_instance_match(inst, scheme)
             ref = per_instance_sca(want, inst, scheme)
-            assert tuple(src[i].tolist()) == want.bs_to_rb
+            assert src[i].tolist() == want.tolist()
             assert sol.powers[i].tobytes() == ref.powers.tobytes()
             assert sol.per_bs_rates[i].tobytes() == ref.per_bs_rates.tobytes()
             assert sol.sum_rate[i] == ref.sum_rate
@@ -557,40 +559,70 @@ def test_kept_tables_stay_current(monkeypatch):
     assert passes["greedy"] and passes["first"] == 6 and passes["later"]
 
 
-def test_matching_validator():
-    m = Matching((1, -1, 0, 1), n_rb=3, tau=2)
-    assert m.rb_to_bs == ((2,), (0, 3), ())
-    with pytest.raises(ValueError):
-        Matching((0, 0), n_rb=1, tau=1)  # quota exceeded
-    for rb in (1, -2):
-        with pytest.raises(ValueError):
-            Matching((rb,), n_rb=1, tau=1)  # no such RB
+def test_group_assignments_keep_the_rules():
+    """Every assignment solve_group returns names an RB or -1 for each BS and
+    puts at most tau BSs on each RB: random groups with 1-6 BSs and 1-4 RBs
+    at every quota from 1 to n_bs + 2 under both schemes, one instance of
+    each with RB 0 closed (cap 0)."""
+    rng = np.random.default_rng(23)
+    full = 0
+    for g in range(8):
+        n_bs, n_rb = int(rng.integers(1, 7)), 1 + g % 4
+        group = [random_instance(rng, n_bs, n_rb, tau=1) for _ in range(2)]
+        closed = group[0].i_threshold.copy()
+        closed[0] = 0.0
+        group.append(replace(group[0], i_threshold=closed))
+        taus = list(range(1, n_bs + 3))
+        for (tau, _), (src, _) in solve_group(group, taus, ["noma", "oma"]).items():
+            assert src.shape == (len(group), n_bs)
+            assert np.all((src >= -1) & (src < n_rb))
+            counts = np.stack([np.bincount(row[row >= 0], minlength=n_rb)
+                               for row in src])
+            assert counts.max() <= tau
+            full += np.count_nonzero(counts == tau)
+    assert full  # the case the test is meant to reach: RBs at their quota
+
+
+def test_sca_power_control_refuses_bad_assignments():
+    """An assignment from outside the solver is checked where it comes in:
+    sca_power_control refuses one over the quota, one naming an RB that does
+    not exist (R or -2), one of the wrong length and one of floats or bools,
+    and takes a valid one with an unmatched BS and an empty RB."""
+    rng = np.random.default_rng(2)
+    inst = random_instance(rng, 4, 3, tau=2)
+    assert rb_members([1, -1, 0, 1], inst.n_rb) == ((2,), (0, 3), ())
+    assert sca_power_control(np.array([1, -1, 0, 1]), inst).powers[1] == 0.0
+    one = random_instance(rng, 2, 1, tau=1)
+    for src in ([0, 0], [1, -1], [-2, 0], [0], [0, -1, -1], [0.0, -1.0],
+                [True, False]):
+        with pytest.raises(ValueError, match="an assignment is one integer RB"):
+            sca_power_control(np.array(src), one)
 
 
 def test_sca_monotone_and_feasible():
     rng = np.random.default_rng(7)
     inst = random_instance(rng, 4, 2, tau=2)
-    matching, sol = solve_instance(inst)
+    src, sol = solve_instance(inst)
+    members = rb_members(src, inst.n_rb)
     hist = np.asarray(sol.objective_history)
     assert np.all(np.diff(hist) >= -1e-9)
     assert sol.converged
     assert np.all(sol.powers <= inst.p_max * (1 + 1e-9))
-    for r, members in enumerate(matching.rb_to_bs):
-        load = sum(sol.powers[b] * inst.h_macro[b, r] for b in members)
+    for r, ms in enumerate(members):
+        load = sum(sol.powers[b] * inst.h_macro[b, r] for b in ms)
         assert load <= inst.i_threshold[r] * (1 + 1e-9)
     assert sol.sum_rate == pytest.approx(sol.per_bs_rates.sum())
     # optimized powers must not lose rate vs. the capped equal-power start
-    start = sum(sum(pair_rates(inst, r, members, dict.fromkeys(
-                    members, capped_equal_power(inst, r, members))).values())
-                for r, members in enumerate(matching.rb_to_bs) if members)
+    start = sum(sum(pair_rates(inst, r, ms, dict.fromkeys(
+                    ms, capped_equal_power(inst, r, ms))).values())
+                for r, ms in enumerate(members) if ms)
     assert sol.sum_rate >= start - 1e-9
 
 
 def test_sca_improves_on_full_power_when_capped():
     rng = np.random.default_rng(8)
     inst = random_instance(rng, 3, 1, tau=3, threshold=5e-11)
-    matching = match_rbs(inst)
-    sol = sca_power_control(matching, inst)
+    sol = sca_power_control(match_rbs(inst), inst)
     start = np.full(3, inst.p_max)
     load = start @ inst.h_macro[:, 0]
     start *= (inst.i_threshold[0] / load) * (1 - 1e-9)
@@ -604,18 +636,17 @@ def test_closed_rb_is_silent():
     beside it is solved as usual."""
     rng = np.random.default_rng(9)
     inst = random_instance(rng, 4, 2, tau=2, threshold=0.0)
-    matching = Matching((0, 0, 1, 1), n_rb=2, tau=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scheme in ("noma", "oma"):
-            m = match_rbs(inst, scheme)
-            sol = sca_power_control(m, inst, scheme)
-            assert min(m.bs_to_rb) >= 0  # every BS on a closed RB
+            src = match_rbs(inst, scheme)
+            sol = sca_power_control(src, inst, scheme)
+            assert src.min() >= 0  # every BS on a closed RB
             assert not sol.powers.any() and not sol.per_bs_rates.any()
             assert sol.sum_rate == 0.0 and sol.converged
             sol = sca_power_control(
-                matching, replace(inst, i_threshold=np.array([0.0, np.inf])),
-                scheme)
+                np.array([0, 0, 1, 1]),
+                replace(inst, i_threshold=np.array([0.0, np.inf])), scheme)
             assert not sol.powers[:2].any() and not sol.per_bs_rates[:2].any()
             assert np.all((sol.powers[2:] > 0) & (sol.powers[2:] <= inst.p_max))
             assert np.all(sol.per_bs_rates[2:] > 0)
@@ -624,8 +655,7 @@ def test_closed_rb_is_silent():
 def test_oma_baseline_consistent():
     rng = np.random.default_rng(10)
     inst = random_instance(rng, 4, 2, tau=2)
-    matching = match_rbs(inst, "oma")
-    direct = sca_power_control(matching, inst, "oma").sum_rate
+    direct = sca_power_control(match_rbs(inst, "oma"), inst, "oma").sum_rate
     _, grouped = solve_group([inst], [inst.tau], ["oma"])[(inst.tau, "oma")]
     assert grouped.sum_rate[0] == pytest.approx(direct)
     assert direct > 0.0
@@ -636,7 +666,7 @@ def _sca_rows(inst, scheme, extra):
     of its open matched RBs under match_rbs, with extra sentinel slots
     beyond its fullest RB, their RBs and their macro gains."""
     tab = _stack([inst])
-    src = np.array(match_rbs(inst, scheme).bs_to_rb)
+    src = match_rbs(inst, scheme)
     counts = np.bincount(src[src >= 0], minlength=inst.n_rb)
     rbs = np.flatnonzero(counts * (inst.i_threshold > 0))
     sets = _padded(src, rbs, inst.n_bs, int(counts.max(initial=1)) + extra)
@@ -731,9 +761,10 @@ def test_sca_matches_slsqp_oracle():
     rng = np.random.default_rng(78)
     binding = single = 0
     for inst, scheme in _sca_cases():
-        matching = match_rbs(inst, scheme)
-        rbs = np.array([r for r, ms in enumerate(matching.rb_to_bs) if ms])
-        sets = _padded(np.array(matching.bs_to_rb), rbs, inst.n_bs, inst.tau)
+        src = match_rbs(inst, scheme)
+        members = rb_members(src, inst.n_rb)
+        rbs = np.array([r for r, ms in enumerate(members) if ms])
+        sets = _padded(src, rbs, inst.n_bs, inst.tau)
         h = np.vstack([inst.h_macro, np.zeros(inst.n_rb)])[sets, rbs]
         cap = inst.i_threshold[rbs]
         p = rng.uniform(0.05, 1.0, sets.shape) * inst.p_max
@@ -744,18 +775,17 @@ def test_sca_matches_slsqp_oracle():
                                np.zeros(len(rbs), dtype=np.intp),
                                np.ones(1, dtype=bool))
         for col, r in enumerate(rbs.tolist()):
-            members = list(matching.rb_to_bs[r])
-            want = slsqp_surrogate_step(inst, r, members, p[:len(members), col],
-                                        scheme)
-            got = cand[:len(members), col]
+            ms = list(members[r])
+            want = slsqp_surrogate_step(inst, r, ms, p[:len(ms), col], scheme)
+            got = cand[:len(ms), col]
             binding += bool(np.isfinite(cap[col])
-                            and got @ h[:len(members), col] > 0.999 * cap[col])
-            single += bool(np.any(inst.x_far[members, members, r] == 0.0))
-            rate = [sum(pair_rates(inst, r, members, dict(zip(members, pw)),
+                            and got @ h[:len(ms), col] > 0.999 * cap[col])
+            single += bool(np.any(inst.x_far[ms, ms, r] == 0.0))
+            rate = [sum(pair_rates(inst, r, ms, dict(zip(ms, pw)),
                                    scheme).values()) for pw in (got, want)]
             np.testing.assert_allclose(rate[0], rate[1], rtol=1e-9, atol=0)
-        sol = sca_power_control(matching, inst, scheme)
-        _, rate, iterations = slsqp_sca(matching, inst, scheme)
+        sol = sca_power_control(src, inst, scheme)
+        _, rate, iterations = slsqp_sca(src, inst, scheme)
         np.testing.assert_allclose(sol.sum_rate, rate, rtol=1e-9, atol=0)
         assert sol.iterations == iterations
     assert binding and single  # the cases the test is meant to reach

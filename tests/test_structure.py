@@ -1,5 +1,6 @@
-"""Guards on the package's shape: every public name it defines, and every
-default of its public functions, must be used by the package itself or by the
+"""Guards on the package's shape: every public name it defines must be
+reached from the command line, the acceptance suite or import, and every
+default of its public functions set by the package itself or by the
 acceptance suite, nothing it runs may need scipy, every seed goes through the
 one seeding rule, every memory estimate through the one budget check, no
 module imports another's private names, nothing reads the environment, and
@@ -33,42 +34,80 @@ def _definitions(tree):
                     yield target.id, target.id, node
 
 
-def _referenced(name, definition, trees) -> bool:
-    """Whether any module uses `name` (as a name, an attribute or an import)
-    outside `definition`. Methods are matched by attribute name only."""
-    for tree in trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node is definition:
-                continue
-            if (isinstance(node, ast.Name) and node.id == name
-                    or isinstance(node, ast.Attribute) and node.attr == name
-                    or isinstance(node, ast.alias) and node.name == name):
-                return True
-            stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 def _acceptance_imports() -> set:
+    """(module file, name) of each name tests/test_acceptance.py imports from
+    the package."""
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    return {alias.name for node in ast.walk(tree)
+    return {(node.module.split(".")[-1] + ".py", alias.name)
+            for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             and (node.module or "").split(".")[0] == "unoma"
             for alias in node.names}
 
 
+def _uses(nodes) -> set:
+    """The names the code of nodes reads, as a name or an attribute. An
+    assignment's target and an import are not uses."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and not isinstance(n.ctx, ast.Store)}
+
+
+def _reached(modules) -> set:
+    """(module file, qualified name) of every definition reached from the
+    roots: cli.main, the names the acceptance suite imports, and each
+    module's top-level statements other than definitions and imports, which
+    run on import. A reached definition's code reads names, and a name
+    reaches every definition of it, in any module. A method is reached when
+    its class is and its name is read; a dunder, which Python calls, with
+    its class or module. A class's code is its bases, decorators and body
+    outside its methods."""
+    defs, uses = {}, set()  # (module, qualified) -> (name, class, code)
+    roots = {("cli.py", "main"), *_acceptance_imports()}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[module, node.name] = node.name, None, [node]
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                code = [n for n in node.body if n not in methods]
+                defs[module, node.name] = (node.name, None,
+                                           code + node.bases + node.decorator_list)
+                for m in methods:
+                    defs[module, f"{node.name}.{m.name}"] = m.name, node.name, [m]
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                uses |= _uses([node])
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Name):
+                        defs[module, target.id] = target.id, None, []
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for key, (name, owner, code) in defs.items():
+            dunder = name.startswith("__") and name.endswith("__")
+            ready = owner is None or (key[0], owner) in reached
+            if key not in reached and (key in roots
+                                       or ready and (dunder or name in uses)):
+                reached.add(key)
+                uses |= _uses(code)
+                grew = True
+    return reached
+
+
 def test_every_public_name_is_reached():
+    """Every public top-level name and every public method of a public class
+    is reached (_reached) from cli.main, the acceptance suite's imports or
+    code that runs on import, so a public function that only tests, or only
+    other unreached functions, call cannot stay."""
     modules = {path.name: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py"))}
-    trees = list(modules.values())
-    allowed = _acceptance_imports()
+    reached = _reached(modules)
     unreached = [f"{module}:{qualified}"
                  for module, tree in modules.items()
-                 for qualified, name, node in _definitions(tree)
-                 if not name.startswith("_") and name not in allowed
-                 and not _referenced(name, node, trees)]
-    assert unreached == [], f"public names nothing uses: {unreached}"
+                 for qualified, name, _ in _definitions(tree)
+                 if not name.startswith("_") and (module, qualified) not in reached]
+    assert unreached == [], f"public names nothing reaches: {unreached}"
 
 
 def _defaulted_parameters(tree):
